@@ -7,6 +7,12 @@ Every bound here is a binomial tail sum of the form
 evaluated fully in the log domain: the min is taken per summand before
 accumulation, never by clamping an overflowed sum. Class sizes are carried
 as real-valued log2(M); a concrete integer code takes floor(2^log2M).
+
+The inverse rate search (largest log2M meeting an error target) is exact:
+the sum is piecewise A + B 2^coeff between the breakpoints coeff = -shift,
+so one pass over the terms locates the segment and solves it in closed form
+(`numerics.invert_exp2_sum`). Every returned rate is then confirmed by the
+bound's own evaluator, which must give a value at or below the target.
 """
 
 from __future__ import annotations
@@ -14,15 +20,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import ChannelKind, ChannelSpec, binomial_log_pmf
-from .numerics import LN2
-
-BISECT_TOL_BITS = 1e-6
+from .numerics import LN2, invert_exp2_sum, largest_feasible, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -78,35 +81,41 @@ class HeaderSplit:
             raise ValueError(f"n0 must be >= 0, got {self.n0}")
 
 
-@functools.lru_cache(maxsize=4096)
-def _cached_log_pmf(n: int, p: float) -> np.ndarray:
-    return binomial_log_pmf(n, p)
+# A header scan touches each length in two to four sums of one split, so a
+# short cache serves it while keeping memory flat in n.
+@functools.lru_cache(maxsize=256)
+def _density_terms(kind: ChannelKind, length: int, p: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(natural-log mass, information density in bits) of each weight t with mass.
+
+    For BSC t counts flips and the density is len + t*log2(p) + (len-t)*log2(1-p);
+    for BEC t counts erasures and the density is len - t. The returned arrays
+    are shared by every caller and must not be modified.
+    """
+    lw = binomial_log_pmf(length, p)
+    t = np.flatnonzero(lw > -np.inf)
+    if kind is ChannelKind.BSC:
+        # p = 0 leaves only t = 0 and p = 1 only t = len, so 0*log2(0) never arises
+        log2_p = math.log2(p) if p > 0.0 else 0.0
+        log2_q = math.log2(1.0 - p) if p < 1.0 else 0.0
+        density = length + t * log2_p + (length - t) * log2_q
+    else:
+        density = (length - t).astype(float)
+    return lw[t], density
 
 
 def _dt_tail_sum(kind: ChannelKind, length: int, p: float, log2_coeff: float) -> float:
-    """sum_t C(len,t) p^t (1-p)^(len-t) min[1, 2^(coeff - density(t))] in [0,1].
-
-    For BSC the density shift is -len - t*log2(p) + (t-len)*log2(1-p) and t
-    counts flips; for BEC it is t - len and t counts erasures.
-    """
+    """sum_t C(len,t) p^t (1-p)^(len-t) min[1, 2^(coeff - density(t))] in [0,1]."""
     if log2_coeff == -math.inf:
         return 0.0
-    if length == 0:
-        return min(1.0, 2.0**min(0.0, log2_coeff))
-    if p == 0.0 or (p == 1.0 and kind is ChannelKind.BSC):
-        # all mass on one weight where the ratio term is 2^(coeff - len)
-        return min(1.0, 2.0**min(0.0, log2_coeff - length))
-    if p == 1.0:
-        # BEC, everything erased: ratio term is 2^coeff >= 1 whenever M >= lambda
-        return min(1.0, 2.0**min(0.0, log2_coeff))
-    lw = _cached_log_pmf(length, p)
-    t = np.arange(length + 1)
-    if kind is ChannelKind.BSC:
-        exponent_bits = log2_coeff - length - t * math.log2(p) + (t - length) * math.log2(1.0 - p)
-    else:
-        exponent_bits = log2_coeff + (t - length).astype(float)
-    log_terms = lw + np.minimum(0.0, exponent_bits * LN2)
-    return min(1.0, float(math.exp(logsumexp(log_terms))))
+    log_w, density = _density_terms(kind, length, p)
+    log_terms = log_w + np.minimum(0.0, (log2_coeff - density) * LN2)
+    return min(1.0, math.exp(log_sum_exp(log_terms)))
+
+
+def _max_dt_coeff(kind: ChannelKind, length: int, p: float, budget: float) -> float:
+    """Largest coeff with _dt_tail_sum(kind, length, p, coeff) <= budget."""
+    log_w, density = _density_terms(kind, length, p)
+    return invert_exp2_sum(log_w, -density, budget)
 
 
 def dt_class_bound(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
@@ -176,23 +185,6 @@ def expected_error_dt(
     return min(1.0, total)
 
 
-def _bisect_max_log2M(bound_fn, eps_target: float) -> Optional[float]:
-    """Largest log2M >= 0 with bound_fn(log2M) <= eps_target, else None."""
-    if bound_fn(0.0) > eps_target:
-        return None
-    lo, hi = 0.0, 8.0
-    while bound_fn(hi) <= eps_target:
-        lo = hi
-        hi *= 2.0
-    while hi - lo > BISECT_TOL_BITS:
-        mid = 0.5 * (lo + hi)
-        if bound_fn(mid) <= eps_target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def max_log2M_dt(spec: ChannelSpec, eps_target: float, lambda_i: float) -> Optional[float]:
     """Largest class size (in bits) whose DT bound meets eps_target.
 
@@ -201,7 +193,29 @@ def max_log2M_dt(spec: ChannelSpec, eps_target: float, lambda_i: float) -> Optio
     """
     if not 0.0 < eps_target < 1.0:
         raise ValueError(f"eps_target must be in (0,1), got {eps_target}")
-    return _bisect_max_log2M(lambda lm: dt_class_bound(spec, lm, lambda_i), eps_target)
+
+    def bound(lm):
+        return dt_class_bound(spec, lm, lambda_i)
+
+    if bound(0.0) > eps_target:
+        return None
+    # the bound depends on log2M only through coeff = log2M - log2(lambda)
+    coeff = _max_dt_coeff(spec.kind, spec.n, spec.p, eps_target)
+    return largest_feasible(bound, coeff + math.log2(lambda_i), eps_target)
+
+
+def _max_payload_log2M(
+    spec: ChannelSpec, split: HeaderSplit, m: int, eps_target: float, header_term: float
+) -> Optional[float]:
+    """Largest payload size meeting eps_target, given the split's header term."""
+    if header_term > eps_target:
+        return None
+    coeff = _max_dt_coeff(spec.kind, spec.n - split.n0, spec.p, eps_target - header_term)
+    # the payload coefficient log2(2^x - 1) - 1 inverts to x = log2(1 + 2^(coeff + 1))
+    guess = float(np.logaddexp2(0.0, coeff + 1.0))
+    return largest_feasible(
+        lambda lm: header_ach_bound(spec, split, m, lm), guess, eps_target
+    )
 
 
 def max_log2M_header_ach(
@@ -211,9 +225,9 @@ def max_log2M_header_ach(
     if not 0.0 < eps_target < 1.0:
         raise ValueError(f"eps_target must be in (0,1), got {eps_target}")
     split = HeaderSplit(n0)
-    return _bisect_max_log2M(
-        lambda lm: header_ach_bound(spec, split, m, lm), eps_target
-    )
+    # at log2M = 0 the payload sum vanishes, leaving the header term
+    header_term = header_ach_bound(spec, split, m, 0.0)
+    return _max_payload_log2M(spec, split, m, eps_target, header_term)
 
 
 def max_log2M_header_ach_best(
@@ -227,21 +241,14 @@ def max_log2M_header_ach_best(
     against the strictest target.
     """
     min_eps = min(all_eps)
+    header_coeff = (math.log2(m - 1) - 1.0) if m > 1 else -math.inf
     best = None
     n0_start = 0 if m == 1 else 1
     for n0 in range(n0_start, spec.n + 1):
-        header_coeff = (math.log2(m - 1) - 1.0) if m > 1 else -math.inf
         header_term = _dt_tail_sum(spec.kind, n0, spec.p, header_coeff)
         if header_term > min_eps:
             continue
-        payload_len = spec.n - n0
-        budget = eps_target - header_term
-
-        def payload_bound(lm, _len=payload_len):
-            coeff = _log2_count_minus_one(lm) - 1.0
-            return _dt_tail_sum(spec.kind, _len, spec.p, coeff)
-
-        rate = _bisect_max_log2M(payload_bound, budget)
+        rate = _max_payload_log2M(spec, HeaderSplit(n0), m, eps_target, header_term)
         if rate is not None and (best is None or rate > best):
             best = rate
     return best

@@ -364,13 +364,16 @@ def bound_rows(cfg: SweepConfig) -> List[List[str]]:
         spec = ChannelSpec(cfg.channel, cfg.p, n)
         stats = channel_stats(spec)
         cache = {}  # classes sharing (eps, lambda) share one computation
+        header_cache = {}  # header scans take no lambda: classes sharing eps share them
         out = []
         for idx, cls in enumerate(cfg.classes):
             key = (cls.eps, cls.lam)
             if key not in cache:
                 dt = max_log2M_dt(spec, cls.eps, cls.lam)
                 conv = _converse_rate(spec, cls.eps, cls.lam)
-                header_ach, header_conv = _header_rates(spec, cls.eps, m, all_eps, cfg)
+                if cls.eps not in header_cache:
+                    header_cache[cls.eps] = _header_rates(spec, cls.eps, m, all_eps, cfg)
+                header_ach, header_conv = header_cache[cls.eps]
                 if stats.dispersion > 0.0:
                     normal = max(0.0, normal_approx_log2M(spec, cls.eps, cls.lam))
                 else:

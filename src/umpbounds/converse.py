@@ -20,11 +20,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .achievability import BISECT_TOL_BITS
+from .achievability import _density_terms
 from .channel import ChannelKind, ChannelSpec, binomial_log_pmf
-from .numerics import LN2, LogValue, log_binomial_row
+from .numerics import (
+    LN2,
+    LogValue,
+    invert_exp2_sum,
+    largest_feasible,
+    log_binomial_row,
+    log_sum_exp,
+)
 
 
 @dataclass(frozen=True)
@@ -85,12 +91,10 @@ def np_beta_bsc(n: int, p: float, alpha: float) -> NPBetaResult:
     else:
         rho = 0.0
     rho = min(1.0, max(0.0, rho))
-    parts = list(log_q[:L])
+    log_beta = log_sum_exp(log_q[:L])
     if rho > 0.0:
-        parts.append(math.log(rho) + log_q[L])
-    if not parts:
-        return NPBetaResult(LogValue.zero(), L, rho)
-    return NPBetaResult(LogValue(float(logsumexp(parts))), L, rho)
+        log_beta = float(np.logaddexp(log_beta, math.log(rho) + log_q[L]))
+    return NPBetaResult(LogValue(log_beta), L, rho)
 
 
 def converse_max_log2M_bsc(spec: ChannelSpec, eps: float, lambda_i: float) -> float:
@@ -106,15 +110,22 @@ def converse_max_log2M_bsc(spec: ChannelSpec, eps: float, lambda_i: float) -> fl
 
 
 def _bec_conv_sum(length: int, p: float, log2_count: float) -> float:
-    """sum_l C(len,l) p^l (1-p)^(len-l) (1 - 2^(len-l)/count)^+ in [0,1]."""
-    lw = binomial_log_pmf(length, p)
-    l = np.arange(length + 1)
-    exponent = (length - l).astype(float) - log2_count
-    keep = (exponent < 0.0) & (lw > -np.inf)
-    if not np.any(keep):
-        return 0.0
-    log_terms = lw[keep] + np.log1p(-np.exp2(exponent[keep]))
-    return min(1.0, float(math.exp(logsumexp(log_terms))))
+    """sum_l C(len,l) p^l (1-p)^(len-l) (1 - 2^(len-l)/count)^+ in [0,1].
+
+    len - l is the information density of an output with l erasures.
+    """
+    log_w, density = _density_terms(ChannelKind.BEC, length, p)
+    exponent = density - log2_count
+    keep = exponent < 0.0
+    # 1 - 2^e as -expm1(e ln 2) keeps its relative accuracy as e -> 0
+    log_terms = log_w[keep] + np.log(-np.expm1(exponent[keep] * LN2))
+    return min(1.0, math.exp(log_sum_exp(log_terms)))
+
+
+def _max_bec_conv_count(length: int, p: float, budget: float) -> float:
+    """Largest log2_count with _bec_conv_sum(length, p, log2_count) <= budget."""
+    log_w, density = _density_terms(ChannelKind.BEC, length, p)
+    return invert_exp2_sum(log_w, -density, budget, hinge=True)
 
 
 def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
@@ -128,30 +139,19 @@ def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
     return _bec_conv_sum(spec.n, spec.p, log2M - math.log2(lambda_i))
 
 
-def _bisect_max_log2M_conv(bound_fn, eps_target: float) -> Optional[float]:
-    """Largest log2M >= 0 with the converse floor still at or below target."""
-    if bound_fn(0.0) > eps_target:
-        return None
-    lo, hi = 0.0, 8.0
-    while bound_fn(hi) <= eps_target:
-        lo = hi
-        hi *= 2.0
-    while hi - lo > BISECT_TOL_BITS:
-        mid = 0.5 * (lo + hi)
-        if bound_fn(mid) <= eps_target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def converse_max_log2M_bec(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
     """Largest log2M whose BEC converse floor does not exceed eps."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    return _bisect_max_log2M_conv(
-        lambda lm: converse_eps_bec(spec, lm, lambda_i), eps
-    )
+
+    def floor(lm):
+        return converse_eps_bec(spec, lm, lambda_i)
+
+    if floor(0.0) > eps:
+        return None
+    # the floor depends on log2M only through log2M - log2(lambda)
+    count = _max_bec_conv_count(spec.n, spec.p, eps)
+    return largest_feasible(floor, count + math.log2(lambda_i), eps)
 
 
 def header_conv_eps_bec(spec: ChannelSpec, n0: int, m: int, log2M: float) -> float:
@@ -167,6 +167,43 @@ def header_conv_eps_bec(spec: ChannelSpec, n0: int, m: int, log2M: float) -> flo
     return min(1.0, total)
 
 
+def _header_eps0_index(p: float, n0: int, m: int, grid: np.ndarray) -> Optional[int]:
+    """Smallest grid index whose eps0 lets m header codewords pass the converse.
+
+    The header constraint is beta_{n0}(1 - eps0) <= 1/m, and beta is monotone
+    in its detection level, so the feasible eps0 form an upper set. The
+    largest level alpha with beta(alpha) <= 1/m is read off the cumulative
+    distance shells (whole shells, then a randomized fraction of the next),
+    which gives the grid index in one searchsorted. The index is confirmed
+    with the shell-by-shell test at it and at its predecessor and moved to
+    the nearest point where the test switches if rounding put it off by one.
+    """
+    log2_m = math.log2(m)
+
+    def header_ok(eps0: float) -> bool:
+        if n0 == 0:
+            # zero-length header: beta_alpha over a point space equals alpha
+            return log2_m <= -math.log2(1.0 - eps0) if eps0 < 1.0 else True
+        beta = np_beta_bsc(n0, p, 1.0 - eps0)
+        return log2_m <= -beta.log2_beta
+
+    pmass, log_q = _bsc_shells(n0, p)
+    q = np.exp(log_q)
+    cum_q = np.cumsum(q)
+    L = int(np.searchsorted(cum_q, 1.0 / m, side="right"))
+    if L > n0:
+        alpha_max = 1.0
+    else:
+        before_q, before_p = (cum_q[L - 1], pmass[:L].sum()) if L > 0 else (0.0, 0.0)
+        alpha_max = before_p + (1.0 / m - before_q) / q[L] * pmass[L]
+    idx = int(np.searchsorted(grid, 1.0 - alpha_max, side="left"))
+    while idx < len(grid) and not header_ok(grid[idx]):
+        idx += 1
+    while idx > 0 and header_ok(grid[idx - 1]):
+        idx -= 1
+    return idx if idx < len(grid) else None
+
+
 def header_conv_max_log2M_bsc(
     spec: ChannelSpec,
     eps_i: float,
@@ -180,37 +217,17 @@ def header_conv_max_log2M_bsc(
     The header error allocation eps0 is optimized over a uniform grid on
     [0, min_j eps_j]: the m-codeword header constraint relaxes as eps0 grows
     while the payload limit tightens, so the best grid point is the smallest
-    feasible one (found by bisection over the grid).
+    feasible one.
     """
     if spec.kind is not ChannelKind.BSC:
         raise ValueError("header_conv_max_log2M_bsc requires a BSC spec")
     if not 0 <= n0 <= spec.n:
         raise ValueError(f"n0 must be in [0, n], got {n0}")
-    min_eps = min(all_eps)
-    grid = np.linspace(0.0, min_eps, eps0_points)
-    log2_m = math.log2(m)
-
-    def header_ok(eps0: float) -> bool:
-        if n0 == 0:
-            # zero-length header: beta_alpha over a point space equals alpha
-            return log2_m <= -math.log2(1.0 - eps0) if eps0 < 1.0 else True
-        beta = np_beta_bsc(n0, spec.p, 1.0 - eps0)
-        return log2_m <= -beta.log2_beta
-
-    lo, hi = 0, len(grid) - 1
-    if not header_ok(grid[hi]):
+    grid = np.linspace(0.0, min(all_eps), eps0_points)
+    idx = _header_eps0_index(spec.p, n0, m, grid)
+    if idx is None:
         return None
-    if header_ok(grid[lo]):
-        best_idx = lo
-    else:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if header_ok(grid[mid]):
-                hi = mid
-            else:
-                lo = mid
-        best_idx = hi
-    eps0 = float(grid[best_idx])
+    eps0 = float(grid[idx])
     payload_alpha = 1.0 - (eps_i - eps0)
     if payload_alpha >= 1.0:
         return 0.0
@@ -238,12 +255,16 @@ def header_conv_max_log2M_bec(
     spec: ChannelSpec, eps_i: float, m: int, n0: int, all_eps: Sequence[float]
 ) -> Optional[float]:
     """Largest class size whose BEC header-converse floor meets eps_i."""
-    min_eps = min(all_eps)
-    if header_conv_eps_bec(spec, n0, m, 0.0) > min_eps:
+
+    def floor(lm):
+        return header_conv_eps_bec(spec, n0, m, lm)
+
+    # at log2M = 0 the payload sum vanishes, leaving the header part
+    header_term = floor(0.0)
+    if header_term > min(all_eps) or header_term > eps_i:
         return None
-    return _bisect_max_log2M_conv(
-        lambda lm: header_conv_eps_bec(spec, n0, m, lm), eps_i
-    )
+    count = _max_bec_conv_count(spec.n - n0, spec.p, eps_i - header_term)
+    return largest_feasible(floor, count, eps_i)
 
 
 def header_conv_max_log2M_bec_best(

@@ -8,6 +8,7 @@ so they are carried as natural-log magnitudes throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +70,89 @@ def log_add(a: LogValue, b: LogValue) -> LogValue:
     return LogValue(float(np.logaddexp(a.log_magnitude, b.log_magnitude)))
 
 
+def log_sum_exp(log_terms) -> float:
+    """ln sum_t exp(log_terms[t]) with the max shift; -inf for no or only zero terms."""
+    a = np.asarray(log_terms, dtype=float)
+    if a.size == 0:
+        return _NEG_INF
+    peak = float(a.max())
+    if peak == _NEG_INF:
+        return _NEG_INF
+    return peak + math.log(float(np.exp(a - peak).sum()))
+
+
+def _log_sub(a, b):
+    """ln(e^a - e^b) elementwise for a >= b; -inf where the difference is zero."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(a > b, a + np.log1p(-np.exp(b - a)), _NEG_INF)
+
+
+def invert_exp2_sum(log_w, shift, budget: float, hinge: bool = False) -> float:
+    """Largest c with S(c) <= budget, in closed form, for the monotone sums
+
+        S(c) = sum_t w_t min(1, 2^(c + s_t))       (hinge=False, DT sums)
+        S(c) = sum_t w_t (1 - 2^-(c + s_t))^+      (hinge=True, converse sums)
+
+    where w_t = exp(log_w[t]) and the shifts s_t are in bits. Sorted by s_t
+    descending, the terms with c + s_t >= 0 are a prefix; between consecutive
+    breakpoints c = -s_t the sum is A + B 2^c (resp. A - B 2^-c), where A is
+    that prefix's mass and B the 2^(+-s)-weighted mass of the other (resp.
+    same) terms. Log-domain prefix and suffix sums give S at every breakpoint,
+    one searchsorted finds the segment, and the segment's equation is solved
+    exactly. Returns +inf when S never exceeds budget. The result is exact up
+    to rounding; callers confirm it against their own evaluator.
+    """
+    log_w = np.asarray(log_w, dtype=float)
+    log_budget = math.log(budget) if budget > 0.0 else _NEG_INF
+    # a term never adds more than its weight to S, so terms that together weigh
+    # under 2^-60 of the budget cannot move S at the crossing: leave them out
+    keep = log_w > max(log_budget - math.log(len(log_w)) - 60.0 * LN2, _NEG_INF)
+    s = np.asarray(shift, dtype=float)[keep]
+    order = np.argsort(-s, kind="stable")
+    log_w = log_w[keep][order]
+    s = s[order] * LN2  # nats, descending
+    # index k: sums over the terms j < k, the active prefix left of breakpoint k
+    log_mass = np.concatenate(([_NEG_INF], np.logaddexp.accumulate(log_w)))
+    if hinge:
+        log_b = np.concatenate(([_NEG_INF], np.logaddexp.accumulate(log_w - s)))
+        log_at_break = _log_sub(log_mass[:-1], log_b[:-1] + s)
+    else:
+        log_b = np.concatenate((np.logaddexp.accumulate((log_w + s)[::-1])[::-1], [_NEG_INF]))
+        log_at_break = np.logaddexp(log_mass[:-1], log_b[:-1] - s)
+    # the last entry is S(+inf), the total mass
+    log_at_break = np.maximum.accumulate(np.append(log_at_break, log_mass[-1]))
+    k = int(np.searchsorted(log_at_break, log_budget, side="right"))
+    if k == len(log_at_break):
+        return math.inf
+    lo = -s[k - 1] / LN2 if k > 0 else _NEG_INF
+    hi = -s[k] / LN2 if k < len(s) else math.inf
+    if hinge:  # budget = A - B 2^-c
+        log_gap = float(_log_sub(log_mass[k], log_budget))
+        c = (log_b[k] - log_gap) / LN2
+    elif log_b[k] == _NEG_INF:  # rounding put budget in the flat tail: S(lo) <= budget
+        return lo
+    else:  # budget = A + B 2^c
+        log_gap = float(_log_sub(log_budget, log_mass[k]))
+        c = (log_gap - log_b[k]) / LN2
+    return min(max(c, lo), hi)
+
+
+def largest_feasible(bound_fn, guess: float, target: float) -> float:
+    """Step a log2M guess down until bound_fn(value) <= target, stopping at 0.
+
+    A closed-form inversion and the evaluator it inverts round differently,
+    so the guess can sit a few ulps past the crossing. The caller has checked
+    bound_fn(0) <= target.
+    """
+    if guess == math.inf:
+        return guess
+    x, step = guess, math.ulp(max(abs(guess), 1.0))
+    while x > 0.0 and bound_fn(x) > target:
+        x = guess - step
+        step *= 2.0
+    return max(x, 0.0)
+
+
 def log_binomial(n: int, t: int, exact: bool = False) -> float:
     """ln C(n,t) via log-gamma; `exact` switches to the big-integer path.
 
@@ -82,12 +166,21 @@ def log_binomial(n: int, t: int, exact: bool = False) -> float:
     return float(gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _log_factorials(size: int) -> np.ndarray:
+    """ln k! = gammaln(k + 1) for k < size; sizes are powers of two, so few exist."""
+    return gammaln(np.arange(size) + 1.0)
+
+
 def log_binomial_row(n: int) -> np.ndarray:
-    """ln C(n,t) for all t = 0..n as one vectorized gammaln call."""
+    """ln C(n,t) for all t = 0..n from one shared table of gammaln values.
+
+    Bit-identical to gammaln(n+1) - gammaln(t+1) - gammaln(n-t+1) per entry.
+    """
     if n < 0:
         raise ValueError(f"negative n: {n}")
-    t = np.arange(n + 1)
-    return gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1)
+    lf = _log_factorials(1 << (n + 1).bit_length())
+    return lf[n] - lf[: n + 1] - lf[n::-1]
 
 
 def gaussian_Q(x: float) -> float:
