@@ -17,14 +17,13 @@ bound's own evaluator, which must give a value at or below the target.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelKind, ChannelSpec, binomial_log_pmf
+from .channel import ChannelKind, ChannelSpec, info_density_spectrum
 from .numerics import LN2, invert_exp2_sum, largest_feasible, log_sum_exp
 
 
@@ -81,41 +80,19 @@ class HeaderSplit:
             raise ValueError(f"n0 must be >= 0, got {self.n0}")
 
 
-# A header scan touches each length in two to four sums of one split, so a
-# short cache serves it while keeping memory flat in n.
-@functools.lru_cache(maxsize=256)
-def _density_terms(kind: ChannelKind, length: int, p: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(natural-log mass, information density in bits) of each weight t with mass.
-
-    For BSC t counts flips and the density is len + t*log2(p) + (len-t)*log2(1-p);
-    for BEC t counts erasures and the density is len - t. The returned arrays
-    are shared by every caller and must not be modified.
-    """
-    lw = binomial_log_pmf(length, p)
-    t = np.flatnonzero(lw > -np.inf)
-    if kind is ChannelKind.BSC:
-        # p = 0 leaves only t = 0 and p = 1 only t = len, so 0*log2(0) never arises
-        log2_p = math.log2(p) if p > 0.0 else 0.0
-        log2_q = math.log2(1.0 - p) if p < 1.0 else 0.0
-        density = length + t * log2_p + (length - t) * log2_q
-    else:
-        density = (length - t).astype(float)
-    return lw[t], density
-
-
 def _dt_tail_sum(kind: ChannelKind, length: int, p: float, log2_coeff: float) -> float:
     """sum_t C(len,t) p^t (1-p)^(len-t) min[1, 2^(coeff - density(t))] in [0,1]."""
     if log2_coeff == -math.inf:
         return 0.0
-    log_w, density = _density_terms(kind, length, p)
-    log_terms = log_w + np.minimum(0.0, (log2_coeff - density) * LN2)
+    spectrum = info_density_spectrum(kind, length, p)
+    log_terms = spectrum.log_mass + np.minimum(0.0, (log2_coeff - spectrum.density) * LN2)
     return min(1.0, math.exp(log_sum_exp(log_terms)))
 
 
 def _max_dt_coeff(kind: ChannelKind, length: int, p: float, budget: float) -> float:
     """Largest coeff with _dt_tail_sum(kind, length, p, coeff) <= budget."""
-    log_w, density = _density_terms(kind, length, p)
-    return invert_exp2_sum(log_w, -density, budget)
+    spectrum = info_density_spectrum(kind, length, p)
+    return invert_exp2_sum(spectrum.log_mass, -spectrum.density, budget)
 
 
 def dt_class_bound(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
@@ -204,13 +181,27 @@ def max_log2M_dt(spec: ChannelSpec, eps_target: float, lambda_i: float) -> Optio
     return largest_feasible(bound, coeff + math.log2(lambda_i), eps_target)
 
 
-def _max_payload_log2M(
-    spec: ChannelSpec, split: HeaderSplit, m: int, eps_target: float, header_term: float
+def max_log2M_header_ach(
+    spec: ChannelSpec, eps_target: float, m: int, n0: int, all_eps: Sequence[float]
 ) -> Optional[float]:
-    """Largest payload size meeting eps_target, given the split's header term."""
-    if header_term > eps_target:
+    """Largest payload size meeting eps_target for a fixed header split.
+
+    The split is admissible when it supports at least one codeword in every
+    class, i.e. the bound at M=1 meets every class's target. The header term
+    does not depend on the class, so that reduces to a single comparison
+    against the strictest target. Returns None for an inadmissible split,
+    including a zero-length header with m > 1 classes.
+    """
+    if not 0.0 < eps_target < 1.0:
+        raise ValueError(f"eps_target must be in (0,1), got {eps_target}")
+    if n0 == 0 and m > 1:
         return None
-    coeff = _max_dt_coeff(spec.kind, spec.n - split.n0, spec.p, eps_target - header_term)
+    split = HeaderSplit(n0)
+    # at log2M = 0 the payload sum vanishes, leaving the header term
+    header_term = header_ach_bound(spec, split, m, 0.0)
+    if header_term > min(all_eps) or header_term > eps_target:
+        return None
+    coeff = _max_dt_coeff(spec.kind, spec.n - n0, spec.p, eps_target - header_term)
     # the payload coefficient log2(2^x - 1) - 1 inverts to x = log2(1 + 2^(coeff + 1))
     guess = float(np.logaddexp2(0.0, coeff + 1.0))
     return largest_feasible(
@@ -218,37 +209,22 @@ def _max_payload_log2M(
     )
 
 
-def max_log2M_header_ach(
-    spec: ChannelSpec, eps_target: float, m: int, n0: int
+def best_over_splits(
+    rate_at: Callable[[int], Optional[float]], n: int, n0: Optional[int] = None
 ) -> Optional[float]:
-    """Largest payload size meeting eps_target for a fixed header split."""
-    if not 0.0 < eps_target < 1.0:
-        raise ValueError(f"eps_target must be in (0,1), got {eps_target}")
-    split = HeaderSplit(n0)
-    # at log2M = 0 the payload sum vanishes, leaving the header term
-    header_term = header_ach_bound(spec, split, m, 0.0)
-    return _max_payload_log2M(spec, split, m, eps_target, header_term)
+    """Largest rate_at(split) over every header split 0..n, or at n0 alone if given.
+
+    Infeasible splits (None) are skipped. Returns None when no split is
+    feasible, which includes a fixed n0 beyond the blocklength.
+    """
+    splits = range(n + 1) if n0 is None else [n0] if n0 <= n else []
+    return max((r for r in map(rate_at, splits) if r is not None), default=None)
 
 
 def max_log2M_header_ach_best(
     spec: ChannelSpec, eps_target: float, m: int, all_eps: Sequence[float]
 ) -> Optional[float]:
-    """Best header-achievability rate over all admissible splits.
-
-    A split is admissible when it supports at least one codeword in every
-    class, i.e. the bound at M=1 meets every class's target. The header term
-    does not depend on the class, so that reduces to a single comparison
-    against the strictest target.
-    """
-    min_eps = min(all_eps)
-    header_coeff = (math.log2(m - 1) - 1.0) if m > 1 else -math.inf
-    best = None
-    n0_start = 0 if m == 1 else 1
-    for n0 in range(n0_start, spec.n + 1):
-        header_term = _dt_tail_sum(spec.kind, n0, spec.p, header_coeff)
-        if header_term > min_eps:
-            continue
-        rate = _max_payload_log2M(spec, HeaderSplit(n0), m, eps_target, header_term)
-        if rate is not None and (best is None or rate > best):
-            best = rate
-    return best
+    """Best header-achievability rate over all admissible splits."""
+    return best_over_splits(
+        lambda n0: max_log2M_header_ach(spec, eps_target, m, n0, all_eps), spec.n
+    )

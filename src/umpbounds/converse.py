@@ -21,8 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .achievability import _density_terms
-from .channel import ChannelKind, ChannelSpec, binomial_log_pmf
+from .channel import ChannelKind, ChannelSpec, info_density_spectrum
 from .numerics import (
     LN2,
     LogValue,
@@ -61,7 +60,7 @@ def _bsc_shells(n: int, p: float) -> Tuple[np.ndarray, np.ndarray]:
         )
         log_q = np.array([math.log(math.comb(n, j)) - n * LN2 for j in range(n + 1)])
     else:
-        pmass = np.exp(binomial_log_pmf(n, p))
+        pmass = np.exp(info_density_spectrum(ChannelKind.BSC, n, p).log_mass)
         log_q = log_binomial_row(n) - n * LN2
     return pmass, log_q
 
@@ -97,15 +96,30 @@ def np_beta_bsc(n: int, p: float, alpha: float) -> NPBetaResult:
     return NPBetaResult(LogValue(log_beta), L, rho)
 
 
-def converse_max_log2M_bsc(spec: ChannelSpec, eps: float, lambda_i: float) -> float:
-    """Meta-converse rate limit for a BSC class: log2(lambda) - log2(beta)."""
+def _reduced_bsc_p(spec: ChannelSpec) -> Optional[float]:
+    """min(p, 1 - p), to which the BSC converses reduce by symmetry.
+
+    None at p in {0, 1/2, 1}, which have no Neyman-Pearson shell structure.
+    """
     if spec.kind is not ChannelKind.BSC:
-        raise ValueError("converse_max_log2M_bsc requires a BSC spec")
+        raise ValueError("the BSC converses require a BSC spec")
+    p = min(spec.p, 1.0 - spec.p)
+    return p if 0.0 < p < 0.5 else None
+
+
+def converse_max_log2M_bsc(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
+    """Meta-converse rate limit for a BSC class: log2(lambda) - log2(beta).
+
+    None at p in {0, 1/2, 1}; p > 1/2 is reduced to 1 - p by symmetry.
+    """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
     if lambda_i <= 0.0:
         raise ValueError(f"lambda_i must be > 0, got {lambda_i}")
-    beta = np_beta_bsc(spec.n, spec.p, 1.0 - eps)
+    p = _reduced_bsc_p(spec)
+    if p is None:
+        return None
+    beta = np_beta_bsc(spec.n, p, 1.0 - eps)
     return math.log2(lambda_i) - beta.log2_beta
 
 
@@ -114,18 +128,18 @@ def _bec_conv_sum(length: int, p: float, log2_count: float) -> float:
 
     len - l is the information density of an output with l erasures.
     """
-    log_w, density = _density_terms(ChannelKind.BEC, length, p)
-    exponent = density - log2_count
+    spectrum = info_density_spectrum(ChannelKind.BEC, length, p)
+    exponent = spectrum.density - log2_count
     keep = exponent < 0.0
     # 1 - 2^e as -expm1(e ln 2) keeps its relative accuracy as e -> 0
-    log_terms = log_w[keep] + np.log(-np.expm1(exponent[keep] * LN2))
+    log_terms = spectrum.log_mass[keep] + np.log(-np.expm1(exponent[keep] * LN2))
     return min(1.0, math.exp(log_sum_exp(log_terms)))
 
 
 def _max_bec_conv_count(length: int, p: float, budget: float) -> float:
     """Largest log2_count with _bec_conv_sum(length, p, log2_count) <= budget."""
-    log_w, density = _density_terms(ChannelKind.BEC, length, p)
-    return invert_exp2_sum(log_w, -density, budget, hinge=True)
+    spectrum = info_density_spectrum(ChannelKind.BEC, length, p)
+    return invert_exp2_sum(spectrum.log_mass, -spectrum.density, budget, hinge=True)
 
 
 def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
@@ -217,38 +231,24 @@ def header_conv_max_log2M_bsc(
     The header error allocation eps0 is optimized over a uniform grid on
     [0, min_j eps_j]: the m-codeword header constraint relaxes as eps0 grows
     while the payload limit tightens, so the best grid point is the smallest
-    feasible one.
+    feasible one. None when no grid point admits the header, and at p in
+    {0, 1/2, 1}; p > 1/2 is reduced to 1 - p by symmetry.
     """
-    if spec.kind is not ChannelKind.BSC:
-        raise ValueError("header_conv_max_log2M_bsc requires a BSC spec")
+    p = _reduced_bsc_p(spec)
     if not 0 <= n0 <= spec.n:
         raise ValueError(f"n0 must be in [0, n], got {n0}")
+    if p is None:
+        return None
     grid = np.linspace(0.0, min(all_eps), eps0_points)
-    idx = _header_eps0_index(spec.p, n0, m, grid)
+    idx = _header_eps0_index(p, n0, m, grid)
     if idx is None:
         return None
     eps0 = float(grid[idx])
     payload_alpha = 1.0 - (eps_i - eps0)
     if payload_alpha >= 1.0:
         return 0.0
-    beta = np_beta_bsc(spec.n - n0, spec.p, payload_alpha)
+    beta = np_beta_bsc(spec.n - n0, p, payload_alpha)
     return -beta.log2_beta
-
-
-def header_conv_max_log2M_bsc_best(
-    spec: ChannelSpec,
-    eps_i: float,
-    m: int,
-    all_eps: Sequence[float],
-    eps0_points: int = 1000,
-) -> Optional[float]:
-    """Best BSC header-converse rate over every split 0 <= n0 <= n."""
-    best = None
-    for n0 in range(spec.n + 1):
-        rate = header_conv_max_log2M_bsc(spec, eps_i, m, n0, all_eps, eps0_points)
-        if rate is not None and (best is None or rate > best):
-            best = rate
-    return best
 
 
 def header_conv_max_log2M_bec(
@@ -267,13 +267,31 @@ def header_conv_max_log2M_bec(
     return largest_feasible(floor, count, eps_i)
 
 
-def header_conv_max_log2M_bec_best(
-    spec: ChannelSpec, eps_i: float, m: int, all_eps: Sequence[float]
+def converse_max_log2M(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
+    """Meta-converse class-size limit on either channel.
+
+    None when not even one codeword fits (log2M < 0) and, for BSC, at p in
+    {0, 1/2, 1}.
+    """
+    if spec.kind is ChannelKind.BEC:
+        return converse_max_log2M_bec(spec, eps, lambda_i)
+    value = converse_max_log2M_bsc(spec, eps, lambda_i)
+    return value if value is not None and value >= 0.0 else None
+
+
+def header_conv_max_log2M(
+    spec: ChannelSpec,
+    eps_i: float,
+    m: int,
+    n0: int,
+    all_eps: Sequence[float],
+    eps0_points: int = 1000,
 ) -> Optional[float]:
-    """Best BEC header-converse rate over every split 0 <= n0 <= n."""
-    best = None
-    for n0 in range(spec.n + 1):
-        rate = header_conv_max_log2M_bec(spec, eps_i, m, n0, all_eps)
-        if rate is not None and (best is None or rate > best):
-            best = rate
-    return best
+    """Header-converse class-size limit at split n0 on either channel.
+
+    eps0_points sets the BSC header error-allocation grid; the BEC bound has
+    a closed-form header term and ignores it.
+    """
+    if spec.kind is ChannelKind.BEC:
+        return header_conv_max_log2M_bec(spec, eps_i, m, n0, all_eps)
+    return header_conv_max_log2M_bsc(spec, eps_i, m, n0, all_eps, eps0_points)

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .achievability import SimplexWeights
-from .channel import ChannelKind, ChannelSpec, Symbol
+from .channel import ChannelKind, ChannelSpec, Symbol, info_density_spectrum
 
 MAX_CLASS_K = 20
 MAX_TOTAL_CODEWORDS = 1 << 22
@@ -196,17 +196,12 @@ def info_density_bits(spec: ChannelSpec, x: np.ndarray, y: np.ndarray) -> float:
         if np.any(y > 1):
             raise ValueError("BSC outputs are bits")
         t = int(np.count_nonzero(x != y))
-        if spec.p == 0.0:
-            return float(spec.n) if t == 0 else -math.inf
-        if spec.p == 1.0:
-            return float(spec.n) if t == spec.n else -math.inf
-        return spec.n * math.log2(2.0 - 2.0 * spec.p) + t * math.log2(
-            spec.p / (1.0 - spec.p)
-        )
-    unerased = y != Symbol.ERASED
-    if np.any(x[unerased] != y[unerased]):
-        return -math.inf
-    return float(np.count_nonzero(unerased))
+    else:
+        unerased = y != Symbol.ERASED
+        if np.any(x[unerased] != y[unerased]):
+            return -math.inf
+        t = spec.n - int(np.count_nonzero(unerased))
+    return float(info_density_spectrum(spec.kind, spec.n, spec.p).density[t])
 
 
 def _decode_batch_bsc(
@@ -216,7 +211,7 @@ def _decode_batch_bsc(
     out_class = np.full(T, -1, dtype=np.int32)
     out_msg = np.full(T, -1, dtype=np.int64)
     undecided = np.ones(T, dtype=bool)
-    p, n = spec.p, spec.n
+    density = info_density_spectrum(ChannelKind.BSC, spec.n, spec.p).density
     for class_i in code.class_order:
         if not np.any(undecided):
             break
@@ -224,14 +219,8 @@ def _decode_batch_bsc(
         table = code.codewords_packed(class_i)
         diff = y_packed[idx, None, :] ^ table[None, :, :]
         dist = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
-        thr = code.log2_thresholds[class_i]
-        if p == 0.0:
-            qualify = (dist == 0) & (n > thr)
-        elif p == 1.0:
-            qualify = (dist == n) & (n > thr)
-        else:
-            info = n * math.log2(2.0 - 2.0 * p) + dist * math.log2(p / (1.0 - p))
-            qualify = info > thr
+        # looked up by distance, so the (T, 2^k) intermediate is one byte per entry
+        qualify = (density > code.log2_thresholds[class_i])[dist]
         has = qualify.any(axis=1)
         first = qualify.argmax(axis=1)
         hit = idx[has]

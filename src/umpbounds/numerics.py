@@ -61,15 +61,6 @@ class LogValue:
         return self.log_magnitude / LN2
 
 
-def log_add(a: LogValue, b: LogValue) -> LogValue:
-    """Sum of two log-domain values, exact for the zero flag."""
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    return LogValue(float(np.logaddexp(a.log_magnitude, b.log_magnitude)))
-
-
 def log_sum_exp(log_terms) -> float:
     """ln sum_t exp(log_terms[t]) with the max shift; -inf for no or only zero terms."""
     a = np.asarray(log_terms, dtype=float)
@@ -153,19 +144,6 @@ def largest_feasible(bound_fn, guess: float, target: float) -> float:
     return max(x, 0.0)
 
 
-def log_binomial(n: int, t: int, exact: bool = False) -> float:
-    """ln C(n,t) via log-gamma; `exact` switches to the big-integer path.
-
-    The exact path exists for oracle tests; the log-gamma path keeps absolute
-    error below 1e-10 for n up to 1e4.
-    """
-    if n < 0 or t < 0 or t > n:
-        raise ValueError(f"log_binomial requires 0 <= t <= n, got n={n}, t={t}")
-    if exact:
-        return math.log(math.comb(n, t))
-    return float(gammaln(n + 1) - gammaln(t + 1) - gammaln(n - t + 1))
-
-
 @functools.lru_cache(maxsize=None)
 def _log_factorials(size: int) -> np.ndarray:
     """ln k! = gammaln(k + 1) for k < size; sizes are powers of two, so few exist."""
@@ -175,7 +153,8 @@ def _log_factorials(size: int) -> np.ndarray:
 def log_binomial_row(n: int) -> np.ndarray:
     """ln C(n,t) for all t = 0..n from one shared table of gammaln values.
 
-    Bit-identical to gammaln(n+1) - gammaln(t+1) - gammaln(n-t+1) per entry.
+    Bit-identical to gammaln(n+1) - gammaln(t+1) - gammaln(n-t+1) per entry;
+    absolute error below 1e-10 for n up to 1e4.
     """
     if n < 0:
         raise ValueError(f"negative n: {n}")

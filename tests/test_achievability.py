@@ -209,7 +209,7 @@ class TestRateSearch:
     def test_header_fixed_split_search(self):
         spec = ChannelSpec(BSC, 0.11, 200)
         eps = 1e-2
-        rate = max_log2M_header_ach(spec, eps, 3, 60)
+        rate = max_log2M_header_ach(spec, eps, 3, 60, [eps])
         assert rate is not None
         assert header_ach_bound(spec, HeaderSplit(60), 3, rate) <= eps
         assert header_ach_bound(spec, HeaderSplit(60), 3, rate + 1e-3) > eps
@@ -218,7 +218,7 @@ class TestRateSearch:
         spec = ChannelSpec(BSC, 0.11, 200)
         eps = 1e-2
         best = max_log2M_header_ach_best(spec, eps, 3, [eps, eps, eps])
-        fixed = max_log2M_header_ach(spec, eps, 3, 60)
+        fixed = max_log2M_header_ach(spec, eps, 3, 60, [eps])
         assert best is not None and best >= fixed - 1e-6
 
     def test_header_dominance_single_point(self):

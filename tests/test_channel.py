@@ -10,9 +10,8 @@ from umpbounds.channel import (
     Symbol,
     binomial_log_pmf,
     channel_stats,
-    spectrum_mean_density,
+    info_density_spectrum,
     transmit,
-    weight_spectrum,
 )
 
 BSC, BEC = ChannelKind.BSC, ChannelKind.BEC
@@ -54,55 +53,81 @@ class TestChannelStats:
         assert a.dispersion == pytest.approx(b.dispersion, abs=1e-14)
 
 
+def _mean_density(spec):
+    w = np.exp(spec.log_mass - logsumexp(spec.log_mass))
+    has_mass = w > 0.0
+    return float(np.sum(w[has_mass] * spec.density[has_mass]))
+
+
 class TestWeightSpectrum:
     def test_noiseless_mass(self):
-        spec = weight_spectrum(ChannelSpec(BSC, 0.0, 3))
-        pmf = np.exp(spec.weight_log_pmf)
+        spec = info_density_spectrum(BSC, 3, 0.0)
+        pmf = np.exp(spec.log_mass)
         assert pmf[0] == 1.0 and np.all(pmf[1:] == 0.0)
+        assert spec.density[0] == 3.0 and np.all(np.isneginf(spec.density[1:]))
 
     def test_fair_coin(self):
-        spec = weight_spectrum(ChannelSpec(BSC, 0.5, 2))
-        assert np.exp(spec.weight_log_pmf) == pytest.approx([0.25, 0.5, 0.25])
+        spec = info_density_spectrum(BSC, 2, 0.5)
+        assert np.exp(spec.log_mass) == pytest.approx([0.25, 0.5, 0.25])
+        assert spec.density == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
     def test_single_flip_mass(self):
-        spec = weight_spectrum(ChannelSpec(BSC, 0.11, 10))
-        assert math.exp(spec.weight_log_pmf[1]) == pytest.approx(
+        spec = info_density_spectrum(BSC, 10, 0.11)
+        assert math.exp(spec.log_mass[1]) == pytest.approx(
             0.3853920440782337, rel=1e-12
         )
 
     @pytest.mark.parametrize("n", [10, 100, 1000, 10_000])
     def test_normalization(self, n):
         for kind, p in [(BSC, 0.11), (BEC, 0.5), (BSC, 0.3)]:
-            spec = weight_spectrum(ChannelSpec(kind, p, n))
-            assert logsumexp(spec.weight_log_pmf) == pytest.approx(0.0, abs=1e-10)
+            spec = info_density_spectrum(kind, n, p)
+            assert spec.log_mass.shape == spec.density.shape == (n + 1,)
+            assert logsumexp(spec.log_mass) == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("p", [0.05, 0.11, 0.3])
     def test_mean_density_is_capacity(self, p):
         n = 200
         cs = ChannelSpec(BSC, p, n)
-        mean = spectrum_mean_density(weight_spectrum(cs))
+        mean = _mean_density(info_density_spectrum(BSC, n, p))
         assert mean == pytest.approx(n * channel_stats(cs).capacity, rel=1e-8)
 
     def test_mean_density_bec(self):
         n = 64
         cs = ChannelSpec(BEC, 0.5, n)
-        spec = weight_spectrum(cs)
-        assert spec.offset == 0.0 and spec.slope == 1.0
-        assert spectrum_mean_density(spec) == pytest.approx(
+        spec = info_density_spectrum(BEC, n, 0.5)
+        # t counts erasures, each unerased symbol carries one bit
+        assert np.array_equal(spec.density, n - np.arange(n + 1.0))
+        assert _mean_density(spec) == pytest.approx(
             n * channel_stats(cs).capacity, rel=1e-8
         )
 
     def test_bsc_density_line(self):
-        cs = ChannelSpec(BSC, 0.11, 10)
-        spec = weight_spectrum(cs)
-        assert spec.offset == pytest.approx(10 * math.log2(2 - 0.22))
-        assert spec.slope == pytest.approx(math.log2(0.11 / 0.89))
+        spec = info_density_spectrum(BSC, 10, 0.11)
+        line = 10 * math.log2(2 - 0.22) + np.arange(11) * math.log2(0.11 / 0.89)
+        assert spec.density == pytest.approx(line, abs=1e-12)
 
     def test_degenerate_p_one(self):
-        spec = weight_spectrum(ChannelSpec(BSC, 1.0, 5))
-        pmf = np.exp(spec.weight_log_pmf)
-        assert pmf[5] == 1.0
-        assert spec.offset + spec.slope * 5 == pytest.approx(5.0)
+        spec = info_density_spectrum(BSC, 5, 1.0)
+        pmf = np.exp(spec.log_mass)
+        assert pmf[5] == 1.0 and np.all(pmf[:5] == 0.0)
+        assert spec.density[5] == 5.0 and np.all(np.isneginf(spec.density[:5]))
+
+    @pytest.mark.parametrize("p, t_sure", [(0.0, 0), (1.0, 4)])
+    def test_degenerate_bec(self, p, t_sure):
+        spec = info_density_spectrum(BEC, 4, p)
+        assert spec.log_mass[t_sure] == 0.0 and spec.density[t_sure] == 4 - t_sure
+        others = np.arange(5) != t_sure
+        assert np.all(np.isneginf(spec.log_mass[others]))
+        assert np.all(np.isneginf(spec.density[others]))
+
+    def test_zero_length_block(self):
+        spec = info_density_spectrum(BSC, 0, 0.11)
+        assert spec.log_mass.tolist() == [0.0] and spec.density.tolist() == [0.0]
+
+    def test_arrays_are_read_only(self):
+        spec = info_density_spectrum(BSC, 8, 0.11)
+        with pytest.raises(ValueError):
+            spec.density[0] = 0.0
 
 
 def test_binomial_log_pmf_degenerate():

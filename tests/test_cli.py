@@ -102,6 +102,46 @@ class TestExitCodes:
         assert code == cli.EXIT_ACCEPTANCE
 
 
+class TestInputChecks:
+    BOUND = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "64", "--class", "eps=0.1,lambda=1"]
+    TRADEOFF = [
+        "tradeoff", "--channel", "bsc", "--p", "0.11", "--n", "100,200",
+        "--class", "eps=0.1,lambda=0.5", "--class", "eps=0.1,lambda=0.25",
+        "--class", "eps=0.1,lambda=0.25", "--mu", "0.5,0.25,0.25",
+    ]
+
+    @pytest.mark.parametrize("grid", ["0", "2", "-0.1", "nan"])
+    def test_grid_outside_unit_interval(self, grid, capsys):
+        assert cli.main(self.TRADEOFF + ["--grid", grid]) == cli.EXIT_CONFIG
+        assert "--grid" in capsys.readouterr().err
+
+    def test_eps0_grid_needs_a_point(self, capsys):
+        assert cli.main(self.BOUND + ["--eps0-grid", "0"]) == cli.EXIT_CONFIG
+        assert "--eps0-grid" in capsys.readouterr().err
+
+    def test_negative_split_rejected(self):
+        assert cli.main(self.BOUND + ["--n0", "-1"]) == cli.EXIT_CONFIG
+
+    def test_tradeoff_row_budget(self, capsys, monkeypatch):
+        # C(10002, 2) ~ 5e7 points per n: refused before any point is built
+        def no_enumeration(*args):
+            raise AssertionError("the simplex grid was enumerated")
+
+        monkeypatch.setattr(cli, "_simplex_grid", no_enumeration)
+        assert cli.main(self.TRADEOFF + ["--grid", "1e-4"]) == cli.EXIT_BUDGET
+        assert "budget" in capsys.readouterr().err
+
+    def test_tradeoff_at_row_budget_runs(self, monkeypatch, tmp_path):
+        # 2 n values x C(12, 2) = 132 rows: at a budget of 132 it runs
+        monkeypatch.setattr(cli, "MAX_TRADEOFF_ROWS", 132)
+        out = tmp_path / "t.csv"
+        assert cli.main(self.TRADEOFF + ["--grid", "0.1", "--out", str(out)]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(lines) == 1 + 132
+        monkeypatch.setattr(cli, "MAX_TRADEOFF_ROWS", 131)
+        assert cli.main(self.TRADEOFF + ["--grid", "0.1", "--out", str(out)]) == cli.EXIT_BUDGET
+
+
 class TestBoundCommand:
     def test_homogeneous_reduction_columns(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -119,7 +159,7 @@ class TestBoundCommand:
             max_log2M_dt(spec, 1e-2, 1.0), abs=1e-9
         )
         assert float(cells["log2M_header_ach"]) == pytest.approx(
-            max_log2M_header_ach(spec, 1e-2, 1, 0), abs=1e-9
+            max_log2M_header_ach(spec, 1e-2, 1, 0, [1e-2]), abs=1e-9
         )
 
     def test_infeasible_cells_print_na(self, tmp_path):
@@ -151,6 +191,24 @@ class TestBoundCommand:
                 continue
             assert float(cells["log2M_dt"]) <= float(cells["log2M_converse"])
 
+    @pytest.mark.parametrize("n0", ["6", "8"])
+    def test_fixed_split_needs_every_class_target(self, tmp_path, n0):
+        # the split's header term exceeds class 0's eps, so no header code
+        # exists for either class, just as --n0 auto would skip the split
+        out = tmp_path / "fixed.csv"
+        cli.main(
+            [
+                "bound", "--channel", "bec", "--p", "0.5", "--n", "60",
+                "--class", "eps=1e-3,lambda=0.5", "--class", "eps=0.2,lambda=0.5",
+                "--n0", n0, "--out", str(out),
+            ]
+        )
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        for row in rows:
+            cells = dict(zip(cli.BOUND_COLUMNS, row.split(",")))
+            assert cells["log2M_header_ach"] == "NA"
+            assert cells["log2M_header_conv"] == "NA"
+
     def test_twelve_significant_digits(self):
         assert cli._fmt(1 / 3) == "0.333333333333"
         assert cli._fmt(1234567.0) == "1234567"
@@ -168,10 +226,12 @@ class TestSimulateCommand:
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("channel, p", [("bec", "0.5"), ("bsc", "0.11")], ids=["bec", "bsc"])
+    def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch, channel, p):
         args = [
-            "simulate", "--channel", "bec", "--p", "0.5", "--n", "64",
-            "--class", "k=4,lambda=1", "--trials", "3000", "--seed", "5",
+            "simulate", "--channel", channel, "--p", p, "--n", "64",
+            "--class", "k=4,lambda=0.5", "--class", "k=6,lambda=0.5",
+            "--trials", "3000", "--seed", "5",
         ]
         monkeypatch.setenv("UMP_THREADS", "1")
         a = tmp_path / "t1.csv"

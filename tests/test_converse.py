@@ -10,9 +10,11 @@ from umpbounds.achievability import dt_class_bound, max_log2M_dt
 from umpbounds.channel import ChannelKind, ChannelSpec
 from umpbounds.converse import (
     converse_eps_bec,
+    converse_max_log2M,
     converse_max_log2M_bec,
     converse_max_log2M_bsc,
     header_conv_eps_bec,
+    header_conv_max_log2M,
     header_conv_max_log2M_bec,
     header_conv_max_log2M_bsc,
     np_beta_bsc,
@@ -133,6 +135,27 @@ class TestConverseBsc:
     def test_requires_bsc(self):
         with pytest.raises(ValueError):
             converse_max_log2M_bsc(ChannelSpec(BEC, 0.5, 8), 0.1, 1.0)
+
+    # dyadic p, so that 1 - (1 - p) == p and the two sides compute alike
+    @pytest.mark.parametrize("p", [0.125, 0.25])
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_crossover_symmetry(self, n, p):
+        spec, mirror = ChannelSpec(BSC, p, n), ChannelSpec(BSC, 1.0 - p, n)
+        for fn in (converse_max_log2M_bsc, converse_max_log2M):
+            assert fn(mirror, 1e-2, 0.5) == fn(spec, 1e-2, 0.5)
+        for fn in (header_conv_max_log2M_bsc, header_conv_max_log2M):
+            for n0 in (n // 2, n):
+                want = fn(spec, 1e-2, 2, n0, [1e-2, 0.1], 50)
+                assert want is not None
+                assert fn(mirror, 1e-2, 2, n0, [1e-2, 0.1], 50) == want
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_degenerate_p_has_no_converse(self, p):
+        spec = ChannelSpec(BSC, p, 32)
+        assert converse_max_log2M_bsc(spec, 1e-2, 1.0) is None
+        assert converse_max_log2M(spec, 1e-2, 1.0) is None
+        assert header_conv_max_log2M_bsc(spec, 1e-2, 2, 8, [1e-2]) is None
+        assert header_conv_max_log2M(spec, 1e-2, 2, 8, [1e-2]) is None
 
 
 class TestConverseBec:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umpbounds.achievability import SimplexWeights, dt_class_bound
-from umpbounds.channel import ChannelKind, ChannelSpec, Symbol, transmit
+from umpbounds.channel import ChannelKind, ChannelSpec, Symbol, info_density_spectrum, transmit
 from umpbounds.cosets import (
     CosetCodebook,
     DecodeOutcome,
@@ -150,6 +150,20 @@ class TestInfoDensity:
         y[:3] = 1
         want = 16 * math.log2(1.6) + 3 * math.log2(0.25)
         assert info_density_bits(spec, x, y) == pytest.approx(want)
+
+    @pytest.mark.parametrize("p", [0.0, 0.11, 0.5, 0.89, 1.0])
+    def test_bsc_matches_spectrum_at_flip_count(self, p):
+        spec = ChannelSpec(BSC, p, 24)
+        density = info_density_spectrum(BSC, 24, p).density
+        rng = _rng(21)
+        x = rng.integers(0, 2, 24, dtype=np.uint8)
+        for _ in range(5):
+            y = transmit(spec, x, rng)
+            assert info_density_bits(spec, x, y) == density[np.count_nonzero(x != y)]
+        if p in (0.0, 1.0):
+            # one flip off the channel's certain flip count: zero probability
+            y[0] ^= 1
+            assert info_density_bits(spec, x, y) == -math.inf
 
 
 class TestDecode:

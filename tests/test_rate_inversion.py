@@ -96,7 +96,7 @@ def test_header_ach_rate(kind, p):
             for n0, m in splits:
                 split = HeaderSplit(n0)
                 check_against_reference(
-                    max_log2M_header_ach(spec, eps, m, n0),
+                    max_log2M_header_ach(spec, eps, m, n0, [eps]),
                     lambda lm: header_ach_bound(spec, split, m, lm),
                     eps,
                     _label(kind, p, n, eps, f"n0={n0} m={m}"),
