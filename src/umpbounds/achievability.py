@@ -217,7 +217,10 @@ def best_over_splits(
     Infeasible splits (None) are skipped. Returns None when no split is
     feasible, which includes a fixed n0 beyond the blocklength.
     """
-    splits = range(n + 1) if n0 is None else [n0] if n0 <= n else []
+    if n0 is not None:
+        splits = [n0] if n0 <= n else []
+    else:  # splits s and n - s read the same two block lengths: visit them back to back
+        splits = sorted(range(n + 1), key=lambda s: min(s, n - s))
     return max((r for r in map(rate_at, splits) if r is not None), default=None)
 
 

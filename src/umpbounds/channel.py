@@ -98,8 +98,8 @@ def binomial_log_pmf(n: int, p: float) -> np.ndarray:
     return log_binomial_row(n) + t * math.log(p) + (n - t) * math.log(1.0 - p)
 
 
-# A header scan touches each length in two to four sums of one split, so a
-# short cache serves it while keeping memory flat in n.
+# best_over_splits visits split n - s right after split s (both read lengths s and
+# n - s), so this short cache builds each length once per scan; memory stays flat.
 @functools.lru_cache(maxsize=256)
 def info_density_spectrum(kind: ChannelKind, length: int, p: float) -> InfoDensitySpectrum:
     """Spectrum of a length-symbol block, length = 0 included.

@@ -4,7 +4,9 @@ The BSC converse needs the optimal binary hypothesis test between the
 channel law W(.|x) and the equiprobable output distribution 2^-n. Its
 likelihood ratio is monotone in Hamming distance, so the optimal randomized
 test fills whole distance shells in order and randomizes on the boundary
-shell; beta is assembled in the log domain because shell masses under the
+shell, read off `channel.info_density_spectrum`. The converses pass the miss
+probability eps itself (`np_beta_bsc_miss`), which 1 - eps would round away;
+beta is assembled in the log domain because shell masses under the
 equiprobable law reach 2^-n.
 
 The lambda vector in these converses is existentially quantified, so every
@@ -14,10 +16,9 @@ single lambda is binding.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .numerics import (
     LogValue,
     invert_exp2_sum,
     largest_feasible,
-    log_binomial_row,
     log_sum_exp,
 )
 
@@ -50,19 +50,43 @@ class NPBetaResult:
         return self.log_beta.log2()
 
 
-@functools.lru_cache(maxsize=4096)
-def _bsc_shells(n: int, p: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(detection mass per distance shell, natural-log shell mass under 2^-n)."""
-    if n <= 64:
-        # exact-ish small-n path: comb products instead of exp(lgamma)
-        pmass = np.array(
-            [math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
-        )
-        log_q = np.array([math.log(math.comb(n, j)) - n * LN2 for j in range(n + 1)])
+def _np_shell_test(n: int, p: float, alpha: float, miss: float) -> NPBetaResult:
+    """The optimal test at detection alpha = 1 - miss, found from the exact end.
+
+    One of alpha and miss was computed from the other, exactly when it lies in
+    [1/2, 1], so L comes from detection prefix sums when alpha <= 1/2 and from
+    miss suffix sums otherwise. Shell t weighs exp(log_mass[t]) under the
+    channel and 2^-density[t] times that under the equiprobable law.
+    """
+    if not 0.0 < p < 0.5:
+        raise ValueError(f"np_beta_bsc requires 0 < p < 0.5, got {p}")
+    if n < 0 or not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"need n >= 0 and detection in [0,1], got n={n}, alpha={alpha}")
+    if alpha == 0.0:
+        return NPBetaResult(LogValue.zero(), 0, 0.0)
+    if miss == 0.0:
+        return NPBetaResult(LogValue(0.0), n, 1.0)
+    spectrum = info_density_spectrum(ChannelKind.BSC, n, p)
+    log_level = math.log(min(alpha, miss))
+    # masses in units of e^shift: at most e^700 in all, and what underflows is far below level
+    shift = max(log_level, -700.0)
+    mass = np.exp(spectrum.log_mass - shift)
+    level = math.exp(log_level - shift)
+    if alpha <= 0.5:
+        # the shells below L hold less than alpha, with L at least alpha
+        cum = np.cumsum(mass)
+        L = int(np.searchsorted(cum, level, side="left"))
+        rho = (level - (cum[L - 1] if L else 0.0)) / mass[L]
     else:
-        pmass = np.exp(info_density_spectrum(ChannelKind.BSC, n, p).log_mass)
-        log_q = log_binomial_row(n) - n * LN2
-    return pmass, log_q
+        # the shells above L hold at most miss, with L more than miss
+        tail = np.cumsum(mass[::-1])
+        k = int(np.searchsorted(tail, level, side="right"))
+        L = n - k
+        rho = (tail[k] - level) / mass[L]
+    rho = min(1.0, float(rho))
+    log_q = spectrum.log_mass[: L + 1] - spectrum.density[: L + 1] * LN2
+    log_beta = np.logaddexp(log_sum_exp(log_q[:L]), math.log(rho) + log_q[L])
+    return NPBetaResult(LogValue(float(log_beta)), L, rho)
 
 
 def np_beta_bsc(n: int, p: float, alpha: float) -> NPBetaResult:
@@ -71,29 +95,12 @@ def np_beta_bsc(n: int, p: float, alpha: float) -> NPBetaResult:
     Requires 0 < p < 0.5 (reduce by symmetry at the caller); the likelihood
     ordering then runs from distance 0 outward.
     """
-    if not 0.0 < p < 0.5:
-        raise ValueError(f"np_beta_bsc requires 0 < p < 0.5, got {p}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0,1], got {alpha}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if alpha == 0.0:
-        return NPBetaResult(LogValue.zero(), 0, 0.0)
-    pmass, log_q = _bsc_shells(n, p)
-    cum = np.cumsum(pmass)
-    if alpha >= cum[-1]:
-        return NPBetaResult(LogValue(0.0), n, 1.0)
-    L = int(np.searchsorted(cum, alpha, side="left"))
-    cum_before = math.fsum(pmass[:L])
-    if pmass[L] > 0.0:
-        rho = float((alpha - cum_before) / pmass[L])
-    else:
-        rho = 0.0
-    rho = min(1.0, max(0.0, rho))
-    log_beta = log_sum_exp(log_q[:L])
-    if rho > 0.0:
-        log_beta = float(np.logaddexp(log_beta, math.log(rho) + log_q[L]))
-    return NPBetaResult(LogValue(log_beta), L, rho)
+    return _np_shell_test(n, p, alpha, 1.0 - alpha)
+
+
+def np_beta_bsc_miss(n: int, p: float, eps: float) -> NPBetaResult:
+    """np_beta_bsc at detection 1 - eps, taking the miss probability eps exactly."""
+    return _np_shell_test(n, p, 1.0 - eps, eps)
 
 
 def _reduced_bsc_p(spec: ChannelSpec) -> Optional[float]:
@@ -119,8 +126,7 @@ def converse_max_log2M_bsc(spec: ChannelSpec, eps: float, lambda_i: float) -> Op
     p = _reduced_bsc_p(spec)
     if p is None:
         return None
-    beta = np_beta_bsc(spec.n, p, 1.0 - eps)
-    return math.log2(lambda_i) - beta.log2_beta
+    return math.log2(lambda_i) - np_beta_bsc_miss(spec.n, p, eps).log2_beta
 
 
 def _bec_conv_sum(length: int, p: float, log2_count: float) -> float:
@@ -185,32 +191,26 @@ def _header_eps0_index(p: float, n0: int, m: int, grid: np.ndarray) -> Optional[
     """Smallest grid index whose eps0 lets m header codewords pass the converse.
 
     The header constraint is beta_{n0}(1 - eps0) <= 1/m, and beta is monotone
-    in its detection level, so the feasible eps0 form an upper set. The
-    largest level alpha with beta(alpha) <= 1/m is read off the cumulative
-    distance shells (whole shells, then a randomized fraction of the next),
-    which gives the grid index in one searchsorted. The index is confirmed
-    with the shell-by-shell test at it and at its predecessor and moved to
-    the nearest point where the test switches if rounding put it off by one.
+    in its detection level, so the feasible eps0 form an upper set whose least
+    element is the miss mass of the test with false alarm exactly 1/m. One
+    searchsorted puts that on the grid; the test at the index and at its
+    predecessor confirms it, or moves it to where the test switches.
     """
     log2_m = math.log2(m)
 
     def header_ok(eps0: float) -> bool:
-        if n0 == 0:
-            # zero-length header: beta_alpha over a point space equals alpha
-            return log2_m <= -math.log2(1.0 - eps0) if eps0 < 1.0 else True
-        beta = np_beta_bsc(n0, p, 1.0 - eps0)
-        return log2_m <= -beta.log2_beta
+        return log2_m <= -np_beta_bsc_miss(n0, p, eps0).log2_beta
 
-    pmass, log_q = _bsc_shells(n0, p)
-    q = np.exp(log_q)
-    cum_q = np.cumsum(q)
-    L = int(np.searchsorted(cum_q, 1.0 / m, side="right"))
+    spectrum = info_density_spectrum(ChannelKind.BSC, n0, p)
+    pmass = np.exp(spectrum.log_mass)
+    q = np.exp(spectrum.log_mass - spectrum.density * LN2)
+    L = int(np.searchsorted(np.cumsum(q), 1.0 / m, side="right"))
     if L > n0:
-        alpha_max = 1.0
+        eps0_min = 0.0
     else:
-        before_q, before_p = (cum_q[L - 1], pmass[:L].sum()) if L > 0 else (0.0, 0.0)
-        alpha_max = before_p + (1.0 / m - before_q) / q[L] * pmass[L]
-    idx = int(np.searchsorted(grid, 1.0 - alpha_max, side="left"))
+        rejected = (q[: L + 1].sum() - 1.0 / m) / q[L]
+        eps0_min = pmass[L + 1 :].sum() + rejected * pmass[L]
+    idx = int(np.searchsorted(grid, eps0_min, side="left"))
     while idx < len(grid) and not header_ok(grid[idx]):
         idx += 1
     while idx > 0 and header_ok(grid[idx - 1]):
@@ -243,12 +243,10 @@ def header_conv_max_log2M_bsc(
     idx = _header_eps0_index(p, n0, m, grid)
     if idx is None:
         return None
-    eps0 = float(grid[idx])
-    payload_alpha = 1.0 - (eps_i - eps0)
-    if payload_alpha >= 1.0:
+    payload_miss = eps_i - float(grid[idx])
+    if payload_miss <= 0.0:
         return 0.0
-    beta = np_beta_bsc(spec.n - n0, p, payload_alpha)
-    return -beta.log2_beta
+    return -np_beta_bsc_miss(spec.n - n0, p, payload_miss).log2_beta
 
 
 def header_conv_max_log2M_bec(

@@ -40,10 +40,6 @@ class LogValue:
         return cls(_NEG_INF)
 
     @classmethod
-    def one(cls) -> "LogValue":
-        return cls(0.0)
-
-    @classmethod
     def from_linear(cls, x: float) -> "LogValue":
         if x < 0:
             raise ValueError(f"LogValue represents nonnegative quantities, got {x}")

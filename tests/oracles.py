@@ -4,13 +4,19 @@ Everything here works over fractions.Fraction so the only approximation in a
 comparison is the float rounding of the implementation under test. The tail
 sums exploit that the per-term ratio is monotone in the summation index, so
 each evaluation needs O(log n) exact comparisons after an O(n) precompute.
+
+Past the sizes where fractions stay cheap, the BSC Neyman-Pearson references
+at the end of the file use 60-digit mpmath arithmetic instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import List, Tuple
+
+import mpmath
 
 HALF = Fraction(1, 2)
 
@@ -155,3 +161,58 @@ def np_beta_exact_outputs(n: int, p: Fraction, alpha: Fraction) -> Fraction:
         rho = (alpha - det) / pmass
         return beta + rho * qmass
     return beta
+
+
+MP_DPS = 60
+
+
+@functools.lru_cache(maxsize=None)
+def mp_bsc_shells(n: int, p: float):
+    """60-digit distance-shell masses: channel P(t), equiprobable Q(t) and the
+    miss tails S(t) = sum_{u >= t} P(u), for the float p taken exactly."""
+    with mpmath.workdps(MP_DPS):
+        p = mpmath.mpf(p)
+        odds = p / (1 - p)
+        P, Q = [(1 - p) ** n], [mpmath.mpf(2) ** -n]
+        for t in range(n):
+            step = mpmath.mpf(n - t) / (t + 1)
+            P.append(P[-1] * step * odds)
+            Q.append(Q[-1] * step)
+        S = [mpmath.mpf(0)] * (n + 2)
+        for t in range(n, -1, -1):
+            S[t] = S[t + 1] + P[t]
+    return P, Q, S
+
+
+def mp_log2_beta_miss(n: int, p: float, eps) -> float:
+    """log2 of the Neyman-Pearson beta at detection 1 - eps (0 < eps < 1/2):
+    reject the shells whose tail stays within eps, randomize on the next."""
+    P, Q, S = mp_bsc_shells(n, p)
+    with mpmath.workdps(MP_DPS):
+        eps = mpmath.mpf(eps)
+        L = max(t for t in range(n + 1) if S[t] > eps)
+        beta = mpmath.fsum(Q[:L]) + (S[L] - eps) / P[L] * Q[L]
+        return float(mpmath.log(beta, 2))
+
+
+def mp_header_eps0_min(n0: int, p: float, m: int):
+    """Least eps0 with beta_{n0}(1 - eps0) <= 1/m: the miss mass of the test
+    whose false alarm is exactly 1/m."""
+    P, Q, S = mp_bsc_shells(n0, p)
+    with mpmath.workdps(MP_DPS):
+        budget, accepted = mpmath.mpf(1) / m, mpmath.mpf(0)
+        for L in range(n0 + 1):
+            if accepted + Q[L] > budget:
+                rho = (budget - accepted) / Q[L]
+                return S[L + 1] + (1 - rho) * P[L]
+            accepted += Q[L]
+        return mpmath.mpf(0)
+
+
+def mp_header_conv_max_log2M(n: int, p: float, eps: float, m: int, n0: int, grid) -> float:
+    """Reference BSC header converse at split n0: the least grid eps0 that
+    admits m header codewords, then the payload converse at miss eps - eps0."""
+    eps0_min = mp_header_eps0_min(n0, p, m)
+    eps0 = next(g for g in grid if g >= eps0_min)
+    with mpmath.workdps(MP_DPS):
+        return -mp_log2_beta_miss(n - n0, p, mpmath.mpf(eps) - mpmath.mpf(eps0))

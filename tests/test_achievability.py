@@ -17,7 +17,7 @@ from umpbounds.achievability import (
     max_log2M_header_ach,
     max_log2M_header_ach_best,
 )
-from umpbounds.channel import ChannelKind, ChannelSpec
+from umpbounds.channel import ChannelKind, ChannelSpec, info_density_spectrum
 
 BSC, BEC = ChannelKind.BSC, ChannelKind.BEC
 
@@ -220,6 +220,14 @@ class TestRateSearch:
         best = max_log2M_header_ach_best(spec, eps, 3, [eps, eps, eps])
         fixed = max_log2M_header_ach(spec, eps, 3, 60, [eps])
         assert best is not None and best >= fixed - 1e-6
+
+    def test_split_scan_builds_each_length_once(self):
+        # splits s and n - s read the same lengths and are visited back to
+        # back, so the short spectrum cache misses once per length at most
+        n = 1000
+        before = info_density_spectrum.cache_info().misses
+        max_log2M_header_ach_best(ChannelSpec(BSC, 0.11, n), 1e-3, 3, [1e-3] * 3)
+        assert info_density_spectrum.cache_info().misses - before <= n + 1
 
     def test_header_dominance_single_point(self):
         # the general construction beats the best header split

@@ -209,6 +209,20 @@ class TestBoundCommand:
             assert cells["log2M_header_ach"] == "NA"
             assert cells["log2M_header_conv"] == "NA"
 
+    def test_small_eps_converse_is_a_number(self, tmp_path):
+        # at eps = 1e-14, 1 - eps lies within the rounding of the summed shell
+        # masses; the converse must not collapse to NA (60-digit reference)
+        out = tmp_path / "small.csv"
+        cli.main(
+            [
+                "bound", "--channel", "bsc", "--p", "0.11", "--n", "200",
+                "--class", "eps=1e-14,lambda=1", "--out", str(out),
+            ]
+        )
+        row = [l for l in out.read_text().splitlines() if not l.startswith("#")][1]
+        cells = dict(zip(cli.BOUND_COLUMNS, row.split(",")))
+        assert float(cells["log2M_converse"]) == pytest.approx(24.8917998418516, abs=1e-8)
+
     def test_twelve_significant_digits(self):
         assert cli._fmt(1 / 3) == "0.333333333333"
         assert cli._fmt(1234567.0) == "1234567"
@@ -253,6 +267,21 @@ class TestSimulateCommand:
         row = [l for l in out.read_text().splitlines() if not l.startswith("#")][1]
         cells = dict(zip(cli.SIMULATE_COLUMNS, row.split(",")))
         assert cells["errors"] == "0" and cells["pass"] == "1"
+
+    def test_useless_channel_meets_a_unit_bound(self, tmp_path):
+        # BSC(1/2) errs on every trial and the DT bound is exactly 1, which
+        # evaluates to 1 - 1e-14; the check's rounding slack lets it pass
+        out = tmp_path / "useless.csv"
+        code = cli.main(
+            [
+                "simulate", "--channel", "bsc", "--p", "0.5", "--n", "32",
+                "--class", "k=5,lambda=0.5", "--class", "k=2,lambda=0.5",
+                "--trials", "3000", "--seed", "3", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert [dict(zip(cli.SIMULATE_COLUMNS, r.split(",")))["pass"] for r in rows] == ["1", "1"]
 
     def test_codebook_persistence(self, tmp_path):
         prefix = tmp_path / "book"

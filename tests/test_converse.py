@@ -22,6 +22,11 @@ from umpbounds.converse import (
 
 BSC, BEC = ChannelKind.BSC, ChannelKind.BEC
 
+# miss probabilities down to 1e-15, where 1 - eps and a sum of shell masses
+# near 1 keep only a digit or two of eps
+SMALL_EPS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-15)
+MP_TOL_BITS = 1e-8
+
 
 def _np_beta_lp(n: int, p: float, alpha: float) -> float:
     """Independent LP check: minimize sum q_y z_y s.t. sum p_y z_y >= alpha."""
@@ -116,9 +121,10 @@ class TestNpBeta:
 
 class TestConverseBsc:
     def test_lambda_one_is_homogeneous(self):
-        spec = ChannelSpec(BSC, 0.11, 64)
-        beta = np_beta_bsc(64, 0.11, 1 - 1e-3)
-        assert converse_max_log2M_bsc(spec, 1e-3, 1.0) == -beta.log2_beta
+        # dyadic eps, so that 1 - (1 - eps) == eps and both forms see one level
+        spec, eps = ChannelSpec(BSC, 0.11, 64), 2.0**-10
+        beta = np_beta_bsc(64, 0.11, 1 - eps)
+        assert converse_max_log2M_bsc(spec, eps, 1.0) == -beta.log2_beta
 
     def test_lambda_additivity_exact(self):
         spec = ChannelSpec(BSC, 0.11, 100)
@@ -156,6 +162,26 @@ class TestConverseBsc:
         assert converse_max_log2M(spec, 1e-2, 1.0) is None
         assert header_conv_max_log2M_bsc(spec, 1e-2, 2, 8, [1e-2]) is None
         assert header_conv_max_log2M(spec, 1e-2, 2, 8, [1e-2]) is None
+
+
+class TestSmallEpsMpmath:
+    """BSC converses against 60-digit references down to eps = 1e-15."""
+
+    @pytest.mark.parametrize("n", [200, 1000, 5000])
+    def test_converse(self, n):
+        spec = ChannelSpec(BSC, 0.11, n)
+        for eps in SMALL_EPS:
+            want = -oracles.mp_log2_beta_miss(n, 0.11, eps)
+            got = converse_max_log2M_bsc(spec, eps, 1.0)
+            assert got == pytest.approx(want, abs=MP_TOL_BITS), (n, eps, got, want)
+
+    @pytest.mark.parametrize("n,eps,n0", [(1000, 1e-12, 300), (1000, 1e-9, 200), (600, 1e-14, 350)])
+    def test_header_converse(self, n, eps, n0):
+        spec, m = ChannelSpec(BSC, 0.11, n), 3
+        grid = np.linspace(0.0, eps, 1000)
+        want = oracles.mp_header_conv_max_log2M(n, 0.11, eps, m, n0, grid)
+        got = header_conv_max_log2M_bsc(spec, eps, m, n0, [eps])
+        assert got == pytest.approx(want, abs=MP_TOL_BITS), (got, want)
 
 
 class TestConverseBec:
@@ -241,10 +267,10 @@ class TestHeaderConverse:
 
 
 class TestSandwich:
-    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("n", [64, 128, 256, 600])
     def test_bsc_achievability_below_converse(self, n):
         spec = ChannelSpec(BSC, 0.11, n)
-        for eps in (1e-3, 0.1):
+        for eps in SMALL_EPS + (0.1,):
             for lam in (1.0, 1 / 3):
                 dt = max_log2M_dt(spec, eps, lam)
                 conv = converse_max_log2M_bsc(spec, eps, lam)

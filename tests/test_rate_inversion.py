@@ -26,7 +26,7 @@ from umpbounds.converse import (
     header_conv_eps_bec,
     header_conv_max_log2M_bec,
     header_conv_max_log2M_bsc,
-    np_beta_bsc,
+    np_beta_bsc_miss,
 )
 from umpbounds.numerics import invert_exp2_sum
 
@@ -136,9 +136,7 @@ def reference_eps0_index(p, n0, m, grid):
     log2_m = math.log2(m)
 
     def header_ok(eps0):
-        if n0 == 0:
-            return log2_m <= -math.log2(1.0 - eps0) if eps0 < 1.0 else True
-        return log2_m <= -np_beta_bsc(n0, p, 1.0 - eps0).log2_beta
+        return log2_m <= -np_beta_bsc_miss(n0, p, eps0).log2_beta
 
     lo, hi = 0, len(grid) - 1
     if not header_ok(grid[hi]):
@@ -169,8 +167,8 @@ def test_bsc_header_eps0_index_matches_grid_bisection(n, eps0_points):
                 if want is None:
                     assert rate is None
                 else:
-                    alpha = 1.0 - (min_eps - float(grid[want]))
-                    expected = 0.0 if alpha >= 1.0 else -np_beta_bsc(n - n0, p, alpha).log2_beta
+                    miss = min_eps - float(grid[want])
+                    expected = 0.0 if miss <= 0.0 else -np_beta_bsc_miss(n - n0, p, miss).log2_beta
                     assert rate == expected
 
 
