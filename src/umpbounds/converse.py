@@ -16,6 +16,7 @@ single lambda is binding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -187,6 +188,14 @@ def header_conv_eps_bec(spec: ChannelSpec, n0: int, m: int, log2M: float) -> flo
     return min(1.0, total)
 
 
+@functools.lru_cache(maxsize=16)
+def _eps0_grid(top: float, points: int) -> np.ndarray:
+    """Uniform header error-allocation grid on [0, top], shared and read-only."""
+    grid = np.linspace(0.0, top, points)
+    grid.flags.writeable = False
+    return grid
+
+
 def _header_eps0_index(p: float, n0: int, m: int, grid: np.ndarray) -> Optional[int]:
     """Smallest grid index whose eps0 lets m header codewords pass the converse.
 
@@ -239,7 +248,7 @@ def header_conv_max_log2M_bsc(
         raise ValueError(f"n0 must be in [0, n], got {n0}")
     if p is None:
         return None
-    grid = np.linspace(0.0, min(all_eps), eps0_points)
+    grid = _eps0_grid(min(all_eps), eps0_points)
     idx = _header_eps0_index(p, n0, m, grid)
     if idx is None:
         return None

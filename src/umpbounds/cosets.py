@@ -2,9 +2,12 @@
 
 Each class is a coset {uG_i + v_i} of a random linear code; the decoder scans
 classes in a fixed order and outputs the first codeword whose information
-density strictly exceeds the class threshold log2(M_i / lambda_i). Codewords
-are stored packed 64 bits per word and compared via XOR + popcount, which is
-also the layout contract of the on-disk codebook format.
+density strictly exceeds the class threshold log2(M_i / lambda_i). Words are
+stored packed 64 bits per word. The BSC decoder compares outputs with the
+codeword table via XOR + popcount, one block of codewords at a time within a
+byte budget; the BEC decoder needs no table scan, since the first consistent
+codeword is the smallest solution of a GF(2) linear system on the unerased
+positions.
 
 Single codebook draws may exceed the analytic class bound; the random-coding
 guarantee is in expectation over codebooks, so validation averages over
@@ -31,10 +34,12 @@ _MAGIC = b"UMPC"
 _FORMAT_VERSION = 1
 
 MC_CHUNK = 8192
+# byte budget of the BSC decoder's (trials, block, words) XOR temporary
+DECODE_BLOCK_BYTES = 1 << 24
 
 
 class ResourceBudgetError(Exception):
-    """Raised when a requested codebook exceeds the exhaustive-decoding budget."""
+    """Raised when a requested codebook exceeds the codeword-table budget."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,9 @@ def build_coset_code(
     """Draw all generator and shift entries as i.i.d. fair bits.
 
     Deterministic given the rng state. Budget: every k_i <= 20 and the total
-    codeword count <= 2^22, so exhaustive threshold decoding stays tractable.
+    codeword count <= 2^22, so the packed codeword tables that Monte Carlo
+    encoding and the BSC block scan read stay small (at most 32 MiB per 64
+    symbols of n).
     """
     k = tuple(int(v) for v in k)
     if len(k) != len(lambdas):
@@ -207,27 +214,87 @@ def info_density_bits(spec: ChannelSpec, x: np.ndarray, y: np.ndarray) -> float:
 def _decode_batch_bsc(
     code: CosetCodebook, spec: ChannelSpec, y_packed: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    T = y_packed.shape[0]
+    """First codeword above threshold, scanning each class table in blocks.
+
+    A block holds as many codewords as keep the (trials, block, words) XOR
+    temporary within DECODE_BLOCK_BYTES; trials that hit leave before the
+    next block, so the scan order, and the output, is that of one full pass.
+    """
+    T, W = y_packed.shape
     out_class = np.full(T, -1, dtype=np.int32)
     out_msg = np.full(T, -1, dtype=np.int64)
-    undecided = np.ones(T, dtype=bool)
+    idx = np.arange(T)
     density = info_density_spectrum(ChannelKind.BSC, spec.n, spec.p).density
     for class_i in code.class_order:
-        if not np.any(undecided):
+        if not idx.size:
             break
-        idx = np.nonzero(undecided)[0]
         table = code.codewords_packed(class_i)
-        diff = y_packed[idx, None, :] ^ table[None, :, :]
-        dist = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
-        # looked up by distance, so the (T, 2^k) intermediate is one byte per entry
-        qualify = (density > code.log2_thresholds[class_i])[dist]
-        has = qualify.any(axis=1)
-        first = qualify.argmax(axis=1)
-        hit = idx[has]
-        out_class[hit] = class_i
-        out_msg[hit] = first[has]
-        undecided[hit] = False
+        # looked up by distance, so the (t, block) intermediate is one byte per entry
+        qualify_at = density > code.log2_thresholds[class_i]
+        start = 0
+        while idx.size and start < len(table):
+            block = max(1, DECODE_BLOCK_BYTES // (idx.size * W * 8))
+            rows = table[start : start + block]
+            if W == 1:
+                dist = np.bitwise_count(y_packed[idx, :1] ^ rows[None, :, 0])
+            else:
+                diff = y_packed[idx, None, :] ^ rows[None, :, :]
+                dist = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+            qualify = qualify_at[dist]
+            has = qualify.any(axis=1)
+            hit = idx[has]
+            out_class[hit] = class_i
+            out_msg[hit] = start + qualify[has].argmax(axis=1)
+            idx = idx[~has]
+            start += block
     return out_class, out_msg
+
+
+def _lowest_bit(rows: np.ndarray) -> np.ndarray:
+    """One-hot (t, words) mask of each row's lowest set bit; zero rows give zeros."""
+    low = rows & (~rows + np.uint64(1))
+    if rows.shape[1] > 1:
+        first = (rows != 0).argmax(axis=1)
+        low *= np.arange(rows.shape[1]) == first[:, None]
+    return low
+
+
+def _smallest_solution(
+    gen: np.ndarray, target: np.ndarray, known: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Smallest u with uG = target on the known positions, per trial.
+
+    gen is (k, words) packed; target and known are (t, words). Returns
+    (solvable, u). Gaussian elimination over GF(2), vectorized across
+    trials: each masked row j is reduced against the earlier pivots while its
+    k-bit combination of rows is tracked, and the target is reduced the same
+    way; a nonzero residue means no solution. A row j that reduces to zero
+    is a combination of earlier rows, so bit j enters no tracked combination
+    and the solution found has it clear. That makes the solution the
+    smallest: solutions differ by null-space vectors, one with highest bit j
+    for each such row, and a solution with any of those bits set shrinks by
+    clearing its highest one. Selection multiplies by 0/1 hits; boolean
+    indexing would copy.
+    """
+    t = target.shape[0]
+    basis, pivots, combos = [], [], []
+    for j, g in enumerate(gen):
+        row = g[None, :] & known
+        combo = np.full(t, 1 << j, dtype=np.uint64)
+        for b, piv, c in zip(basis, pivots, combos):
+            hit = (row & piv).any(axis=1)
+            row ^= b * hit[:, None]
+            combo ^= c * hit
+        basis.append(row)
+        pivots.append(_lowest_bit(row))
+        combos.append(combo)
+    residue = target & known
+    u = np.zeros(t, dtype=np.uint64)
+    for b, piv, c in zip(basis, pivots, combos):
+        hit = (residue & piv).any(axis=1)
+        residue ^= b * hit[:, None]
+        u ^= c * hit
+    return ~residue.any(axis=1), u
 
 
 def _decode_batch_bec(
@@ -236,25 +303,30 @@ def _decode_batch_bec(
     y_packed: np.ndarray,
     erased_packed: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
+    """First codeword above threshold on the BEC, by elimination per class.
+
+    Every codeword that agrees with the unerased symbols has density equal
+    to the unerased count, so a class decodes iff that count exceeds its
+    threshold and uG = y + v has a solution there; the first message in
+    index order is the smallest solution.
+    """
     T = y_packed.shape[0]
     out_class = np.full(T, -1, dtype=np.int32)
     out_msg = np.full(T, -1, dtype=np.int64)
     undecided = np.ones(T, dtype=bool)
     unerased = spec.n - np.bitwise_count(erased_packed).sum(axis=1, dtype=np.int64)
     for class_i in code.class_order:
-        if not np.any(undecided):
-            break
-        idx = np.nonzero(undecided)[0]
-        table = code.codewords_packed(class_i)
-        mism = (y_packed[idx, None, :] ^ table[None, :, :]) & ~erased_packed[idx, None, :]
-        agree = ~np.any(mism, axis=2)
-        thr = code.log2_thresholds[class_i]
-        qualify = agree & (unerased[idx] > thr)[:, None]
-        has = qualify.any(axis=1)
-        first = qualify.argmax(axis=1)
-        hit = idx[has]
+        idx = np.nonzero(undecided & (unerased > code.log2_thresholds[class_i]))[0]
+        if not idx.size:
+            continue
+        shift = _pack_rows(code.shifts[class_i][None, :], spec.n)
+        gen = _pack_rows(code.generators[class_i], spec.n)
+        solvable, u = _smallest_solution(
+            gen, y_packed[idx] ^ shift, ~erased_packed[idx]
+        )
+        hit = idx[solvable]
         out_class[hit] = class_i
-        out_msg[hit] = first[has]
+        out_msg[hit] = u[solvable].astype(np.int64)
         undecided[hit] = False
     return out_class, out_msg
 

@@ -6,7 +6,9 @@ sums exploit that the per-term ratio is monotone in the summation index, so
 each evaluation needs O(log n) exact comparisons after an O(n) precompute.
 
 Past the sizes where fractions stay cheap, the BSC Neyman-Pearson references
-at the end of the file use 60-digit mpmath arithmetic instead.
+use 60-digit mpmath arithmetic instead. The file ends with exhaustive
+reference decoders for the union-of-coset codes, which compare a channel
+output against every codeword of every class.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from fractions import Fraction
 from typing import List, Tuple
 
 import mpmath
+import numpy as np
+
+from umpbounds.channel import ChannelKind, info_density_spectrum
 
 HALF = Fraction(1, 2)
 
@@ -216,3 +221,54 @@ def mp_header_conv_max_log2M(n: int, p: float, eps: float, m: int, n0: int, grid
     eps0 = next(g for g in grid if g >= eps0_min)
     with mpmath.workdps(MP_DPS):
         return -mp_log2_beta_miss(n - n0, p, mpmath.mpf(eps) - mpmath.mpf(eps0))
+
+
+# --------------------------------------------------------------------------
+# exhaustive threshold decoders
+# --------------------------------------------------------------------------
+
+
+def _first_qualifying(code, T, qualify_rows) -> Tuple[np.ndarray, np.ndarray]:
+    """Scan classes in order; qualify_rows(class_i, idx) -> (t, 2^k) bool."""
+    out_class = np.full(T, -1, dtype=np.int32)
+    out_msg = np.full(T, -1, dtype=np.int64)
+    undecided = np.ones(T, dtype=bool)
+    for class_i in code.class_order:
+        idx = np.nonzero(undecided)[0]
+        qualify = qualify_rows(class_i, idx)
+        has = qualify.any(axis=1)
+        hit = idx[has]
+        out_class[hit] = class_i
+        out_msg[hit] = qualify.argmax(axis=1)[has]
+        undecided[hit] = False
+    return out_class, out_msg
+
+
+def exhaustive_decode_bsc(code, spec, y_packed):
+    """(class, message) per output row: first codeword above threshold, -1 if none.
+
+    Builds the full (t, 2^k, words) XOR of outputs against each class table.
+    """
+    density = info_density_spectrum(ChannelKind.BSC, spec.n, spec.p).density
+
+    def qualify_rows(class_i, idx):
+        table = code.codewords_packed(class_i)
+        diff = y_packed[idx, None, :] ^ table[None, :, :]
+        dist = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+        return (density > code.log2_thresholds[class_i])[dist]
+
+    return _first_qualifying(code, y_packed.shape[0], qualify_rows)
+
+
+def exhaustive_decode_bec(code, spec, y_packed, erased_packed):
+    """BEC counterpart: a codeword qualifies if it agrees with every unerased
+    symbol and the unerased count is above the class threshold."""
+    unerased = spec.n - np.bitwise_count(erased_packed).sum(axis=1, dtype=np.int64)
+
+    def qualify_rows(class_i, idx):
+        table = code.codewords_packed(class_i)
+        mism = (y_packed[idx, None, :] ^ table[None, :, :]) & ~erased_packed[idx, None, :]
+        agree = ~np.any(mism, axis=2)
+        return agree & (unerased[idx] > code.log2_thresholds[class_i])[:, None]
+
+    return _first_qualifying(code, y_packed.shape[0], qualify_rows)

@@ -1,0 +1,139 @@
+"""Monte Carlo decoders: exact agreement with the exhaustive reference scans,
+bounded memory per chunk, and pinned error counts."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from umpbounds import cosets
+from umpbounds.achievability import SimplexWeights
+from umpbounds.channel import ChannelKind, ChannelSpec
+from umpbounds.cosets import (
+    MC_CHUNK,
+    CosetCodebook,
+    _decode_batch_bec,
+    _decode_batch_bsc,
+    _mc_chunk_errors,
+    _pack_rows,
+    build_coset_code,
+    monte_carlo_error,
+)
+
+BSC, BEC = ChannelKind.BSC, ChannelKind.BEC
+LENGTHS = (1, 63, 64, 65, 129)
+TRIALS = 64
+
+
+def _rng(*entropy):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
+
+
+def _random_code(rng, n):
+    """1-3 classes with k_i in 0..7, random weights and scan order; about a
+    third of the classes repeat a generator row or zero one out, and share
+    class 0's shift, so codewords collide within and across classes."""
+    m = int(rng.integers(1, 4))
+    k = tuple(int(v) for v in rng.integers(0, min(7, n) + 1, size=m))
+    parts = rng.integers(1, 5, size=m)
+    lams = SimplexWeights(parts / parts.sum())
+    gens, shifts = [], []
+    for k_i in k:
+        g = rng.integers(0, 2, size=(k_i, n), dtype=np.uint8)
+        if k_i >= 2 and rng.random() < 0.3:
+            g[-1] = g[0]
+        if k_i >= 1 and rng.random() < 0.3:
+            g[rng.integers(k_i)] = 0
+        gens.append(g)
+        share = shifts and rng.random() < 0.3
+        shifts.append(shifts[0] if share else rng.integers(0, 2, size=n, dtype=np.uint8))
+    thresholds = tuple(k_i - math.log2(lam) for k_i, lam in zip(k, lams.weights))
+    code = CosetCodebook(n, k, lams, gens, shifts, thresholds, tuple(range(m)))
+    return code.with_class_order(tuple(int(i) for i in rng.permutation(m)))
+
+
+def _sent_words(rng, code, trials):
+    """Packed codewords of random (class, message) pairs; a quarter are
+    replaced by uniform words that need not be codewords at all."""
+    classes = rng.integers(0, code.m, size=trials)
+    words = np.stack(
+        [code.codewords_packed(c)[rng.integers(0, 1 << code.k[c])] for c in classes]
+    )
+    junk = rng.random(trials) < 0.25
+    words[junk] = _pack_rows(rng.integers(0, 2, size=(int(junk.sum()), code.n)), code.n)
+    return words
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", LENGTHS)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bec_decoder_matches_exhaustive_scan(n, p, seed):
+    rng = _rng(seed)
+    code = _random_code(rng, n)
+    spec = ChannelSpec(BEC, p, n)
+    erased = _pack_rows(rng.random((TRIALS, n)) < p, n)
+    # symbols under an erasure carry arbitrary values, which must not matter
+    y = _sent_words(rng, code, TRIALS) ^ (erased & _sent_words(rng, code, TRIALS))
+    got = _decode_batch_bec(code, spec, y, erased)
+    want = oracles.exhaustive_decode_bec(code, spec, y, erased)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("block_bytes", [cosets.DECODE_BLOCK_BYTES, 2048])
+@pytest.mark.parametrize("p", [0.0, 0.11, 0.5, 0.89, 1.0])
+@pytest.mark.parametrize("n", LENGTHS)
+@settings(
+    max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bsc_decoder_matches_exhaustive_scan(monkeypatch, n, p, block_bytes, seed):
+    # 2048 bytes holds 4 codewords of 64 trials at one word, so scans cross blocks
+    monkeypatch.setattr(cosets, "DECODE_BLOCK_BYTES", block_bytes)
+    rng = _rng(seed)
+    code = _random_code(rng, n)
+    spec = ChannelSpec(BSC, p, n)
+    y = _sent_words(rng, code, TRIALS) ^ _pack_rows(rng.random((TRIALS, n)) < p, n)
+    got = _decode_batch_bsc(code, spec, y)
+    want = oracles.exhaustive_decode_bsc(code, spec, y)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+CHUNK_PEAK_BOUND = 64 << 20
+
+
+@pytest.mark.parametrize(
+    "kind,p,k",
+    [(BEC, 0.5, (20,)), (BSC, 0.11, (12, 6))],
+    ids=["bec-k20", "bsc-k12-6"],
+)
+def test_chunk_memory_is_bounded(kind, p, k):
+    # the exhaustive scans needed MC_CHUNK * 2^k * 8 bytes: 64 GiB at k = 20
+    spec = ChannelSpec(kind, p, 64)
+    code = build_coset_code(spec, k, SimplexWeights.uniform(len(k)), _rng(40))
+    tracemalloc.start()
+    try:
+        for class_i in range(code.m):
+            _mc_chunk_errors(code, spec, class_i, 7, 0, MC_CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CHUNK_PEAK_BOUND
+
+
+# counts computed with the exhaustive decoders these replaced
+@pytest.mark.parametrize(
+    "kind,p,n,errors",
+    [(BEC, 0.85, 65, [2592, 955]), (BSC, 0.25, 64, [1664, 1161])],
+    ids=["bec-n65", "bsc-n64"],
+)
+def test_pinned_error_counts(kind, p, n, errors):
+    spec = ChannelSpec(kind, p, n)
+    code = build_coset_code(spec, (6, 3), SimplexWeights([0.5, 0.5]), _rng(2024, 0))
+    assert [r.errors for r in monte_carlo_error(code, spec, 10_000, seed=777)] == errors
