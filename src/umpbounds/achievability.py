@@ -115,9 +115,8 @@ def _log2_count_minus_one(log2_count: float) -> float:
         raise ValueError(f"count must be >= 1, got log2 count {log2_count}")
     if log2_count == 0.0:
         return -math.inf
-    if log2_count > 52:
-        return log2_count
-    return log2_count + math.log1p(-(2.0 ** (-log2_count))) / LN2
+    # 1 - 2^-x as -expm1(-x ln 2) keeps its relative accuracy as x -> 0
+    return log2_count + math.log2(-math.expm1(-log2_count * LN2))
 
 
 def header_ach_bound(spec: ChannelSpec, split: HeaderSplit, m: int, log2M: float) -> float:
@@ -209,25 +208,57 @@ def max_log2M_header_ach(
     )
 
 
+# the pruning cap is exact up to rounding; this margin keeps rounding from pruning a winner
+SPLIT_PRUNE_SLACK_BITS = 1e-9
+
+
 def best_over_splits(
-    rate_at: Callable[[int], Optional[float]], n: int, n0: Optional[int] = None
+    rate: Callable[..., Optional[float]],
+    spec: ChannelSpec,
+    eps: float,
+    m: int,
+    all_eps: Sequence[float],
+    n0: Optional[int] = None,
 ) -> Optional[float]:
-    """Largest rate_at(split) over every header split 0..n, or at n0 alone if given.
+    """Largest rate(spec, eps, m, split, all_eps) over the header splits, or at n0 alone.
 
     Infeasible splits (None) are skipped. Returns None when no split is
     feasible, which includes a fixed n0 beyond the blocklength.
+
+    The auto scan visits splits 0, 1, ... and stops at split s < n once the
+    best rate so far is at least cap(s) + SPLIT_PRUNE_SLACK_BITS, where cap(s)
+    = rate(length n - s, eps, 1, 0, [eps]) spends the whole budget on the
+    payload. No split s' >= s rates above cap(s): header terms are >= 0,
+    every rate is nondecreasing in its budget, and each payload bound only
+    gets better as its block gets longer:
+      - the DT sum E[min(1, 2^(c - i_L))] is nonincreasing in L (Jensen:
+        E_P[2^-i_1] <= 1 and min(1, a z) is concave in z);
+      - the Neyman-Pearson beta_L(alpha) is nonincreasing in L, since a test
+        may ignore a symbol;
+      - the BEC converse sum is nonincreasing in L, term by term.
+    A cap of None means no later split is feasible either. Split n itself is
+    never checked: there is no length-0 ChannelSpec, and a length-0 payload
+    still carries log2(1 + 2 eps) bits in the DT bound, so a cap of 0 there
+    would be wrong. The scan returns exactly the all-splits maximum, at a
+    cost that grows with the winning header length rather than with n.
     """
+    n = spec.n
     if n0 is not None:
-        splits = [n0] if n0 <= n else []
-    else:  # splits s and n - s read the same two block lengths: visit them back to back
-        splits = sorted(range(n + 1), key=lambda s: min(s, n - s))
-    return max((r for r in map(rate_at, splits) if r is not None), default=None)
+        return rate(spec, eps, m, n0, all_eps) if n0 <= n else None
+    best = None
+    for s in range(n + 1):
+        if best is not None and s < n:
+            cap = rate(ChannelSpec(spec.kind, spec.p, n - s), eps, 1, 0, [eps])
+            if cap is None or best >= cap + SPLIT_PRUNE_SLACK_BITS:
+                break
+        r = rate(spec, eps, m, s, all_eps)
+        if r is not None and (best is None or r > best):
+            best = r
+    return best
 
 
 def max_log2M_header_ach_best(
     spec: ChannelSpec, eps_target: float, m: int, all_eps: Sequence[float]
 ) -> Optional[float]:
     """Best header-achievability rate over all admissible splits."""
-    return best_over_splits(
-        lambda n0: max_log2M_header_ach(spec, eps_target, m, n0, all_eps), spec.n
-    )
+    return best_over_splits(max_log2M_header_ach, spec, eps_target, m, all_eps)

@@ -98,8 +98,9 @@ def binomial_log_pmf(n: int, p: float) -> np.ndarray:
     return log_binomial_row(n) + t * math.log(p) + (n - t) * math.log(1.0 - p)
 
 
-# best_over_splits visits split n - s right after split s (both read lengths s and
-# n - s), so this short cache builds each length once per scan; memory stays flat.
+# an auto header scan reads lengths s and n - s at each split s it visits (its
+# cap reads n - s too) and stops after tens of splits, so this short cache lets
+# the converse scan reuse the achievability scan's builds; memory stays flat.
 @functools.lru_cache(maxsize=256)
 def info_density_spectrum(kind: ChannelKind, length: int, p: float) -> InfoDensitySpectrum:
     """Spectrum of a length-symbol block, length = 0 included.

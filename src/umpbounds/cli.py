@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -311,17 +312,14 @@ BOUND_COLUMNS = [
 def _header_rates(
     spec: ChannelSpec, eps: float, m: int, all_eps: List[float], cfg: SweepConfig
 ) -> Tuple[Optional[float], Optional[float]]:
-    """Header achievability and converse: best over every split, or at the fixed --n0."""
+    """Header achievability and converse: best over the splits, or at the fixed --n0."""
     n0 = None if cfg.n0 == "auto" else int(cfg.n0)
     if n0 is None:
         ach = max_log2M_header_ach_best(spec, eps, m, all_eps)
     else:
-        ach = best_over_splits(
-            lambda s: max_log2M_header_ach(spec, eps, m, s, all_eps), spec.n, n0
-        )
-    conv = best_over_splits(
-        lambda s: header_conv_max_log2M(spec, eps, m, s, all_eps, cfg.eps0_grid), spec.n, n0
-    )
+        ach = best_over_splits(max_log2M_header_ach, spec, eps, m, all_eps, n0)
+    conv_at = functools.partial(header_conv_max_log2M, eps0_points=cfg.eps0_grid)
+    conv = best_over_splits(conv_at, spec, eps, m, all_eps, n0)
     return ach, conv
 
 

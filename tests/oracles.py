@@ -6,9 +6,10 @@ sums exploit that the per-term ratio is monotone in the summation index, so
 each evaluation needs O(log n) exact comparisons after an O(n) precompute.
 
 Past the sizes where fractions stay cheap, the BSC Neyman-Pearson references
-use 60-digit mpmath arithmetic instead. The file ends with exhaustive
-reference decoders for the union-of-coset codes, which compare a channel
-output against every codeword of every class.
+use 60-digit mpmath arithmetic instead. An all-splits header scan is the
+reference for the pruned one. The file ends with exhaustive reference
+decoders for the union-of-coset codes, which compare a channel output
+against every codeword of every class.
 """
 
 from __future__ import annotations
@@ -221,6 +222,13 @@ def mp_header_conv_max_log2M(n: int, p: float, eps: float, m: int, n0: int, grid
     eps0 = next(g for g in grid if g >= eps0_min)
     with mpmath.workdps(MP_DPS):
         return -mp_log2_beta_miss(n - n0, p, mpmath.mpf(eps) - mpmath.mpf(eps0))
+
+
+def exhaustive_best_over_splits(rate, spec, eps, m, all_eps):
+    """The largest rate(spec, eps, m, n0, all_eps) over every split n0 = 0..n,
+    None when no split is feasible: the header scan without pruning."""
+    rates = (rate(spec, eps, m, n0, all_eps) for n0 in range(spec.n + 1))
+    return max((r for r in rates if r is not None), default=None)
 
 
 # --------------------------------------------------------------------------

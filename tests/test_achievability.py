@@ -1,5 +1,8 @@
+import functools
 import math
 from fractions import Fraction
+
+import mpmath
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,8 @@ from umpbounds.achievability import (
     ClassProfile,
     HeaderSplit,
     SimplexWeights,
+    _log2_count_minus_one,
+    best_over_splits,
     dt_class_bound,
     expected_error_dt,
     header_ach_bound,
@@ -18,6 +23,7 @@ from umpbounds.achievability import (
     max_log2M_header_ach_best,
 )
 from umpbounds.channel import ChannelKind, ChannelSpec, info_density_spectrum
+from umpbounds.converse import header_conv_max_log2M
 
 BSC, BEC = ChannelKind.BSC, ChannelKind.BEC
 
@@ -221,13 +227,16 @@ class TestRateSearch:
         fixed = max_log2M_header_ach(spec, eps, 3, 60, [eps])
         assert best is not None and best >= fixed - 1e-6
 
-    def test_split_scan_builds_each_length_once(self):
-        # splits s and n - s read the same lengths and are visited back to
-        # back, so the short spectrum cache misses once per length at most
-        n = 1000
+    def test_auto_scans_build_few_spectra(self):
+        # both --n0 auto scans stop near the winning split (about 60 here), so
+        # they build a few hundred spectra at most, not one per length 0..n
+        n, eps = 10_000, 1e-3
+        spec = ChannelSpec(BSC, 0.11, n)
         before = info_density_spectrum.cache_info().misses
-        max_log2M_header_ach_best(ChannelSpec(BSC, 0.11, n), 1e-3, 3, [1e-3] * 3)
-        assert info_density_spectrum.cache_info().misses - before <= n + 1
+        assert max_log2M_header_ach_best(spec, eps, 3, [eps] * 3) is not None
+        conv_at = functools.partial(header_conv_max_log2M, eps0_points=1000)
+        assert best_over_splits(conv_at, spec, eps, 3, [eps] * 3) is not None
+        assert info_density_spectrum.cache_info().misses - before <= 200
 
     def test_header_dominance_single_point(self):
         # the general construction beats the best header split
@@ -237,3 +246,42 @@ class TestRateSearch:
         header = max_log2M_header_ach_best(spec, eps, 3, [eps] * 3)
         assert ump is not None and header is not None
         assert ump > header
+
+
+@pytest.mark.parametrize("x", [1e-17, 1e-16, 1e-12, 1e-8, 1.0, 52.0, 53.0])
+def test_log2_count_minus_one_matches_mpmath(x):
+    # log2(2^x - 1): 2^-x rounds to 1 below x ~ 8e-17, so 1 - 2^-x must not be formed
+    with mpmath.workdps(60):
+        want = float(mpmath.log(mpmath.mpf(2) ** x - 1, 2))
+    assert _log2_count_minus_one(x) == pytest.approx(want, rel=1e-15)
+
+
+class TestSplitScan:
+    """The pruned --n0 auto scan returns exactly the all-splits maximum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from([BSC, BEC]),
+        p=st.sampled_from([0.0, 1e-300, 0.01, 0.11, 0.5, 0.89, 1.0]),
+        n=st.sampled_from([1, 2, 17, 64, 300]),
+        all_eps=st.lists(
+            st.floats(-12.0, math.log10(0.9)).map(lambda e: 10.0**e), min_size=1, max_size=4
+        ),
+        cls=st.integers(0, 3),
+        eps0_points=st.sampled_from([1, 10, 1000]),
+    )
+    def test_matches_exhaustive_scan(self, kind, p, n, all_eps, cls, eps0_points):
+        spec = ChannelSpec(kind, p, n)
+        m, eps = len(all_eps), all_eps[cls % len(all_eps)]
+        ach = oracles.exhaustive_best_over_splits(max_log2M_header_ach, spec, eps, m, all_eps)
+        assert max_log2M_header_ach_best(spec, eps, m, all_eps) == ach
+        conv_at = functools.partial(header_conv_max_log2M, eps0_points=eps0_points)
+        conv = oracles.exhaustive_best_over_splits(conv_at, spec, eps, m, all_eps)
+        assert best_over_splits(conv_at, spec, eps, m, all_eps) == conv
+
+    def test_fixed_split(self):
+        spec = ChannelSpec(BEC, 0.5, 60)
+        assert best_over_splits(max_log2M_header_ach, spec, 0.1, 2, [0.1], 7) == (
+            max_log2M_header_ach(spec, 0.1, 2, 7, [0.1])
+        )
+        assert best_over_splits(max_log2M_header_ach, spec, 0.1, 2, [0.1], 61) is None

@@ -223,6 +223,22 @@ class TestBoundCommand:
         cells = dict(zip(cli.BOUND_COLUMNS, row.split(",")))
         assert float(cells["log2M_converse"]) == pytest.approx(24.8917998418516, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "channel, classes",
+        [
+            ("bsc", ["eps=1e-16,lambda=1"]),
+            ("bec", ["eps=1e-16,lambda=1"]),
+            ("bec", ["eps=1e-16,lambda=0.5", "eps=1e-16,lambda=0.5"]),
+        ],
+    )
+    def test_eps_below_float_spacing_runs(self, tmp_path, channel, classes):
+        # the payload size guess falls below 8e-17 bits here, where 2^-x rounds to 1
+        out = tmp_path / "tiny.csv"
+        argv = ["bound", "--channel", channel, "--p", "0.11", "--n", "200", "--out", str(out)]
+        for cls in classes:
+            argv += ["--class", cls]
+        assert cli.main(argv) == cli.EXIT_OK
+
     def test_twelve_significant_digits(self):
         assert cli._fmt(1 / 3) == "0.333333333333"
         assert cli._fmt(1234567.0) == "1234567"
