@@ -142,25 +142,6 @@ def header_ach_bound(spec: ChannelSpec, split: HeaderSplit, m: int, log2M: float
     return min(1.0, total)
 
 
-def expected_error_dt(
-    spec: ChannelSpec, profiles: Sequence[ClassProfile], lambdas: SimplexWeights
-) -> float:
-    """Prior-weighted sum of the per-class DT bounds, clamped to [0,1]."""
-    if len(profiles) != len(lambdas):
-        raise ValueError(
-            f"{len(profiles)} profiles but {len(lambdas)} simplex weights"
-        )
-    total_mu = sum(p.mu for p in profiles)
-    if abs(total_mu - 1.0) > 1e-9:
-        raise ValueError(f"class priors must sum to 1, got {total_mu}")
-    total = 0.0
-    for prof, lam in zip(profiles, lambdas.weights):
-        if prof.mu == 0.0:
-            continue
-        total += prof.mu * dt_class_bound(spec, prof.log2M, lam)
-    return min(1.0, total)
-
-
 def max_log2M_dt(spec: ChannelSpec, eps_target: float, lambda_i: float) -> Optional[float]:
     """Largest class size (in bits) whose DT bound meets eps_target.
 

@@ -13,7 +13,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .numerics import binary_entropy, log_binomial_row
+from .numerics import log_binomial_row
 
 
 class ChannelKind(Enum):
@@ -71,19 +71,6 @@ class InfoDensitySpectrum:
     density: np.ndarray
 
 
-def channel_stats(spec: ChannelSpec) -> ChannelStats:
-    """Capacity and dispersion (bits, bits^2) for the uniform input."""
-    p = spec.p
-    if spec.kind is ChannelKind.BSC:
-        capacity = 1.0 - binary_entropy(p)
-        if p in (0.0, 1.0) or p == 0.5:
-            dispersion = 0.0
-        else:
-            dispersion = p * (1.0 - p) * math.log2((1.0 - p) / p) ** 2
-        return ChannelStats(capacity, dispersion)
-    return ChannelStats(1.0 - p, p * (1.0 - p))
-
-
 def binomial_log_pmf(n: int, p: float) -> np.ndarray:
     """Natural-log Binomial(n, p) masses for t = 0..n."""
     if p == 0.0:
@@ -121,6 +108,19 @@ def info_density_spectrum(kind: ChannelKind, length: int, p: float) -> InfoDensi
     density[log_mass == -np.inf] = -np.inf
     log_mass.flags.writeable = density.flags.writeable = False
     return InfoDensitySpectrum(log_mass, density)
+
+
+def channel_stats(spec: ChannelSpec) -> ChannelStats:
+    """Capacity and dispersion (bits, bits^2) for the uniform input.
+
+    They are the mean and the variance of one channel use's information
+    density, read off the length-1 spectrum with zero-mass weights left out.
+    """
+    one = info_density_spectrum(spec.kind, 1, spec.p)
+    has_mass = one.log_mass > -np.inf
+    w, density = np.exp(one.log_mass[has_mass]), one.density[has_mass]
+    capacity = float(w @ density)
+    return ChannelStats(capacity, float(w @ (density - capacity) ** 2))
 
 
 def transmit(spec: ChannelSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

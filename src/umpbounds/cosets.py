@@ -93,8 +93,8 @@ class CosetCodebook:
 
     Message index w maps to coefficient bits little-endian: bit j of w selects
     generator row j. Coset codewords are not necessarily distinct for random
-    generators; collisions are a diagnostic, not an error, and only make the
-    empirical error conservative.
+    generators; collisions are not an error, and only make the empirical
+    error conservative.
     """
 
     n: int
@@ -121,11 +121,6 @@ class CosetCodebook:
             table = np.vstack([table, table ^ row_packed])
         self._tables[class_i] = table
         return table
-
-    def codeword_collisions(self, class_i: int) -> int:
-        """Number of duplicated codeword labels in the class."""
-        table = self.codewords_packed(class_i)
-        return table.shape[0] - np.unique(table, axis=0).shape[0]
 
     def with_class_order(self, order: Sequence[int]) -> "CosetCodebook":
         if sorted(order) != list(range(self.m)):
@@ -364,19 +359,12 @@ def _mc_chunk_errors(
     seed: int,
     chunk_index: int,
     trials: int,
-    fixed_message: Optional[int] = None,
 ) -> int:
     """Errors in one deterministic chunk of Monte Carlo trials for one class."""
-    ss = np.random.SeedSequence(
-        [seed, class_i, chunk_index] if fixed_message is None
-        else [seed, class_i, fixed_message, chunk_index]
-    )
+    ss = np.random.SeedSequence([seed, class_i, chunk_index])
     rng = np.random.Generator(np.random.PCG64(ss))
     table = code.codewords_packed(class_i)
-    if fixed_message is None:
-        msgs = rng.integers(0, 1 << code.k[class_i], size=trials, dtype=np.int64)
-    else:
-        msgs = np.full(trials, fixed_message, dtype=np.int64)
+    msgs = rng.integers(0, 1 << code.k[class_i], size=trials, dtype=np.int64)
     x = table[msgs]
     noise = rng.random((trials, spec.n)) < spec.p
     if spec.kind is ChannelKind.BSC:
@@ -426,39 +414,6 @@ def monte_carlo_error(
     for class_i, err in results:
         errors[class_i] += err
     return [McClassResult(errors[i], trials_per_class) for i in range(code.m)]
-
-
-def monte_carlo_max_error(
-    code: CosetCodebook,
-    spec: ChannelSpec,
-    trials_per_message: int,
-    seed: int,
-    threads: int = 1,
-) -> List[McClassResult]:
-    """Worst-message empirical error per class, exhaustive over messages.
-
-    Gated to k_i <= 10 since it runs trials_per_message trials for every one
-    of the 2^k_i messages.
-    """
-    if any(k_i > 10 for k_i in code.k):
-        raise ResourceBudgetError(
-            f"per-message mode requires every k_i <= 10, got {code.k}"
-        )
-    if trials_per_message < 100:
-        raise ValueError(
-            f"need at least 100 trials per message, got {trials_per_message}"
-        )
-    out = []
-    for class_i in range(code.m):
-        worst = McClassResult(0, trials_per_message)
-        for w in range(1 << code.k[class_i]):
-            err = _mc_chunk_errors(
-                code, spec, class_i, seed, 0, trials_per_message, fixed_message=w
-            )
-            if err > worst.errors:
-                worst = McClassResult(err, trials_per_message)
-        out.append(worst)
-    return out
 
 
 _KIND_CODE = {ChannelKind.BSC: 0, ChannelKind.BEC: 1}

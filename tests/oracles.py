@@ -175,7 +175,8 @@ MP_DPS = 60
 @functools.lru_cache(maxsize=None)
 def mp_bsc_shells(n: int, p: float):
     """60-digit distance-shell masses: channel P(t), equiprobable Q(t) and the
-    miss tails S(t) = sum_{u >= t} P(u), for the float p taken exactly."""
+    miss tails S(t) = sum_{u >= t} P(u), for the float p taken exactly. P is
+    the Binomial(n, p) law, so it is the BEC erasure-count law too."""
     with mpmath.workdps(MP_DPS):
         p = mpmath.mpf(p)
         odds = p / (1 - p)
@@ -199,6 +200,35 @@ def mp_log2_beta_miss(n: int, p: float, eps) -> float:
         L = max(t for t in range(n + 1) if S[t] > eps)
         beta = mpmath.fsum(Q[:L]) + (S[L] - eps) / P[L] * Q[L]
         return float(mpmath.log(beta, 2))
+
+
+def _mp_density(kind: str, n: int, p, t: int):
+    """Information density in bits of an output at weight t (flips or erasures)."""
+    if kind == "bec":
+        return mpmath.mpf(n - t)
+    return n + t * mpmath.log(p, 2) + (n - t) * mpmath.log(1 - p, 2)
+
+
+def mp_dt_sum(kind: str, n: int, p: float, log2_ratio: float):
+    """60-digit DT bound sum_t P(t) min(1, 2^(log2(M/lambda) - density(t))),
+    P the Binomial(n, p) law of the flips (BSC) or erasures (BEC)."""
+    P, _, _ = mp_bsc_shells(n, p)
+    with mpmath.workdps(MP_DPS):
+        p, r = mpmath.mpf(p), mpmath.mpf(log2_ratio)
+        return mpmath.fsum(
+            w * min(1, mpmath.mpf(2) ** (r - _mp_density(kind, n, p, t)))
+            for t, w in enumerate(P)
+        )
+
+
+def mp_bec_conv_sum(n: int, p: float, log2_ratio: float):
+    """60-digit BEC converse floor sum_l P(l) (1 - 2^(n - l - log2(M/lambda)))^+."""
+    P, _, _ = mp_bsc_shells(n, p)
+    with mpmath.workdps(MP_DPS):
+        r = mpmath.mpf(log2_ratio)
+        return mpmath.fsum(
+            w * max(0, 1 - mpmath.mpf(2) ** (n - l - r)) for l, w in enumerate(P)
+        )
 
 
 def mp_header_eps0_min(n0: int, p: float, m: int):

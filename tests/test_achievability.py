@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 import oracles
 from umpbounds.achievability import (
-    ClassProfile,
     HeaderSplit,
     SimplexWeights,
     _log2_count_minus_one,
     best_over_splits,
     dt_class_bound,
-    expected_error_dt,
     header_ach_bound,
     max_log2M_dt,
     max_log2M_header_ach,
@@ -149,50 +147,6 @@ class TestHeaderAchBound:
             header_ach_bound(spec, HeaderSplit(0), 2, 0.0)
         with pytest.raises(ValueError):
             header_ach_bound(spec, HeaderSplit(2), 0, 0.0)
-
-
-class TestExpectedError:
-    def test_single_class_reduces(self):
-        spec = ChannelSpec(BSC, 0.11, 50)
-        prof = [ClassProfile(log2M=10.0, mu=1.0)]
-        assert expected_error_dt(spec, prof, SimplexWeights([1.0])) == dt_class_bound(
-            spec, 10.0, 1.0
-        )
-
-    def test_degenerate_prior_picks_class(self):
-        spec = ChannelSpec(BEC, 0.5, 32)
-        profs = [ClassProfile(log2M=4.0, mu=0.0), ClassProfile(log2M=10.0, mu=1.0)]
-        lams = SimplexWeights([0.5, 0.5])
-        assert expected_error_dt(spec, profs, lams) == dt_class_bound(spec, 10.0, 0.5)
-
-    def test_weighted_sum_against_oracle(self):
-        spec = ChannelSpec(BSC, 0.11, 200)
-        profs = [
-            ClassProfile(log2M=80.0, mu=0.7),
-            ClassProfile(log2M=60.0, mu=0.3),
-        ]
-        got = expected_error_dt(spec, profs, SimplexWeights([0.5, 0.5]))
-        p = Fraction(11, 100)
-        want = Fraction(7, 10) * oracles.dt_class_bound_exact(
-            "bsc", 200, p, 80, Fraction(1, 2)
-        ) + Fraction(3, 10) * oracles.dt_class_bound_exact(
-            "bsc", 200, p, 60, Fraction(1, 2)
-        )
-        assert got == pytest.approx(float(want), rel=1e-10)
-
-    def test_mismatched_lengths(self):
-        spec = ChannelSpec(BSC, 0.11, 8)
-        with pytest.raises(ValueError):
-            expected_error_dt(spec, [ClassProfile(mu=1.0)], SimplexWeights([0.5, 0.5]))
-
-    def test_bad_prior_sum(self):
-        spec = ChannelSpec(BSC, 0.11, 8)
-        with pytest.raises(ValueError):
-            expected_error_dt(
-                spec,
-                [ClassProfile(mu=0.4), ClassProfile(mu=0.4)],
-                SimplexWeights([0.5, 0.5]),
-            )
 
 
 class TestRateSearch:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -26,10 +27,37 @@ def test_spec_validation():
         ChannelSpec(BEC, 0.5, 0)
 
 
+STATS_P = (0.0, 1e-300, 0.01, 0.11, 0.5, 0.89, 1.0)
+
+
+def _mp_stats(kind, p):
+    """Closed-form C and V at 50 digits for the float p taken exactly."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        q = 1 - p
+        if kind is BEC:
+            return 1 - p, p * q
+        if p in (0, 1):
+            return mpmath.mpf(1), mpmath.mpf(0)
+        h = -p * mpmath.log(p, 2) - q * mpmath.log(q, 2)
+        return 1 - h, p * q * mpmath.log(q / p, 2) ** 2
+
+
+def _check_closed_form(kind, p):
+    stats = channel_stats(ChannelSpec(kind, p, 8))
+    capacity, dispersion = _mp_stats(kind, p)
+    assert stats.capacity == pytest.approx(float(capacity), rel=0.0, abs=1e-15), (kind, p)
+    assert stats.dispersion == pytest.approx(float(dispersion), rel=1e-12, abs=0.0), (kind, p)
+
+
 class TestChannelStats:
     def test_noiseless_bsc(self):
         stats = channel_stats(ChannelSpec(BSC, 0.0, 8))
         assert stats.capacity == 1.0 and stats.dispersion == 0.0
+        # V is exactly 0 wherever the density is constant: the normal
+        # approximation cells print NA there
+        for kind, p in [(BSC, 0.0), (BSC, 0.5), (BSC, 1.0), (BEC, 0.0), (BEC, 1.0)]:
+            assert channel_stats(ChannelSpec(kind, p, 8)).dispersion == 0.0, (kind, p)
 
     def test_useless_bsc(self):
         stats = channel_stats(ChannelSpec(BSC, 0.5, 8))
@@ -38,12 +66,16 @@ class TestChannelStats:
     def test_bec_half(self):
         stats = channel_stats(ChannelSpec(BEC, 0.5, 8))
         assert stats.capacity == 0.5 and stats.dispersion == 0.25
+        for p in STATS_P:
+            _check_closed_form(BEC, p)
 
     def test_bsc_reference_point(self):
         # independently computed from the capacity/dispersion closed forms
         stats = channel_stats(ChannelSpec(BSC, 0.11, 8))
         assert stats.capacity == pytest.approx(0.5000840418354720, abs=1e-12)
         assert stats.dispersion == pytest.approx(0.8907017013975560, abs=1e-12)
+        for p in STATS_P:
+            _check_closed_form(BSC, p)
 
     @pytest.mark.parametrize("p", [0.0, 0.05, 0.11, 0.3, 0.5, 0.77, 1.0])
     def test_crossover_symmetry(self, p):

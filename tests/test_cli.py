@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import umpbounds
 from umpbounds import cli
 from umpbounds.achievability import max_log2M_dt, max_log2M_header_ach
 from umpbounds.channel import ChannelKind, ChannelSpec
@@ -361,3 +366,18 @@ class TestTradeoffCommand:
             ]
         )
         assert len(self._rows(out)) == 11
+
+
+def test_import_loads_no_scipy():
+    # the package needs only numpy at run time; scipy is a test-only reference
+    src = str(Path(umpbounds.__file__).resolve().parents[1])
+    code = (
+        "import sys, umpbounds.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

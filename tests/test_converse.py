@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -165,7 +166,7 @@ class TestConverseBsc:
 
 
 class TestSmallEpsMpmath:
-    """BSC converses against 60-digit references down to eps = 1e-15."""
+    """Rates against 60-digit references down to eps = 1e-15."""
 
     @pytest.mark.parametrize("n", [200, 1000, 5000])
     def test_converse(self, n):
@@ -182,6 +183,33 @@ class TestSmallEpsMpmath:
         want = oracles.mp_header_conv_max_log2M(n, 0.11, eps, m, n0, grid)
         got = header_conv_max_log2M_bsc(spec, eps, m, n0, [eps])
         assert got == pytest.approx(want, abs=MP_TOL_BITS), (got, want)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    @pytest.mark.parametrize(
+        "kind,p,bound",
+        [
+            pytest.param(BSC, 0.11, "dt", id="dt-bsc"),
+            pytest.param(BEC, 0.5, "dt", id="dt-bec"),
+            pytest.param(BEC, 0.5, "converse", id="converse-bec"),
+        ],
+    )
+    def test_bound_sum_at_rate(self, kind, p, bound, n):
+        # the 60-digit bound sum at the returned rate equals eps; an NA rate
+        # needs the sum at a single codeword to exceed eps. The float ln C(n, t)
+        # table is good to a few ulps of ln n!, about 1e-12 relative in each
+        # mass at n = 1000; the sums measured within 2.5e-13 of eps.
+        spec, lam = ChannelSpec(kind, p, n), 0.5
+        if bound == "dt":
+            rate_fn, mp_sum = max_log2M_dt, functools.partial(oracles.mp_dt_sum, kind.value)
+        else:
+            rate_fn, mp_sum = converse_max_log2M_bec, oracles.mp_bec_conv_sum
+        for eps in (1e-9, 1e-15):
+            got = rate_fn(spec, eps, lam)
+            if got is None:
+                assert mp_sum(n, p, -math.log2(lam)) > eps, eps
+                continue
+            at_rate = float(mp_sum(n, p, got - math.log2(lam)))
+            assert at_rate == pytest.approx(eps, rel=1e-12, abs=0.0), (eps, got)
 
 
 class TestConverseBec:

@@ -17,7 +17,6 @@ from umpbounds.cosets import (
     info_density_bits,
     load_codebook,
     monte_carlo_error,
-    monte_carlo_max_error,
     save_codebook,
 )
 
@@ -277,19 +276,6 @@ class TestMonteCarlo:
             se = math.sqrt(max(rate, 1e-12) * (1 - rate) / (trials * books))
             assert rate <= dt_class_bound(spec, float(k), 0.5) + 3 * se
 
-    def test_max_error_mode_gate(self):
-        spec = ChannelSpec(BSC, 0.1, 32)
-        code = build_coset_code(spec, [12], SimplexWeights([1.0]), _rng(24))
-        with pytest.raises(ResourceBudgetError):
-            monte_carlo_max_error(code, spec, 200, seed=0)
-
-    def test_max_error_dominates_average(self):
-        spec = ChannelSpec(BEC, 0.5, 24)
-        code = build_coset_code(spec, [3], SimplexWeights([1.0]), _rng(25))
-        avg = monte_carlo_error(code, spec, 4_000, seed=5)[0]
-        worst = monte_carlo_max_error(code, spec, 4_000, seed=5)[0]
-        assert worst.error_rate >= avg.error_rate - 3 * avg.std_error
-
 
 class TestCodebookFile:
     def test_round_trip(self, tmp_path):
@@ -332,10 +318,3 @@ class TestCodebookFile:
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(ValueError):
             load_codebook(path)
-
-    def test_collision_diagnostic(self):
-        n = 8
-        # duplicate rows force codeword collisions: rank < k
-        gen = np.array([[1, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]], dtype=np.uint8)
-        code = _manual_codebook(n, [np.zeros(n, dtype=np.uint8)], [gen], [1.0])
-        assert code.codeword_collisions(0) == 2

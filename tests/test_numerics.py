@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from umpbounds.numerics import (
     LogValue,
-    binary_entropy,
     gaussian_Q,
     gaussian_Q_inv,
     log_binomial_row,
@@ -130,27 +130,29 @@ class TestGaussianQInv:
         # resolve the tail any finer; the x-side round trip holds above that
         assert gaussian_Q_inv(gaussian_Q(x)) == pytest.approx(x, abs=1e-9)
 
+    @staticmethod
+    def _mp_Q_inv(eps):
+        """50-digit Q^-1(eps), solved on log Q for eps <= 1/2 and by symmetry
+        above; the root is checked to reproduce eps before it is used."""
+        with mpmath.workdps(50):
+            e = mpmath.mpf(eps)  # the float eps taken exactly
+            tail = min(e, 1 - e)
+
+            def log_Q(x):
+                return mpmath.log(mpmath.erfc(x / mpmath.sqrt(2)) / 2)
+
+            log_tail = mpmath.log(tail)
+            x = mpmath.findroot(lambda v: log_Q(v) - log_tail, (-1, 40), solver="anderson")
+            assert abs(mpmath.exp(log_Q(x)) / tail - 1) < mpmath.mpf(10) ** -40
+            return x if e <= 0.5 else -x
+
+    @pytest.mark.parametrize(
+        "eps", [1e-300, 1e-15, 1e-3, 0.5000001, 0.9, 1 - 1e-9, 1 - 1e-12]
+    )
+    def test_against_mpmath(self, eps):
+        want = self._mp_Q_inv(eps)
+        assert gaussian_Q_inv(eps) == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
     def test_inverse_of_Q_near_one_quantization(self):
         for x in (-5.9, -5.5):
             assert gaussian_Q_inv(gaussian_Q(x)) == pytest.approx(x, abs=5e-8)
-
-
-class TestBinaryEntropy:
-    def test_fair_coin(self):
-        assert binary_entropy(0.5) == 1.0
-
-    def test_limits(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-
-    def test_bsc_benchmark_value(self):
-        # high-precision reference: -0.11 log2 0.11 - 0.89 log2 0.89
-        assert binary_entropy(0.11) == pytest.approx(0.4999159581645280, abs=1e-12)
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    def test_symmetry(self, p):
-        assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binary_entropy(1.5)
