@@ -480,6 +480,7 @@ def tradeoff_rows(cfg: SweepConfig) -> List[List[str]]:
         )
     points = list(_simplex_grid(m, steps))
     losses = [kl_divergence_bits(mu, lam) for lam in points]
+    lam_cells = [[_fmt(v) for v in lam] for lam in points]
     rows = []
     for n in cfg.n_list:
         spec = ChannelSpec(cfg.channel, cfg.p, n)
@@ -494,11 +495,10 @@ def tradeoff_rows(cfg: SweepConfig) -> List[List[str]]:
         # the first maximizer; none when every point has lambda_i = 0 at some mu_i > 0
         top = max(rates)
         best = rates.index(top) if top > -math.inf else None
-        for i, (lam, rate, loss) in enumerate(zip(points, rates, losses)):
+        n_cell = str(n)
+        for i, (cells, rate, loss) in enumerate(zip(lam_cells, rates, losses)):
             rows.append(
-                [str(n)]
-                + [_fmt(v) for v in lam]
-                + [_fmt(rate), _fmt(loss / n), "1" if i == best else "0"]
+                [n_cell, *cells, _fmt(rate), _fmt(loss / n), "1" if i == best else "0"]
             )
     return rows
 

@@ -3,11 +3,13 @@
 Each class is a coset {uG_i + v_i} of a random linear code; the decoder scans
 classes in a fixed order and outputs the first codeword whose information
 density strictly exceeds the class threshold log2(M_i / lambda_i). Words are
-stored packed 64 bits per word. The BSC decoder compares outputs with the
-codeword table via XOR + popcount, one block of codewords at a time within a
-byte budget; the BEC decoder needs no table scan, since the first consistent
-codeword is the smallest solution of a GF(2) linear system on the unerased
-positions.
+stored packed 64 bits per word. On the BSC the density is affine in the
+Hamming distance, so a class's qualifying distances are a prefix or a suffix
+of 0..n and one comparison tests a codeword; the decoder compares outputs
+with the codeword table by XOR + popcount, one (codewords, trials) block at a
+time within a byte budget, in buffers allocated once per call. The BEC
+decoder needs no table scan, since the first consistent codeword is the
+smallest solution of a GF(2) linear system on the unerased positions.
 
 Single codebook draws may exceed the analytic class bound; the random-coding
 guarantee is in expectation over codebooks, so validation averages over
@@ -34,8 +36,8 @@ _MAGIC = b"UMPC"
 _FORMAT_VERSION = 1
 
 MC_CHUNK = 8192
-# byte budget of the BSC decoder's (trials, block, words) XOR temporary
-DECODE_BLOCK_BYTES = 1 << 24
+# byte budget of the BSC decoder's (block, trials, words) XOR buffer
+DECODE_BLOCK_BYTES = 1 << 21
 
 
 class ResourceBudgetError(Exception):
@@ -206,42 +208,84 @@ def info_density_bits(spec: ChannelSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float(info_density_spectrum(spec.kind, spec.n, spec.p).density[t])
 
 
+def _qualifying_distances(density: np.ndarray, threshold: float) -> Optional[Tuple[int, int]]:
+    """(lo, hi) such that density[t] > threshold exactly for lo <= t <= hi.
+
+    On the BSC the density is affine in the distance t where finite and -inf
+    elsewhere, so the qualifying distances are a prefix of 0..n (p < 1/2,
+    p = 0) or a suffix (p > 1/2, p = 1). None when no distance qualifies.
+    """
+    t = np.flatnonzero(density > threshold)
+    if not t.size:
+        return None
+    lo, hi = int(t[0]), int(t[-1])
+    if (lo > 0 and hi < len(density) - 1) or len(t) != hi - lo + 1:
+        raise ValueError(
+            f"the {len(t)} distances in {lo}..{hi} with density above {threshold!r} "
+            f"bits are not a prefix or a suffix of 0..{len(density) - 1}"
+        )
+    return lo, hi
+
+
 def _decode_batch_bsc(
     code: CosetCodebook, spec: ChannelSpec, y_packed: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """First codeword above threshold, scanning each class table in blocks.
 
-    A block holds as many codewords as keep the (trials, block, words) XOR
-    temporary within DECODE_BLOCK_BYTES; trials that hit leave before the
-    next block, so the scan order, and the output, is that of one full pass.
+    A block is laid out (codewords, trials, words), so each XOR broadcasts one
+    codeword over a contiguous row of trials; it holds as many codewords as
+    keep that XOR within DECODE_BLOCK_BYTES (at least one). The XOR, its
+    popcount, the distance and the qualify test write into buffers allocated
+    once per call. A codeword qualifies when its distance lies in the class's
+    qualifying prefix or suffix, one comparison. Trials that hit leave before
+    the next block, so the scan order, and the output, is that of one full
+    pass.
     """
     T, W = y_packed.shape
     out_class = np.full(T, -1, dtype=np.int32)
     out_msg = np.full(T, -1, dtype=np.int64)
     idx = np.arange(T)
+    ys = y_packed
     density = info_density_spectrum(ChannelKind.BSC, spec.n, spec.p).density
+    size = max(DECODE_BLOCK_BYTES // 8, T * W)
+    xor_buf = np.empty(size, dtype=np.uint64)
+    count_buf = np.empty(size, dtype=np.uint8)
+    dist_buf = count_buf if W == 1 else np.empty(size // W, np.min_scalar_type(spec.n))
+    test_buf = np.empty(size // W, dtype=bool)
     for class_i in code.class_order:
         if not idx.size:
             break
+        qualifying = _qualifying_distances(density, code.log2_thresholds[class_i])
+        if qualifying is None:
+            continue
+        lo, hi = qualifying
         table = code.codewords_packed(class_i)
-        # looked up by distance, so the (t, block) intermediate is one byte per entry
-        qualify_at = density > code.log2_thresholds[class_i]
         start = 0
         while idx.size and start < len(table):
-            block = max(1, DECODE_BLOCK_BYTES // (idx.size * W * 8))
-            rows = table[start : start + block]
-            if W == 1:
-                dist = np.bitwise_count(y_packed[idx, :1] ^ rows[None, :, 0])
+            t = idx.size
+            rows = table[start : start + max(1, DECODE_BLOCK_BYTES // (t * W * 8))]
+            b = len(rows)
+            shape = (b, t, W)
+            diff = np.bitwise_xor(
+                rows[:, None, :], ys[None, :, :], out=xor_buf[: b * t * W].reshape(shape)
+            )
+            count = np.bitwise_count(diff, out=count_buf[: b * t * W].reshape(shape))
+            dist = dist_buf[: b * t].reshape(b, t)
+            if W > 1:
+                np.add.reduce(count, axis=2, dtype=dist.dtype, out=dist)
+            qualify = test_buf[: b * t].reshape(b, t)
+            if lo == 0:
+                np.less_equal(dist, hi, out=qualify)
             else:
-                diff = y_packed[idx, None, :] ^ rows[None, :, :]
-                dist = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
-            qualify = qualify_at[dist]
-            has = qualify.any(axis=1)
-            hit = idx[has]
-            out_class[hit] = class_i
-            out_msg[hit] = start + qualify[has].argmax(axis=1)
-            idx = idx[~has]
-            start += block
+                np.greater_equal(dist, lo, out=qualify)
+            has = qualify.any(axis=0)
+            cols = np.flatnonzero(has)
+            if cols.size:
+                out_class[idx[cols]] = class_i
+                out_msg[idx[cols]] = start + qualify[:, cols].argmax(axis=0)
+                miss = ~has
+                idx, ys = idx[miss], ys[miss]
+            start += b
     return out_class, out_msg
 
 

@@ -8,7 +8,6 @@ so they are carried as natural-log magnitudes throughout.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -139,10 +138,27 @@ def largest_feasible(bound_fn, guess: float, target: float) -> float:
     return max(x, 0.0)
 
 
-@functools.lru_cache(maxsize=None)
+# ln k! for k < len; grown on demand, so one table serves every length
+_log_factorial_table = np.zeros(1)
+
+
 def _log_factorials(size: int) -> np.ndarray:
-    """ln k! = lgamma(k + 1) for k < size; sizes are powers of two, so few exist."""
-    return np.fromiter(map(math.lgamma, range(1, size + 1)), dtype=float, count=size)
+    """ln k! = lgamma(k + 1) for k < size, a read-only prefix of the shared table.
+
+    The table at least doubles when it grows, so building it costs fewer
+    than two lgamma calls per entry of the largest size requested.
+    """
+    global _log_factorial_table
+    # threads may grow the table at once; each reads only the table it holds
+    table = _log_factorial_table
+    have = len(table)
+    if size > have:
+        grown = max(size, 2 * have)
+        more = np.fromiter(map(math.lgamma, range(have + 1, grown + 1)), float, grown - have)
+        table = np.concatenate((table, more))
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return table[:size]
 
 
 def log_binomial_row(n: int) -> np.ndarray:
@@ -153,7 +169,7 @@ def log_binomial_row(n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"negative n: {n}")
-    lf = _log_factorials(1 << (n + 1).bit_length())
+    lf = _log_factorials(n + 1)
     return lf[n] - lf[: n + 1] - lf[n::-1]
 
 

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 import oracles
 from umpbounds import cosets
 from umpbounds.achievability import SimplexWeights
-from umpbounds.channel import ChannelKind, ChannelSpec
+from umpbounds.channel import (
+    ChannelKind,
+    ChannelSpec,
+    InfoDensitySpectrum,
+    info_density_spectrum,
+)
 from umpbounds.cosets import (
     MC_CHUNK,
     CosetCodebook,
@@ -85,7 +90,7 @@ def test_bec_decoder_matches_exhaustive_scan(n, p, seed):
     np.testing.assert_array_equal(got[1], want[1])
 
 
-@pytest.mark.parametrize("block_bytes", [cosets.DECODE_BLOCK_BYTES, 2048])
+@pytest.mark.parametrize("block_bytes", [1 << 24, 2048, 8, cosets.DECODE_BLOCK_BYTES])
 @pytest.mark.parametrize("p", [0.0, 0.11, 0.5, 0.89, 1.0])
 @pytest.mark.parametrize("n", LENGTHS)
 @settings(
@@ -93,7 +98,9 @@ def test_bec_decoder_matches_exhaustive_scan(n, p, seed):
 )
 @given(seed=st.integers(0, 2**32 - 1))
 def test_bsc_decoder_matches_exhaustive_scan(monkeypatch, n, p, block_bytes, seed):
-    # 2048 bytes holds 4 codewords of 64 trials at one word, so scans cross blocks
+    # 16 MiB holds every table here in one block; 2048 bytes holds 4 codewords
+    # of 64 trials at one word, so scans cross blocks; 8 bytes holds less than
+    # one, so every block is a single codeword that overruns the budget
     monkeypatch.setattr(cosets, "DECODE_BLOCK_BYTES", block_bytes)
     rng = _rng(seed)
     code = _random_code(rng, n)
@@ -103,6 +110,39 @@ def test_bsc_decoder_matches_exhaustive_scan(monkeypatch, n, p, block_bytes, see
     want = oracles.exhaustive_decode_bsc(code, spec, y)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-300, 0.11, 0.5, 0.89, 1 - 1e-16, 1.0])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 1000])
+def test_qualifying_distances_are_a_prefix_or_suffix(n, p):
+    # the decoder tests one comparison per codeword, which is right only if
+    # {t : density[t] > gamma} is empty or runs from t = 0 or up to t = n
+    density = info_density_spectrum(BSC, n, p).density
+    gammas = np.concatenate(
+        [density, np.nextafter(density, -np.inf), np.nextafter(density, np.inf)]
+    )
+    for gamma in gammas:
+        t = np.flatnonzero(density > gamma)
+        got = cosets._qualifying_distances(density, gamma)
+        if not t.size:
+            assert got is None
+            continue
+        assert got == (t[0], t[-1])
+        assert len(t) == t[-1] - t[0] + 1 and (t[0] == 0 or t[-1] == n)
+
+
+@pytest.mark.parametrize(
+    "density",
+    [[5.0, -np.inf, 5.0, 5.0], [0.0, 5.0, 5.0, 0.0]],
+    ids=["gap", "inner-interval"],
+)
+def test_bsc_decoder_rejects_a_non_monotone_spectrum(monkeypatch, density):
+    spectrum = InfoDensitySpectrum(np.zeros(4), np.array(density))
+    monkeypatch.setattr(cosets, "info_density_spectrum", lambda kind, n, p: spectrum)
+    spec = ChannelSpec(BSC, 0.11, 3)
+    code = build_coset_code(spec, (1,), SimplexWeights([1.0]), _rng(3))  # threshold 1 bit
+    with pytest.raises(ValueError, match="not a prefix or a suffix"):
+        _decode_batch_bsc(code, spec, _pack_rows(np.zeros((4, 3)), 3))
 
 
 CHUNK_PEAK_BOUND = 64 << 20

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umpbounds import numerics
 from umpbounds.numerics import (
     LogValue,
     gaussian_Q,
@@ -76,6 +77,17 @@ class TestLogBinomial:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             log_binomial_row(-1)
+
+    def test_rows_do_not_depend_on_table_growth(self, monkeypatch):
+        # one ln k! table grows on demand; whatever order lengths are asked
+        # in, every entry is the float64 lgamma expression, bit for bit
+        monkeypatch.setattr(numerics, "_log_factorial_table", np.zeros(1))
+        for n in (3, 1000, 0, 5, 1001, 70, 4097):
+            want = [
+                math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1)
+                for t in range(n + 1)
+            ]
+            assert log_binomial_row(n).tolist() == want
 
 
 class TestGaussianQ:
