@@ -29,7 +29,6 @@ from .channel import (
     Symbol,
     channel_stats,
     info_density_spectrum,
-    transmit,
 )
 from .converse import (
     NPBetaResult,
@@ -44,11 +43,8 @@ from .converse import (
 )
 from .cosets import (
     CosetCodebook,
-    DecodeOutcome,
     ResourceBudgetError,
     build_coset_code,
-    decode,
-    encode,
     info_density_bits,
     load_codebook,
     monte_carlo_error,
@@ -67,7 +63,6 @@ __all__ = [
     "ChannelStats",
     "ClassProfile",
     "CosetCodebook",
-    "DecodeOutcome",
     "HeaderSplit",
     "InfoDensitySpectrum",
     "LogValue",
@@ -83,9 +78,7 @@ __all__ = [
     "converse_max_log2M",
     "converse_max_log2M_bec",
     "converse_max_log2M_bsc",
-    "decode",
     "dt_class_bound",
-    "encode",
     "expected_rate",
     "expected_rate_loss",
     "gaussian_Q",
@@ -105,5 +98,4 @@ __all__ = [
     "np_beta_bsc",
     "optimal_lambda",
     "save_codebook",
-    "transmit",
 ]

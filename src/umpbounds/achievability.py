@@ -4,9 +4,10 @@ Every bound here is a binomial tail sum of the form
 
     sum_t  C(len,t) p^t (1-p)^(len-t) * min[1, 2^(coeff + density shift at t)]
 
-evaluated fully in the log domain: the min is taken per summand before
-accumulation, never by clamping an overflowed sum. Class sizes are carried
-as real-valued log2(M); a concrete integer code takes floor(2^log2M).
+evaluated fully in the log domain by `numerics._exp2_sum`: the min is taken
+per summand before accumulation, never by clamping an overflowed sum. Class
+sizes are carried as real-valued log2(M); a concrete integer code takes
+floor(2^log2M).
 
 The inverse rate search (largest log2M meeting an error target) is exact:
 the sum is piecewise A + B 2^coeff between the breakpoints coeff = -shift,
@@ -23,8 +24,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelKind, ChannelSpec, info_density_spectrum
-from .numerics import LN2, invert_exp2_sum, largest_feasible, log_sum_exp
+from .channel import ChannelSpec, info_density_spectrum
+from .numerics import LN2, _exp2_sum, invert_exp2_sum, largest_feasible
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,6 @@ class SimplexWeights:
         if abs(sum(w) - 1.0) > 1e-12:
             raise ValueError(f"simplex weights must sum to 1, got {sum(w)!r}")
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, m: int) -> "SimplexWeights":
-        return cls([1.0 / m] * m)
 
     def __len__(self):
         return len(self.weights)
@@ -80,21 +77,6 @@ class HeaderSplit:
             raise ValueError(f"n0 must be >= 0, got {self.n0}")
 
 
-def _dt_tail_sum(kind: ChannelKind, length: int, p: float, log2_coeff: float) -> float:
-    """sum_t C(len,t) p^t (1-p)^(len-t) min[1, 2^(coeff - density(t))] in [0,1]."""
-    if log2_coeff == -math.inf:
-        return 0.0
-    spectrum = info_density_spectrum(kind, length, p)
-    log_terms = spectrum.log_mass + np.minimum(0.0, (log2_coeff - spectrum.density) * LN2)
-    return min(1.0, math.exp(log_sum_exp(log_terms)))
-
-
-def _max_dt_coeff(kind: ChannelKind, length: int, p: float, budget: float) -> float:
-    """Largest coeff with _dt_tail_sum(kind, length, p, coeff) <= budget."""
-    spectrum = info_density_spectrum(kind, length, p)
-    return invert_exp2_sum(spectrum.log_mass, -spectrum.density, budget)
-
-
 def dt_class_bound(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
     """Upper bound on the class error of a UMP code with M/lambda threshold.
 
@@ -105,8 +87,8 @@ def dt_class_bound(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
         raise ValueError(f"lambda_i must be in (0,1], got {lambda_i}")
     if log2M < 0:
         raise ValueError(f"log2M must be >= 0, got {log2M}")
-    log2_ratio = log2M - math.log2(lambda_i)
-    return _dt_tail_sum(spec.kind, spec.n, spec.p, log2_ratio)
+    spectrum = info_density_spectrum(spec.kind, spec.n, spec.p)
+    return _exp2_sum(spectrum.log_mass, -spectrum.density, log2M - math.log2(lambda_i))
 
 
 def _log2_count_minus_one(log2_count: float) -> float:
@@ -137,8 +119,12 @@ def header_ach_bound(spec: ChannelSpec, split: HeaderSplit, m: int, log2M: float
         raise ValueError(f"log2M must be >= 0, got {log2M}")
     header_coeff = (math.log2(m - 1) - 1.0) if m > 1 else -math.inf
     payload_coeff = _log2_count_minus_one(log2M) - 1.0
-    total = _dt_tail_sum(spec.kind, split.n0, spec.p, header_coeff)
-    total += _dt_tail_sum(spec.kind, spec.n - split.n0, spec.p, payload_coeff)
+    total = 0.0
+    for length, coeff in ((split.n0, header_coeff), (spec.n - split.n0, payload_coeff)):
+        # a -inf coefficient (one codeword) adds nothing: build no spectrum for it
+        if coeff > -math.inf:
+            spectrum = info_density_spectrum(spec.kind, length, spec.p)
+            total += _exp2_sum(spectrum.log_mass, -spectrum.density, coeff)
     return min(1.0, total)
 
 
@@ -157,7 +143,8 @@ def max_log2M_dt(spec: ChannelSpec, eps_target: float, lambda_i: float) -> Optio
     if bound(0.0) > eps_target:
         return None
     # the bound depends on log2M only through coeff = log2M - log2(lambda)
-    coeff = _max_dt_coeff(spec.kind, spec.n, spec.p, eps_target)
+    spectrum = info_density_spectrum(spec.kind, spec.n, spec.p)
+    coeff = invert_exp2_sum(spectrum.log_mass, -spectrum.density, eps_target)
     return largest_feasible(bound, coeff + math.log2(lambda_i), eps_target)
 
 
@@ -181,7 +168,8 @@ def max_log2M_header_ach(
     header_term = header_ach_bound(spec, split, m, 0.0)
     if header_term > min(all_eps) or header_term > eps_target:
         return None
-    coeff = _max_dt_coeff(spec.kind, spec.n - n0, spec.p, eps_target - header_term)
+    payload = info_density_spectrum(spec.kind, spec.n - n0, spec.p)
+    coeff = invert_exp2_sum(payload.log_mass, -payload.density, eps_target - header_term)
     # the payload coefficient log2(2^x - 1) - 1 inverts to x = log2(1 + 2^(coeff + 1))
     guess = float(np.logaddexp2(0.0, coeff + 1.0))
     return largest_feasible(

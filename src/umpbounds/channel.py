@@ -1,4 +1,4 @@
-"""Binary symmetric / binary erasure channel descriptions and sampling.
+"""Binary symmetric / binary erasure channel descriptions.
 
 Only the uniform input distribution is implemented; it is capacity-achieving
 for both channels, and every bound in this package is evaluated under it.
@@ -92,8 +92,10 @@ def binomial_log_pmf(n: int, p: float) -> np.ndarray:
 def info_density_spectrum(kind: ChannelKind, length: int, p: float) -> InfoDensitySpectrum:
     """Spectrum of a length-symbol block, length = 0 included.
 
-    BSC: density(t) = len + t*log2(p) + (len-t)*log2(1-p); BEC: density(t) =
-    len - t. The arrays are shared by every caller and are read-only.
+    BSC: density(t) = len*(1 + log2(1-p)) + t*(log2(p) - log2(1-p)), a
+    constant plus a multiple of t, so every rounding step is monotone in t and
+    so is the float density, for every p; BEC: density(t) = len - t. The
+    arrays are shared by every caller and are read-only.
     """
     log_mass = binomial_log_pmf(length, p)
     t = np.arange(length + 1)
@@ -102,7 +104,7 @@ def info_density_spectrum(kind: ChannelKind, length: int, p: float) -> InfoDensi
         # and are masked below
         log2_p = math.log2(p) if p > 0.0 else 0.0
         log2_q = math.log2(1.0 - p) if p < 1.0 else 0.0
-        density = length + t * log2_p + (length - t) * log2_q
+        density = length * (1.0 + log2_q) + t * (log2_p - log2_q)
     else:
         density = (length - t).astype(float)
     density[log_mass == -np.inf] = -np.inf
@@ -121,21 +123,3 @@ def channel_stats(spec: ChannelSpec) -> ChannelStats:
     w, density = np.exp(one.log_mass[has_mass]), one.density[has_mass]
     capacity = float(w @ density)
     return ChannelStats(capacity, float(w @ (density - capacity) ** 2))
-
-
-def transmit(spec: ChannelSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Pass a length-n bit vector through the channel once.
-
-    Returns a uint8 symbol vector; BEC erasures appear as Symbol.ERASED.
-    The caller owns the rng and any partitioning of its stream.
-    """
-    x = np.asarray(x, dtype=np.uint8)
-    if x.shape != (spec.n,):
-        raise ValueError(f"input must have shape ({spec.n},), got {x.shape}")
-    hit = rng.random(spec.n) < spec.p
-    y = x.copy()
-    if spec.kind is ChannelKind.BSC:
-        y[hit] ^= 1
-    else:
-        y[hit] = Symbol.ERASED
-    return y

@@ -411,9 +411,8 @@ def simulate_rows(cfg: SweepConfig) -> Tuple[List[List[str]], bool]:
         mc_seed = int(
             np.random.SeedSequence([cfg.seed, s, 1]).generate_state(1, dtype=np.uint64)[0]
         )
-        results = monte_carlo_error(code, spec, cfg.trials, mc_seed, threads=cfg.threads)
-        for i, res in enumerate(results):
-            errors[i] += res.errors
+        counts = monte_carlo_error(code, spec, cfg.trials, mc_seed, threads=cfg.threads)
+        errors = [total + count for total, count in zip(errors, counts)]
     total_trials = cfg.trials * cfg.codebooks
     rows = []
     all_pass = True

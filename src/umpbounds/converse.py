@@ -27,6 +27,7 @@ from .channel import ChannelKind, ChannelSpec, info_density_spectrum
 from .numerics import (
     LN2,
     LogValue,
+    _exp2_sum,
     invert_exp2_sum,
     largest_feasible,
     log_sum_exp,
@@ -130,25 +131,6 @@ def converse_max_log2M_bsc(spec: ChannelSpec, eps: float, lambda_i: float) -> Op
     return math.log2(lambda_i) - np_beta_bsc_miss(spec.n, p, eps).log2_beta
 
 
-def _bec_conv_sum(length: int, p: float, log2_count: float) -> float:
-    """sum_l C(len,l) p^l (1-p)^(len-l) (1 - 2^(len-l)/count)^+ in [0,1].
-
-    len - l is the information density of an output with l erasures.
-    """
-    spectrum = info_density_spectrum(ChannelKind.BEC, length, p)
-    exponent = spectrum.density - log2_count
-    keep = exponent < 0.0
-    # 1 - 2^e as -expm1(e ln 2) keeps its relative accuracy as e -> 0
-    log_terms = spectrum.log_mass[keep] + np.log(-np.expm1(exponent[keep] * LN2))
-    return min(1.0, math.exp(log_sum_exp(log_terms)))
-
-
-def _max_bec_conv_count(length: int, p: float, budget: float) -> float:
-    """Largest log2_count with _bec_conv_sum(length, p, log2_count) <= budget."""
-    spectrum = info_density_spectrum(ChannelKind.BEC, length, p)
-    return invert_exp2_sum(spectrum.log_mass, -spectrum.density, budget, hinge=True)
-
-
 def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
     """Meta-converse error floor for a BEC class at size M and split lambda."""
     if spec.kind is not ChannelKind.BEC:
@@ -157,7 +139,10 @@ def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
         raise ValueError(f"log2M must be >= 0, got {log2M}")
     if lambda_i <= 0.0:
         raise ValueError(f"lambda_i must be > 0, got {lambda_i}")
-    return _bec_conv_sum(spec.n, spec.p, log2M - math.log2(lambda_i))
+    spectrum = info_density_spectrum(ChannelKind.BEC, spec.n, spec.p)
+    return _exp2_sum(
+        spectrum.log_mass, -spectrum.density, log2M - math.log2(lambda_i), hinge=True
+    )
 
 
 def converse_max_log2M_bec(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
@@ -171,7 +156,8 @@ def converse_max_log2M_bec(spec: ChannelSpec, eps: float, lambda_i: float) -> Op
     if floor(0.0) > eps:
         return None
     # the floor depends on log2M only through log2M - log2(lambda)
-    count = _max_bec_conv_count(spec.n, spec.p, eps)
+    spectrum = info_density_spectrum(ChannelKind.BEC, spec.n, spec.p)
+    count = invert_exp2_sum(spectrum.log_mass, -spectrum.density, eps, hinge=True)
     return largest_feasible(floor, count + math.log2(lambda_i), eps)
 
 
@@ -183,8 +169,10 @@ def header_conv_eps_bec(spec: ChannelSpec, n0: int, m: int, log2M: float) -> flo
         raise ValueError(f"n0 must be in [0, n], got {n0}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    total = _bec_conv_sum(n0, spec.p, math.log2(m))
-    total += _bec_conv_sum(spec.n - n0, spec.p, log2M)
+    header = info_density_spectrum(ChannelKind.BEC, n0, spec.p)
+    payload = info_density_spectrum(ChannelKind.BEC, spec.n - n0, spec.p)
+    total = _exp2_sum(header.log_mass, -header.density, math.log2(m), hinge=True)
+    total += _exp2_sum(payload.log_mass, -payload.density, log2M, hinge=True)
     return min(1.0, total)
 
 
@@ -270,7 +258,8 @@ def header_conv_max_log2M_bec(
     header_term = floor(0.0)
     if header_term > min(all_eps) or header_term > eps_i:
         return None
-    count = _max_bec_conv_count(spec.n - n0, spec.p, eps_i - header_term)
+    payload = info_density_spectrum(ChannelKind.BEC, spec.n - n0, spec.p)
+    count = invert_exp2_sum(payload.log_mass, -payload.density, eps_i - header_term, hinge=True)
     return largest_feasible(floor, count, eps_i)
 
 

@@ -1,9 +1,10 @@
 """Union-of-coset UMP codes over GF(2) and their Monte Carlo validation.
 
 Each class is a coset {uG_i + v_i} of a random linear code; the decoder scans
-classes in a fixed order and outputs the first codeword whose information
-density strictly exceeds the class threshold log2(M_i / lambda_i). Words are
-stored packed 64 bits per word. On the BSC the density is affine in the
+classes in index order and outputs the first codeword whose information
+density strictly exceeds the class threshold log2(M_i / lambda_i). The batch
+decoders below, driven by `monte_carlo_error`, are the only decoders. Words
+are stored packed 64 bits per word. On the BSC the density is affine in the
 Hamming distance, so a class's qualifying distances are a prefix or a suffix
 of 0..n and one comparison tests a codeword; the decoder compares outputs
 with the codeword table by XOR + popcount, one (codewords, trials) block at a
@@ -44,37 +45,6 @@ class ResourceBudgetError(Exception):
     """Raised when a requested codebook exceeds the codeword-table budget."""
 
 
-@dataclass(frozen=True)
-class DecodeOutcome:
-    """Either decoded(class_index, message) or no codeword above threshold."""
-
-    class_index: Optional[int]
-    message: Optional[int]
-
-    @property
-    def decoded(self) -> bool:
-        return self.class_index is not None
-
-    @classmethod
-    def none(cls) -> "DecodeOutcome":
-        return cls(None, None)
-
-
-@dataclass(frozen=True)
-class McClassResult:
-    errors: int
-    trials: int
-
-    @property
-    def error_rate(self) -> float:
-        return self.errors / self.trials
-
-    @property
-    def std_error(self) -> float:
-        p = self.error_rate
-        return math.sqrt(p * (1.0 - p) / self.trials)
-
-
 def _words(n: int) -> int:
     return (n + 63) // 64
 
@@ -104,13 +74,16 @@ class CosetCodebook:
     lambdas: SimplexWeights
     generators: List[np.ndarray]  # class i: (k_i, n) uint8
     shifts: List[np.ndarray]  # class i: (n,) uint8
-    log2_thresholds: Tuple[float, ...]  # log2(M_i / lambda_i)
-    class_order: Tuple[int, ...]
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.k)
+
+    @property
+    def log2_thresholds(self) -> Tuple[float, ...]:
+        """Decoding thresholds log2(M_i / lambda_i), in bits."""
+        return tuple(k_i - math.log2(lam) for k_i, lam in zip(self.k, self.lambdas.weights))
 
     def codewords_packed(self, class_i: int) -> np.ndarray:
         """All 2^k_i codewords of the class, packed, indexed by message."""
@@ -123,20 +96,6 @@ class CosetCodebook:
             table = np.vstack([table, table ^ row_packed])
         self._tables[class_i] = table
         return table
-
-    def with_class_order(self, order: Sequence[int]) -> "CosetCodebook":
-        if sorted(order) != list(range(self.m)):
-            raise ValueError(f"not a permutation of classes: {order}")
-        return CosetCodebook(
-            self.n,
-            self.k,
-            self.lambdas,
-            self.generators,
-            self.shifts,
-            self.log2_thresholds,
-            tuple(order),
-            self._tables,
-        )
 
 
 def build_coset_code(
@@ -168,26 +127,7 @@ def build_coset_code(
     for k_i in k:
         generators.append(rng.integers(0, 2, size=(k_i, spec.n), dtype=np.uint8))
         shifts.append(rng.integers(0, 2, size=spec.n, dtype=np.uint8))
-    thresholds = tuple(
-        k_i - math.log2(lam) for k_i, lam in zip(k, lambdas.weights)
-    )
-    return CosetCodebook(
-        spec.n, k, lambdas, generators, shifts, thresholds, tuple(range(len(k)))
-    )
-
-
-def encode(code: CosetCodebook, class_i: int, u: np.ndarray) -> np.ndarray:
-    """uG_i + v_i over GF(2); u bit j multiplies generator row j."""
-    u = np.asarray(u, dtype=np.uint8)
-    if u.shape != (code.k[class_i],):
-        raise ValueError(
-            f"message must have shape ({code.k[class_i]},), got {u.shape}"
-        )
-    x = code.shifts[class_i].copy()
-    for bit, row in zip(u, code.generators[class_i]):
-        if bit:
-            x ^= row
-    return x
+    return CosetCodebook(spec.n, k, lambdas, generators, shifts)
 
 
 def info_density_bits(spec: ChannelSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -252,7 +192,7 @@ def _decode_batch_bsc(
     count_buf = np.empty(size, dtype=np.uint8)
     dist_buf = count_buf if W == 1 else np.empty(size // W, np.min_scalar_type(spec.n))
     test_buf = np.empty(size // W, dtype=bool)
-    for class_i in code.class_order:
+    for class_i in range(code.m):
         if not idx.size:
             break
         qualifying = _qualifying_distances(density, code.log2_thresholds[class_i])
@@ -354,7 +294,7 @@ def _decode_batch_bec(
     out_msg = np.full(T, -1, dtype=np.int64)
     undecided = np.ones(T, dtype=bool)
     unerased = spec.n - np.bitwise_count(erased_packed).sum(axis=1, dtype=np.int64)
-    for class_i in code.class_order:
+    for class_i in range(code.m):
         idx = np.nonzero(undecided & (unerased > code.log2_thresholds[class_i]))[0]
         if not idx.size:
             continue
@@ -368,32 +308,6 @@ def _decode_batch_bec(
         out_msg[hit] = u[solvable].astype(np.int64)
         undecided[hit] = False
     return out_class, out_msg
-
-
-def decode(code: CosetCodebook, spec: ChannelSpec, y: np.ndarray) -> DecodeOutcome:
-    """Sequential threshold decode of one channel output.
-
-    Scans classes in code.class_order and messages by index, returning the
-    first codeword with information density strictly above its class
-    threshold.
-    """
-    y = np.asarray(y, dtype=np.uint8)
-    if y.shape != (spec.n,):
-        raise ValueError(f"output must have shape ({spec.n},), got {y.shape}")
-    if spec.kind is ChannelKind.BSC:
-        cls, msg = _decode_batch_bsc(code, spec, _pack_rows(y[None, :], spec.n))
-    else:
-        erased = (y == Symbol.ERASED).astype(np.uint8)
-        y_vals = np.where(erased, 0, y).astype(np.uint8)
-        cls, msg = _decode_batch_bec(
-            code,
-            spec,
-            _pack_rows(y_vals[None, :], spec.n),
-            _pack_rows(erased[None, :], spec.n),
-        )
-    if cls[0] < 0:
-        return DecodeOutcome.none()
-    return DecodeOutcome(int(cls[0]), int(msg[0]))
 
 
 def _mc_chunk_errors(
@@ -426,8 +340,8 @@ def monte_carlo_error(
     trials_per_class: int,
     seed: int,
     threads: int = 1,
-) -> List[McClassResult]:
-    """Empirical per-class error rate with binomial standard error.
+) -> List[int]:
+    """Decoding errors per class, each over trials_per_class trials.
 
     Trials are partitioned into fixed-size chunks whose substreams derive
     deterministically from (seed, class, chunk index), so results do not
@@ -457,7 +371,7 @@ def monte_carlo_error(
         results = [run(t) for t in tasks]
     for class_i, err in results:
         errors[class_i] += err
-    return [McClassResult(errors[i], trials_per_class) for i in range(code.m)]
+    return errors
 
 
 _KIND_CODE = {ChannelKind.BSC: 0, ChannelKind.BEC: 1}
@@ -467,15 +381,15 @@ _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 def save_codebook(code: CosetCodebook, spec: ChannelSpec, path) -> None:
     """Write the little-endian binary codebook format.
 
-    Classes are written in scan order, which therefore becomes the decode
-    order on reload. Bit vectors are packed bit 0 = symbol 0.
+    Classes are written in index order, which is also the decode order.
+    Bit vectors are packed bit 0 = symbol 0.
     """
     nbytes = (code.n + 7) // 8
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<HBd I H", _FORMAT_VERSION, _KIND_CODE[spec.kind],
                              spec.p, spec.n, code.m))
-        for class_i in code.class_order:
+        for class_i in range(code.m):
             fh.write(struct.pack("<Hd", code.k[class_i], code.lambdas[class_i]))
             fh.write(
                 np.packbits(code.shifts[class_i], bitorder="little").tobytes()[:nbytes]
@@ -505,9 +419,4 @@ def load_codebook(path) -> Tuple[CosetCodebook, ChannelSpec]:
                 raw = np.frombuffer(fh.read(nbytes), dtype=np.uint8)
                 rows[r] = np.unpackbits(raw, bitorder="little")[:n]
             gens.append(rows)
-    lambdas = SimplexWeights(lams)
-    thresholds = tuple(k_i - math.log2(lam) for k_i, lam in zip(ks, lams))
-    return (
-        CosetCodebook(n, tuple(ks), lambdas, gens, shifts, thresholds, tuple(range(m))),
-        spec,
-    )
+    return CosetCodebook(n, tuple(ks), SimplexWeights(lams), gens, shifts), spec

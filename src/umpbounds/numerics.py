@@ -37,14 +37,6 @@ class LogValue:
     def zero(cls) -> "LogValue":
         return cls(_NEG_INF)
 
-    @classmethod
-    def from_linear(cls, x: float) -> "LogValue":
-        if x < 0:
-            raise ValueError(f"LogValue represents nonnegative quantities, got {x}")
-        if x == 0:
-            return cls.zero()
-        return cls(math.log(x))
-
     def to_linear(self) -> float:
         if self.is_zero:
             return 0.0
@@ -72,6 +64,26 @@ def _log_sub(a, b):
         return np.where(a > b, a + np.log1p(-np.exp(b - a)), _NEG_INF)
 
 
+def _exp2_sum(log_w, shift, c: float, hinge: bool = False) -> float:
+    """min(1, S(c)) for the sums that invert_exp2_sum inverts; 0 at c = -inf.
+
+    Every term is formed in the log domain before accumulation: the DT min is
+    taken per summand, never by clamping an overflowed sum, and the hinge
+    factor 1 - 2^e, e = -(c + s) < 0, is -expm1(e ln 2), which keeps its
+    relative accuracy as e -> 0.
+    """
+    if c == _NEG_INF:
+        return 0.0
+    exponent = c + shift
+    if hinge:
+        exponent = -exponent
+        keep = exponent < 0.0
+        log_terms = log_w[keep] + np.log(-np.expm1(exponent[keep] * LN2))
+    else:
+        log_terms = log_w + np.minimum(0.0, exponent * LN2)
+    return min(1.0, math.exp(log_sum_exp(log_terms)))
+
+
 def invert_exp2_sum(log_w, shift, budget: float, hinge: bool = False) -> float:
     """Largest c with S(c) <= budget, in closed form, for the monotone sums
 
@@ -85,7 +97,8 @@ def invert_exp2_sum(log_w, shift, budget: float, hinge: bool = False) -> float:
     same) terms. Log-domain prefix and suffix sums give S at every breakpoint,
     one searchsorted finds the segment, and the segment's equation is solved
     exactly. Returns +inf when S never exceeds budget. The result is exact up
-    to rounding; callers confirm it against their own evaluator.
+    to rounding; callers confirm it against their bound, which _exp2_sum
+    evaluates.
     """
     log_w = np.asarray(log_w, dtype=float)
     log_budget = math.log(budget) if budget > 0.0 else _NEG_INF

@@ -271,7 +271,7 @@ def _first_qualifying(code, T, qualify_rows) -> Tuple[np.ndarray, np.ndarray]:
     out_class = np.full(T, -1, dtype=np.int32)
     out_msg = np.full(T, -1, dtype=np.int64)
     undecided = np.ones(T, dtype=bool)
-    for class_i in code.class_order:
+    for class_i in range(code.m):
         idx = np.nonzero(undecided)[0]
         qualify = qualify_rows(class_i, idx)
         has = qualify.any(axis=1)

@@ -27,10 +27,6 @@ BSC, BEC = ChannelKind.BSC, ChannelKind.BEC
 
 
 class TestSimplexWeights:
-    def test_uniform(self):
-        w = SimplexWeights.uniform(3)
-        assert len(w) == 3 and sum(w.weights) == pytest.approx(1.0)
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             SimplexWeights([0.5, 0.6, -0.1])

@@ -8,11 +8,9 @@ from scipy.special import logsumexp
 from umpbounds.channel import (
     ChannelKind,
     ChannelSpec,
-    Symbol,
     binomial_log_pmf,
     channel_stats,
     info_density_spectrum,
-    transmit,
 )
 
 BSC, BEC = ChannelKind.BSC, ChannelKind.BEC
@@ -166,46 +164,3 @@ def test_binomial_log_pmf_degenerate():
     assert binomial_log_pmf(4, 0.0)[0] == 0.0
     assert binomial_log_pmf(4, 1.0)[4] == 0.0
     assert np.all(np.isneginf(binomial_log_pmf(4, 0.0)[1:]))
-
-
-class TestTransmit:
-    def test_noiseless_identity(self):
-        rng = np.random.default_rng(1)
-        x = rng.integers(0, 2, 32, dtype=np.uint8)
-        y = transmit(ChannelSpec(BSC, 0.0, 32), x, rng)
-        assert np.array_equal(y, x)
-
-    def test_all_erasures(self):
-        rng = np.random.default_rng(2)
-        x = rng.integers(0, 2, 16, dtype=np.uint8)
-        y = transmit(ChannelSpec(BEC, 1.0, 16), x, rng)
-        assert np.all(y == Symbol.ERASED)
-
-    def test_flip_fraction(self):
-        n = 100_000
-        rng = np.random.default_rng(3)
-        x = np.zeros(n, dtype=np.uint8)
-        y = transmit(ChannelSpec(BSC, 0.5, n), x, rng)
-        frac = np.count_nonzero(y) / n
-        assert abs(frac - 0.5) <= 3.0 * math.sqrt(0.25 / n)
-
-    def test_bec_unerased_match(self):
-        n = 4096
-        rng = np.random.default_rng(4)
-        x = rng.integers(0, 2, n, dtype=np.uint8)
-        y = transmit(ChannelSpec(BEC, 0.3, n), x, rng)
-        kept = y != Symbol.ERASED
-        assert np.array_equal(y[kept], x[kept])
-        assert set(np.unique(y)) <= {0, 1, 2}
-
-    def test_deterministic_given_stream(self):
-        x = np.ones(64, dtype=np.uint8)
-        spec = ChannelSpec(BSC, 0.25, 64)
-        y1 = transmit(spec, x, np.random.default_rng(99))
-        y2 = transmit(spec, x, np.random.default_rng(99))
-        assert np.array_equal(y1, y2)
-
-    def test_length_check(self):
-        with pytest.raises(ValueError):
-            transmit(ChannelSpec(BSC, 0.1, 8), np.zeros(7, dtype=np.uint8),
-                     np.random.default_rng(0))

@@ -304,6 +304,16 @@ class TestSimulateCommand:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         assert [dict(zip(cli.SIMULATE_COLUMNS, r.split(",")))["pass"] for r in rows] == ["1", "1"]
 
+    def test_crossover_next_to_half_runs(self, tmp_path):
+        # the expanded BSC density len + t log2 p + (len - t) log2(1-p) rose
+        # inside its falling run at this p, and the decoder refused it (exit 2)
+        out = tmp_path / "half.csv"
+        argv = [
+            "simulate", "--channel", "bsc", "--p", "0.4999999999999992", "--n", "63",
+            "--class", "k=0,lambda=1", "--trials", "200", "--out", str(out),
+        ]
+        assert cli.main(argv) == cli.EXIT_OK
+
     def test_codebook_persistence(self, tmp_path):
         prefix = tmp_path / "book"
         cli.main(

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umpbounds.achievability import SimplexWeights, dt_class_bound
-from umpbounds.channel import ChannelKind, ChannelSpec, Symbol, info_density_spectrum, transmit
+from umpbounds.channel import ChannelKind, ChannelSpec, Symbol, info_density_spectrum
 from umpbounds.cosets import (
     CosetCodebook,
-    DecodeOutcome,
     ResourceBudgetError,
+    _pack_rows,
     build_coset_code,
-    decode,
-    encode,
     info_density_bits,
     load_codebook,
     monte_carlo_error,
@@ -27,17 +25,13 @@ def _rng(*entropy):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
 
-def _manual_codebook(n, shifts, generators, lambdas, order=None):
-    k = tuple(g.shape[0] for g in generators)
-    lams = SimplexWeights(lambdas)
-    thresholds = tuple(ki - math.log2(l) for ki, l in zip(k, lams.weights))
-    return CosetCodebook(
-        n, k, lams,
-        [np.asarray(g, dtype=np.uint8) for g in generators],
-        [np.asarray(s, dtype=np.uint8) for s in shifts],
-        thresholds,
-        tuple(order if order is not None else range(len(k))),
-    )
+def _codeword(code, class_i, w):
+    """uG_i + v_i for message index w, XORed here bit by bit, packed like the table."""
+    x = code.shifts[class_i].copy()
+    for j, row in enumerate(code.generators[class_i]):
+        if (w >> j) & 1:
+            x ^= row
+    return _pack_rows(x, code.n)[0]
 
 
 class TestBuild:
@@ -86,40 +80,29 @@ class TestEncode:
     def test_zero_message_returns_shift(self):
         spec = ChannelSpec(BSC, 0.11, 24)
         code = build_coset_code(spec, [4], SimplexWeights([1.0]), _rng(3))
-        assert np.array_equal(encode(code, 0, np.zeros(4, dtype=np.uint8)), code.shifts[0])
+        table = code.codewords_packed(0)
+        assert np.array_equal(table[0], _pack_rows(code.shifts[0], 24)[0])
 
     def test_two_row_sum(self):
         spec = ChannelSpec(BSC, 0.11, 12)
         code = build_coset_code(spec, [2], SimplexWeights([1.0]), _rng(4))
-        got = encode(code, 0, np.array([1, 1], dtype=np.uint8))
         want = code.generators[0][0] ^ code.generators[0][1] ^ code.shifts[0]
-        assert np.array_equal(got, want)
+        assert np.array_equal(code.codewords_packed(0)[0b11], _pack_rows(want, 12)[0])
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**6 - 1), st.integers(0, 2**6 - 1))
     def test_gf2_linearity(self, w1, w2):
         spec = ChannelSpec(BEC, 0.5, 20)
         code = build_coset_code(spec, [6], SimplexWeights([1.0]), _rng(6))
-        u1 = np.array([(w1 >> j) & 1 for j in range(6)], dtype=np.uint8)
-        u2 = np.array([(w2 >> j) & 1 for j in range(6)], dtype=np.uint8)
-        lhs = encode(code, 0, u1) ^ encode(code, 0, u2) ^ code.shifts[0]
-        assert np.array_equal(lhs, encode(code, 0, u1 ^ u2))
-
-    def test_message_length_check(self):
-        spec = ChannelSpec(BSC, 0.11, 12)
-        code = build_coset_code(spec, [2], SimplexWeights([1.0]), _rng(4))
-        with pytest.raises(ValueError):
-            encode(code, 0, np.zeros(3, dtype=np.uint8))
+        table = code.codewords_packed(0)
+        assert np.array_equal(table[w1] ^ table[w2] ^ table[0], table[w1 ^ w2])
 
     def test_table_matches_encode(self):
-        spec = ChannelSpec(BSC, 0.11, 40)
+        spec = ChannelSpec(BSC, 0.11, 70)
         code = build_coset_code(spec, [5], SimplexWeights([1.0]), _rng(8))
         table = code.codewords_packed(0)
         for w in (0, 1, 17, 31):
-            u = np.array([(w >> j) & 1 for j in range(5)], dtype=np.uint8)
-            x = encode(code, 0, u)
-            packed = np.packbits(x, bitorder="little")
-            assert packed.tobytes() == table[w].tobytes()[: packed.size]
+            assert np.array_equal(table[w], _codeword(code, 0, w))
 
 
 class TestInfoDensity:
@@ -157,7 +140,7 @@ class TestInfoDensity:
         rng = _rng(21)
         x = rng.integers(0, 2, 24, dtype=np.uint8)
         for _ in range(5):
-            y = transmit(spec, x, rng)
+            y = x ^ (rng.random(24) < p)
             assert info_density_bits(spec, x, y) == density[np.count_nonzero(x != y)]
         if p in (0.0, 1.0):
             # one flip off the channel's certain flip count: zero probability
@@ -165,72 +148,16 @@ class TestInfoDensity:
             assert info_density_bits(spec, x, y) == -math.inf
 
 
-class TestDecode:
-    def test_noiseless_singleton(self):
-        spec = ChannelSpec(BSC, 0.0, 16)
-        code = build_coset_code(spec, [0], SimplexWeights([1.0]), _rng(12))
-        y = transmit(spec, code.shifts[0], _rng(13))
-        outcome = decode(code, spec, y)
-        assert outcome == DecodeOutcome(0, 0)
-
-    def test_all_erased_never_qualifies(self):
-        spec = ChannelSpec(BEC, 1.0, 16)
-        code = build_coset_code(spec, [2, 2], SimplexWeights([0.5, 0.5]), _rng(14))
-        y = np.full(16, Symbol.ERASED, dtype=np.uint8)
-        outcome = decode(code, spec, y)
-        assert not outcome.decoded
-
-    def test_cross_class_confusion_is_reachable(self):
-        # a clean class-0 codeword wins even when class 1 transmitted it
-        spec = ChannelSpec(BEC, 0.1, 16)
-        code = build_coset_code(spec, [2, 2], SimplexWeights([0.5, 0.5]), _rng(15))
-        y = code.shifts[0].copy()  # class-0 message 0, zero erasures
-        outcome = decode(code, spec, y)
-        assert outcome.class_index == 0
-
-    def test_scan_order_decides_ties(self):
-        n = 16
-        shift = np.zeros(n, dtype=np.uint8)
-        gens = [np.zeros((0, n), dtype=np.uint8), np.zeros((0, n), dtype=np.uint8)]
-        code = _manual_codebook(n, [shift, shift], gens, [0.5, 0.5])
-        spec = ChannelSpec(BSC, 0.11, n)
-        y = np.zeros(n, dtype=np.uint8)
-        assert decode(code, spec, y).class_index == 0
-        flipped = code.with_class_order([1, 0])
-        assert decode(flipped, spec, y).class_index == 1
-
-    def test_deterministic(self):
-        spec = ChannelSpec(BEC, 0.5, 64)
-        code = build_coset_code(spec, [8, 4], SimplexWeights([0.5, 0.5]), _rng(16))
-        y = transmit(spec, code.shifts[1], _rng(17))
-        assert decode(code, spec, y) == decode(code, spec, y)
-
-    def test_strict_threshold_inequality(self):
-        # info density equal to the threshold must NOT decode
-        n = 8
-        shift = np.zeros(n, dtype=np.uint8)
-        code = _manual_codebook(n, [shift], [np.zeros((0, n), dtype=np.uint8)], [1.0])
-        # threshold is 0 bits; erase everything -> density 0, not > 0
-        spec = ChannelSpec(BEC, 0.5, n)
-        y = np.full(n, Symbol.ERASED, dtype=np.uint8)
-        assert not decode(code, spec, y).decoded
-        # one unerased, agreeing symbol -> density 1 > 0 decodes
-        y[0] = 0
-        assert decode(code, spec, y) == DecodeOutcome(0, 0)
-
-
 class TestMonteCarlo:
     def test_noiseless_is_errorless(self):
         spec = ChannelSpec(BSC, 0.0, 16)
         code = build_coset_code(spec, [0], SimplexWeights([1.0]), _rng(18))
-        res = monte_carlo_error(code, spec, 200, seed=1)
-        assert res[0].errors == 0
+        assert monte_carlo_error(code, spec, 200, seed=1) == [0]
 
     def test_all_erasure_channel_always_errs(self):
         spec = ChannelSpec(BEC, 1.0, 16)
         code = build_coset_code(spec, [2, 2], SimplexWeights([0.5, 0.5]), _rng(19))
-        for res in monte_carlo_error(code, spec, 300, seed=2):
-            assert res.error_rate == 1.0
+        assert monte_carlo_error(code, spec, 300, seed=2) == [300, 300]
 
     def test_noiseless_multiclass_soundness(self):
         # p=0 with sub-n thresholds and globally distinct codewords: no errors
@@ -239,21 +166,20 @@ class TestMonteCarlo:
         packed = np.vstack([code.codewords_packed(0), code.codewords_packed(1)])
         assert np.unique(packed, axis=0).shape[0] == packed.shape[0]
         assert all(t < spec.n for t in code.log2_thresholds)
-        for res in monte_carlo_error(code, spec, 500, seed=6):
-            assert res.errors == 0
+        assert monte_carlo_error(code, spec, 500, seed=6) == [0, 0]
 
     def test_thread_count_invariance(self):
         spec = ChannelSpec(BEC, 0.5, 64)
         code = build_coset_code(spec, [6, 3], SimplexWeights([0.5, 0.5]), _rng(20))
         a = monte_carlo_error(code, spec, 20_000, seed=3, threads=1)
         b = monte_carlo_error(code, spec, 20_000, seed=3, threads=4)
-        assert [r.errors for r in a] == [r.errors for r in b]
+        assert a == b
 
     def test_non_chunk_multiple_trials(self):
-        spec = ChannelSpec(BEC, 0.5, 32)
+        # every trial errs on the all-erasure channel, so the count is the trial count
+        spec = ChannelSpec(BEC, 1.0, 32)
         code = build_coset_code(spec, [3], SimplexWeights([1.0]), _rng(21))
-        res = monte_carlo_error(code, spec, 10_001, seed=4)
-        assert res[0].trials == 10_001
+        assert monte_carlo_error(code, spec, 10_001, seed=4) == [10_001]
 
     def test_minimum_trials(self):
         spec = ChannelSpec(BSC, 0.1, 8)
@@ -269,8 +195,7 @@ class TestMonteCarlo:
         trials, books = 20_000, 5
         for s in range(books):
             code = build_coset_code(spec, [6, 4], lams, _rng(23, s))
-            for i, r in enumerate(monte_carlo_error(code, spec, trials, seed=100 + s)):
-                total[i] += r.errors
+            total += monte_carlo_error(code, spec, trials, seed=100 + s)
         for i, k in enumerate((6, 4)):
             rate = total[i] / (trials * books)
             se = math.sqrt(max(rate, 1e-12) * (1 - rate) / (trials * books))
@@ -296,7 +221,7 @@ class TestCodebookFile:
         n = 9
         shift = np.array([1, 0, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8)
         gen = np.array([[0, 1, 0, 0, 0, 0, 0, 0, 1]], dtype=np.uint8)
-        code = _manual_codebook(n, [shift], [gen], [1.0])
+        code = CosetCodebook(n, (1,), SimplexWeights([1.0]), [gen], [shift])
         spec = ChannelSpec(ChannelKind.BSC, 0.25, n)
         path = tmp_path / "tiny.umpc"
         save_codebook(code, spec, path)

@@ -1,7 +1,6 @@
 """Monte Carlo decoders: exact agreement with the exhaustive reference scans,
-bounded memory per chunk, and pinned error counts."""
+single-word decoding rules, bounded memory per chunk, and pinned error counts."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -39,9 +38,9 @@ def _rng(*entropy):
 
 
 def _random_code(rng, n):
-    """1-3 classes with k_i in 0..7, random weights and scan order; about a
-    third of the classes repeat a generator row or zero one out, and share
-    class 0's shift, so codewords collide within and across classes."""
+    """1-3 classes with k_i in 0..7 and random weights; about a third of the
+    classes repeat a generator row or zero one out, and share class 0's
+    shift, so codewords collide within and across classes."""
     m = int(rng.integers(1, 4))
     k = tuple(int(v) for v in rng.integers(0, min(7, n) + 1, size=m))
     parts = rng.integers(1, 5, size=m)
@@ -56,9 +55,7 @@ def _random_code(rng, n):
         gens.append(g)
         share = shifts and rng.random() < 0.3
         shifts.append(shifts[0] if share else rng.integers(0, 2, size=n, dtype=np.uint8))
-    thresholds = tuple(k_i - math.log2(lam) for k_i, lam in zip(k, lams.weights))
-    code = CosetCodebook(n, k, lams, gens, shifts, thresholds, tuple(range(m)))
-    return code.with_class_order(tuple(int(i) for i in rng.permutation(m)))
+    return CosetCodebook(n, k, lams, gens, shifts)
 
 
 def _sent_words(rng, code, trials):
@@ -112,8 +109,17 @@ def test_bsc_decoder_matches_exhaustive_scan(monkeypatch, n, p, block_bytes, see
     np.testing.assert_array_equal(got[1], want[1])
 
 
-@pytest.mark.parametrize("p", [0.0, 1e-300, 0.11, 0.5, 0.89, 1 - 1e-16, 1.0])
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 1000])
+# p = 1/2 +- k 2^-54: the expanded density len + t log2 p + (len - t) log2(1-p)
+# rose inside its falling run (or fell inside its rising one) at 13 of these
+NEAR_HALF = sorted({0.5 + sign * k * 2.0**-54 for k in range(2, 20) for sign in (1, -1)})
+
+
+@pytest.mark.parametrize(
+    "n,p",
+    [(n, p) for n in [1, 63, 64, 65, 129, 1000]
+     for p in [0.0, 1e-300, 0.11, 0.5, 0.89, 1 - 1e-16, 1.0]]
+    + [(n, p) for n in [63, 100, 129] for p in NEAR_HALF],
+)
 def test_qualifying_distances_are_a_prefix_or_suffix(n, p):
     # the decoder tests one comparison per codeword, which is right only if
     # {t : density[t] > gamma} is empty or runs from t = 0 or up to t = n
@@ -145,6 +151,74 @@ def test_bsc_decoder_rejects_a_non_monotone_spectrum(monkeypatch, density):
         _decode_batch_bsc(code, spec, _pack_rows(np.zeros((4, 3)), 3))
 
 
+def _decode_one(code, spec, y, erased=None):
+    """(class, message) the batch decoder gives one output word, (-1, -1) for
+    none; on the BEC, `erased` marks the erased positions."""
+    y = _pack_rows(y, spec.n)
+    if spec.kind is BSC:
+        cls, msg = _decode_batch_bsc(code, spec, y)
+    else:
+        cls, msg = _decode_batch_bec(code, spec, y, _pack_rows(erased, spec.n))
+    return int(cls[0]), int(msg[0])
+
+
+def _singletons(n, shifts, lambdas):
+    """One codeword per class (k_i = 0): the given shifts."""
+    empty = np.zeros((0, n), dtype=np.uint8)
+    return CosetCodebook(
+        n, (0,) * len(shifts), SimplexWeights(lambdas), [empty] * len(shifts),
+        [np.asarray(v, dtype=np.uint8) for v in shifts],
+    )
+
+
+def test_noiseless_singleton():
+    spec = ChannelSpec(BSC, 0.0, 16)
+    code = build_coset_code(spec, [0], SimplexWeights([1.0]), _rng(12))
+    assert _decode_one(code, spec, code.shifts[0]) == (0, 0)
+
+
+def test_all_erased_never_qualifies():
+    spec = ChannelSpec(BEC, 1.0, 16)
+    code = build_coset_code(spec, [2, 2], SimplexWeights([0.5, 0.5]), _rng(14))
+    assert _decode_one(code, spec, np.zeros(16), np.ones(16)) == (-1, -1)
+
+
+def test_cross_class_confusion_is_reachable():
+    # a clean class-0 codeword wins even when class 1 transmitted it
+    spec = ChannelSpec(BEC, 0.1, 16)
+    code = build_coset_code(spec, [2, 2], SimplexWeights([0.5, 0.5]), _rng(15))
+    # class-0 message 0, zero erasures
+    assert _decode_one(code, spec, code.shifts[0], np.zeros(16))[0] == 0
+
+
+def test_ties_go_to_the_lower_class_index():
+    # both classes hold the same word, at the same threshold: the lower index wins
+    n = 16
+    code = _singletons(n, [np.zeros(n), np.zeros(n)], [0.5, 0.5])
+    assert _decode_one(code, ChannelSpec(BSC, 0.11, n), np.zeros(n)) == (0, 0)
+
+
+def test_deterministic():
+    spec = ChannelSpec(BEC, 0.5, 64)
+    code = build_coset_code(spec, [8, 4], SimplexWeights([0.5, 0.5]), _rng(16))
+    erased = _rng(17).random(64) < 0.5
+    y = code.shifts[1] & ~erased
+    assert _decode_one(code, spec, y, erased) == _decode_one(code, spec, y, erased)
+
+
+def test_strict_threshold_inequality():
+    # info density equal to the threshold must NOT decode
+    n = 8
+    code = _singletons(n, [np.zeros(n)], [1.0])
+    # threshold is 0 bits; erase everything -> density 0, not > 0
+    spec = ChannelSpec(BEC, 0.5, n)
+    erased = np.ones(n, dtype=np.uint8)
+    assert _decode_one(code, spec, np.zeros(n), erased) == (-1, -1)
+    # one unerased, agreeing symbol -> density 1 > 0 decodes
+    erased[0] = 0
+    assert _decode_one(code, spec, np.zeros(n), erased) == (0, 0)
+
+
 CHUNK_PEAK_BOUND = 64 << 20
 
 
@@ -156,7 +230,7 @@ CHUNK_PEAK_BOUND = 64 << 20
 def test_chunk_memory_is_bounded(kind, p, k):
     # the exhaustive scans needed MC_CHUNK * 2^k * 8 bytes: 64 GiB at k = 20
     spec = ChannelSpec(kind, p, 64)
-    code = build_coset_code(spec, k, SimplexWeights.uniform(len(k)), _rng(40))
+    code = build_coset_code(spec, k, SimplexWeights([1 / len(k)] * len(k)), _rng(40))
     tracemalloc.start()
     try:
         for class_i in range(code.m):
@@ -176,4 +250,4 @@ def test_chunk_memory_is_bounded(kind, p, k):
 def test_pinned_error_counts(kind, p, n, errors):
     spec = ChannelSpec(kind, p, n)
     code = build_coset_code(spec, (6, 3), SimplexWeights([0.5, 0.5]), _rng(2024, 0))
-    assert [r.errors for r in monte_carlo_error(code, spec, 10_000, seed=777)] == errors
+    assert monte_carlo_error(code, spec, 10_000, seed=777) == errors
