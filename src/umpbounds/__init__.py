@@ -4,7 +4,6 @@ protection over the binary symmetric and binary erasure channels."""
 __version__ = "0.1.0"
 
 from .achievability import (
-    ClassProfile,
     HeaderSplit,
     SimplexWeights,
     dt_class_bound,
@@ -13,13 +12,10 @@ from .achievability import (
 )
 from .asymptotics import (
     ModDevPoint,
-    ModDevSchedule,
     expected_rate,
-    expected_rate_loss,
     kl_divergence_bits,
     md_exponent_and_speed,
     normal_approx_log2M,
-    optimal_lambda,
 )
 from .channel import (
     ChannelKind,
@@ -61,13 +57,11 @@ __all__ = [
     "ChannelKind",
     "ChannelSpec",
     "ChannelStats",
-    "ClassProfile",
     "CosetCodebook",
     "HeaderSplit",
     "InfoDensitySpectrum",
     "LogValue",
     "ModDevPoint",
-    "ModDevSchedule",
     "NPBetaResult",
     "ResourceBudgetError",
     "SimplexWeights",
@@ -80,7 +74,6 @@ __all__ = [
     "converse_max_log2M_bsc",
     "dt_class_bound",
     "expected_rate",
-    "expected_rate_loss",
     "gaussian_Q",
     "gaussian_Q_inv",
     "header_ach_bound",
@@ -96,6 +89,5 @@ __all__ = [
     "monte_carlo_error",
     "normal_approx_log2M",
     "np_beta_bsc",
-    "optimal_lambda",
     "save_codebook",
 ]

@@ -36,9 +36,10 @@ class SimplexWeights:
 
     def __init__(self, weights):
         w = tuple(float(v) for v in weights)
-        if any(v < 0 for v in w):
+        # written so that NaN fails both checks
+        if not all(v >= 0 for v in w):
             raise ValueError(f"simplex weights must be nonnegative: {w}")
-        if abs(sum(w) - 1.0) > 1e-12:
+        if not abs(sum(w) - 1.0) <= 1e-12:
             raise ValueError(f"simplex weights must sum to 1, got {sum(w)!r}")
         object.__setattr__(self, "weights", w)
 
@@ -47,23 +48,6 @@ class SimplexWeights:
 
     def __getitem__(self, i):
         return self.weights[i]
-
-
-@dataclass(frozen=True)
-class ClassProfile:
-    """One message class: size as log2(M), error target, prior weight."""
-
-    log2M: float = 0.0
-    eps_target: Optional[float] = None
-    mu: float = 0.0
-
-    def __post_init__(self):
-        if self.log2M < 0:
-            raise ValueError(f"log2M must be >= 0, got {self.log2M}")
-        if self.eps_target is not None and not 0.0 < self.eps_target < 1.0:
-            raise ValueError(f"eps_target must be in (0,1), got {self.eps_target}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Normal approximation, expected rate, proportional betting, moderate deviations.
+"""Normal approximation, expected rate, betting loss, moderate deviations.
 
 BSC and BEC have a unique capacity-achieving input, so the min/max conditional
 variances coincide and a single dispersion V serves for every error target.
@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .achievability import ClassProfile, SimplexWeights
 from .channel import ChannelSpec, channel_stats
 from .numerics import gaussian_Q_inv
 
@@ -38,24 +37,22 @@ def normal_approx_log2M(spec: ChannelSpec, eps: float, lambda_i: float) -> float
     )
 
 
-def expected_rate(profiles: Sequence[ClassProfile], n: int) -> float:
-    """(1/n) sum_i mu_i (log2 M_i - log2 mu_i), with 0*log(1/0) = 0."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    total_mu = sum(p.mu for p in profiles)
-    if abs(total_mu - 1.0) > 1e-9:
-        raise ValueError(f"class priors must sum to 1, got {total_mu}")
-    total = 0.0
-    for prof in profiles:
-        if prof.mu == 0.0:
-            continue
-        total += prof.mu * (prof.log2M - math.log2(prof.mu))
-    return total / n
+def expected_rate(
+    spec: ChannelSpec, eps: Sequence[float], mu: Sequence[float], losses: Sequence[float]
+) -> List[float]:
+    """(1/n) sum_i mu_i (log2 M_i - log2 mu_i), with 0*log(1/0) = 0, per loss.
 
-
-def optimal_lambda(mu: Sequence[float]) -> SimplexWeights:
-    """Expected-rate-maximizing split: proportional betting, lambda = mu."""
-    return SimplexWeights(mu)
+    M_i is the normal approximation at class target eps[i]. Since
+    log2 M_i(lambda_i) = log2 M_i(1) + log2 lambda_i, the expected rate at
+    lambda is the lambda-free sum_i mu_i log2 M_i(1) minus D(mu || lambda);
+    `losses` holds D(mu || lambda) in bits for each lambda of interest.
+    """
+    base = sum(
+        mu_i * normal_approx_log2M(spec, eps_i, 1.0)
+        for mu_i, eps_i in zip(mu, eps)
+        if mu_i > 0.0
+    )
+    return [(base - loss) / spec.n for loss in losses]
 
 
 def kl_divergence_bits(mu: Sequence[float], lam: Sequence[float]) -> float:
@@ -72,44 +69,6 @@ def kl_divergence_bits(mu: Sequence[float], lam: Sequence[float]) -> float:
     return total
 
 
-def expected_rate_loss(mu: Sequence[float], lam: Sequence[float], n: int) -> float:
-    """Expected-rate penalty D(mu||lambda)/n of betting lambda instead of mu."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return kl_divergence_bits(mu, lam) / n
-
-
-@dataclass(frozen=True)
-class ModDevSchedule:
-    """Moderate-deviations schedule for one class.
-
-    rho(n) is the gap to capacity in bits per channel use;
-    lambda_log_penalty(n) is (1/n)*log2(1/Lambda_n) in bits per channel use.
-    """
-
-    rho: Callable[[int], float]
-    lambda_log_penalty: Callable[[int], float]
-
-    def check_regularity(self, ns: Sequence[int]) -> bool:
-        """Check the finite-prefix proxies of the limit conditions on ns.
-
-        rho decreasing toward 0, n*rho^2 increasing, and rho - penalty > 0 at
-        every supplied n. A True result is evidence on the prefix only.
-        """
-        ns = sorted(ns)
-        rhos = [self.rho(n) for n in ns]
-        if any(r <= 0 for r in rhos):
-            return False
-        for a, b in zip(rhos, rhos[1:]):
-            if b > a:
-                return False
-        speeds = [n * r * r for n, r in zip(ns, rhos)]
-        for a, b in zip(speeds, speeds[1:]):
-            if b < a:
-                return False
-        return all(self.rho(n) - self.lambda_log_penalty(n) > 0 for n in ns)
-
-
 @dataclass(frozen=True)
 class ModDevPoint:
     """Finite-n moderate-deviations diagnostics for one class.
@@ -124,16 +83,22 @@ class ModDevPoint:
     error_bounded_away: bool
 
 
-def md_exponent_and_speed(spec: ChannelSpec, sched: ModDevSchedule, n: int) -> ModDevPoint:
-    """Exponent 1/(2V) and speed n*(rho_n - penalty_n)^2 at finite n."""
+def md_exponent_and_speed(
+    spec: ChannelSpec, rho_n: float, penalty_n: float, n: int
+) -> ModDevPoint:
+    """Exponent 1/(2V) and speed n*(rho_n - penalty_n)^2 at finite n.
+
+    rho_n is the gap to capacity and penalty_n is (1/n)*log2(1/Lambda_n), both
+    in bits per channel use.
+    """
     stats = channel_stats(spec)
     if stats.dispersion <= 0.0:
         raise ValueError(
             f"moderate deviations need positive dispersion, got V={stats.dispersion}"
         )
     exponent = 1.0 / (2.0 * stats.dispersion)
-    gap = sched.rho(n) - sched.lambda_log_penalty(n)
-    if gap <= 0.0:
-        return ModDevPoint(exponent, n * gap * gap, None, True)
+    gap = rho_n - penalty_n
     speed = n * gap * gap
+    if gap <= 0.0:
+        return ModDevPoint(exponent, speed, None, True)
     return ModDevPoint(exponent, speed, -speed * exponent, False)

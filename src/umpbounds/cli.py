@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -29,7 +30,7 @@ from .achievability import (
     max_log2M_header_ach,
     max_log2M_header_ach_best,
 )
-from .asymptotics import kl_divergence_bits, normal_approx_log2M
+from .asymptotics import expected_rate, kl_divergence_bits, normal_approx_log2M
 from .channel import ChannelKind, ChannelSpec, channel_stats
 from .converse import converse_max_log2M, header_conv_max_log2M
 from .cosets import ResourceBudgetError, build_coset_code, monte_carlo_error, save_codebook
@@ -153,10 +154,10 @@ def _parse_class(text: str) -> ClassSpec:
 
 
 def _parse_mu(text: str) -> List[float]:
-    values = [float(v) for v in text.split(",") if v.strip()]
-    if abs(sum(values) - 1.0) > 1e-9 or any(v < 0 for v in values):
-        raise ConfigError(f"mu must be a probability vector, got {text!r}")
-    return values
+    try:
+        return list(SimplexWeights(float(v) for v in text.split(",") if v.strip()).weights)
+    except ValueError as exc:
+        raise ConfigError(f"mu must be a probability vector, got {text!r}: {exc}") from exc
 
 
 def _read_config_file(path: str) -> List[Tuple[str, str]]:
@@ -266,6 +267,8 @@ def build_config(argv: Sequence[str]) -> SweepConfig:
         raise ConfigError(f"--n0 must be 'auto' or an integer >= 0, got {cfg.n0!r}")
     if not 0.0 < cfg.grid <= 1.0 or math.isinf(1.0 / cfg.grid):
         raise ConfigError(f"--grid must be in (0, 1] with 1/grid finite, got {cfg.grid}")
+    if abs(1.0 / cfg.grid - round(1.0 / cfg.grid)) > 1e-9 / cfg.grid:
+        raise ConfigError(f"--grid must divide 1 (1/grid an integer), got {cfg.grid}")
     if cfg.eps0_grid < 1:
         raise ConfigError(f"--eps0-grid must be >= 1, got {cfg.eps0_grid}")
     lams = [c.lam for c in cfg.classes]
@@ -446,17 +449,10 @@ def simulate_rows(cfg: SweepConfig) -> Tuple[List[List[str]], bool]:
 
 
 def _simplex_grid(m: int, steps: int):
-    """All integer compositions of `steps` into m parts, as weight tuples."""
-
-    def rec(prefix, remaining, parts_left):
-        if parts_left == 1:
-            yield prefix + (remaining,)
-            return
-        for v in range(remaining + 1):
-            yield from rec(prefix + (v,), remaining - v, parts_left - 1)
-
-    for comp in rec((), steps, m):
-        yield tuple(c / steps for c in comp)
+    """Compositions of `steps` into m parts as weight tuples, by stars and bars, in lex order."""
+    for bars in itertools.combinations(range(steps + m - 1), m - 1):
+        edges = (-1, *bars, steps + m - 1)
+        yield tuple((b - a - 1) / steps for a, b in zip(edges, edges[1:]))
 
 
 def tradeoff_columns(m: int) -> List[str]:
@@ -478,19 +474,13 @@ def tradeoff_rows(cfg: SweepConfig) -> List[List[str]]:
             "coarsen --grid or sweep fewer n"
         )
     points = list(_simplex_grid(m, steps))
+    eps = [c.eps for c in cfg.classes]
     losses = [kl_divergence_bits(mu, lam) for lam in points]
     lam_cells = [[_fmt(v) for v in lam] for lam in points]
     rows = []
     for n in cfg.n_list:
         spec = ChannelSpec(cfg.channel, cfg.p, n)
-        # sum_i mu_i (log2 M_i - log2 mu_i) at lambda splits into this
-        # lambda-free part minus D(mu || lambda)
-        base = sum(
-            mu_i * normal_approx_log2M(spec, c.eps, 1.0)
-            for mu_i, c in zip(mu, cfg.classes)
-            if mu_i > 0.0
-        )
-        rates = [(base - loss) / n for loss in losses]
+        rates = expected_rate(spec, eps, mu, losses)
         # the first maximizer; none when every point has lambda_i = 0 at some mu_i > 0
         top = max(rates)
         best = rates.index(top) if top > -math.inf else None

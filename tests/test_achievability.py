@@ -34,6 +34,9 @@ class TestSimplexWeights:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             SimplexWeights([0.5, 0.6])
+        for weights in ([math.nan, 0.5], [math.nan, 1.0], [0.5, 0.5, math.nan], [math.inf, 0.0]):
+            with pytest.raises(ValueError):
+                SimplexWeights(weights)
 
 
 class TestDtClassBound:

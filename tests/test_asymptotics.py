@@ -2,15 +2,11 @@ import math
 
 import pytest
 
-from umpbounds.achievability import ClassProfile
 from umpbounds.asymptotics import (
-    ModDevSchedule,
     expected_rate,
-    expected_rate_loss,
     kl_divergence_bits,
     md_exponent_and_speed,
     normal_approx_log2M,
-    optimal_lambda,
 )
 from umpbounds.channel import ChannelKind, ChannelSpec, channel_stats
 from umpbounds.numerics import gaussian_Q_inv
@@ -57,43 +53,56 @@ class TestNormalApprox:
 
 class TestExpectedRate:
     def test_single_class(self):
-        assert expected_rate([ClassProfile(log2M=37.0, mu=1.0)], 100) == 0.37
+        spec = ChannelSpec(BSC, 0.11, 100)
+        got = expected_rate(spec, [1e-3], [1.0], [0.0])
+        assert got == [normal_approx_log2M(spec, 1e-3, 1.0) / 100]
 
     def test_class_bit_adds_one(self):
-        profs = [ClassProfile(log2M=8.0, mu=0.5), ClassProfile(log2M=8.0, mu=0.5)]
-        assert expected_rate(profs, 18) == pytest.approx(0.5)
+        # two equal classes bet 1/2 each: the class index carries one bit
+        spec = ChannelSpec(BEC, 0.5, 18)
+        (got,) = expected_rate(spec, [0.1, 0.1], [0.5, 0.5], [0.0])
+        assert got * 18 == pytest.approx(normal_approx_log2M(spec, 0.1, 0.5) + 1.0)
 
     def test_three_class_example(self):
-        profs = [
-            ClassProfile(log2M=10.0, mu=0.5),
-            ClassProfile(log2M=8.0, mu=0.25),
-            ClassProfile(log2M=6.0, mu=0.25),
-        ]
-        # 0.5*10 + 0.25*8 + 0.25*6 = 8.5 plus prior entropy 1.5
-        assert expected_rate(profs, 40) == pytest.approx(10.0 / 40, abs=1e-12)
+        # at lambda = mu the class-index bits repay each class's log2(1/lambda_i)
+        spec = ChannelSpec(BSC, 0.11, 400)
+        mu, eps = [0.5, 0.25, 0.25], [1e-3, 1e-2, 1e-1]
+        want = sum(m * normal_approx_log2M(spec, e, 1.0) for m, e in zip(mu, eps)) / 400
+        (got,) = expected_rate(spec, eps, mu, [kl_divergence_bits(mu, mu)])
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_prior_convention(self):
-        profs = [ClassProfile(log2M=5.0, mu=1.0), ClassProfile(log2M=50.0, mu=0.0)]
-        assert expected_rate(profs, 10) == 0.5
+        spec = ChannelSpec(BSC, 0.11, 10)
+        got = expected_rate(spec, [0.1, 1e-6], [1.0, 0.0], [0.0])
+        assert got == [normal_approx_log2M(spec, 0.1, 1.0) / 10]
 
-    def test_bad_prior(self):
-        with pytest.raises(ValueError):
-            expected_rate([ClassProfile(log2M=1.0, mu=0.7)], 10)
+    @pytest.mark.parametrize(
+        "spec", [ChannelSpec(BSC, 0.11, 500), ChannelSpec(BEC, 0.5, 500)], ids=["bsc", "bec"]
+    )
+    def test_matches_paper_definition(self, spec):
+        # (1/n) sum_{mu_i > 0} mu_i (log2 M_i(lambda_i) - log2 mu_i), written out
+        mu, eps = [0.0, 0.2, 0.3, 0.5], [1e-2, 1e-3, 1e-6, 0.1]
+        lams = [[0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.7, 0.1, 0.1, 0.1], [1e-9, 0.5, 0.25, 0.25]]
+        for lam in lams:
+            want = sum(
+                m * (normal_approx_log2M(spec, e, l) - math.log2(m))
+                for m, e, l in zip(mu, eps, lam)
+                if m > 0.0
+            ) / spec.n
+            (got,) = expected_rate(spec, eps, mu, [kl_divergence_bits(mu, lam)])
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_one_rate_per_loss(self):
+        spec = ChannelSpec(BEC, 0.5, 200)
+        rates = expected_rate(spec, [1e-3, 1e-2], [0.5, 0.5], [0.0, 1.0, math.inf])
+        assert rates[0] - rates[1] == pytest.approx(1.0 / 200, rel=1e-12)
+        assert rates[2] == -math.inf
 
 
 class TestProportionalBetting:
-    def test_degenerate_prior(self):
-        assert optimal_lambda([1.0, 0.0, 0.0]).weights == (1.0, 0.0, 0.0)
-
-    def test_uniform_prior(self):
-        assert optimal_lambda([0.25] * 4).weights == (0.25,) * 4
-
     def test_kl_loss_frozen(self):
         loss = kl_divergence_bits([0.5, 0.5], [0.9, 0.1])
         assert loss == pytest.approx(0.7369655941662062, abs=1e-12)
-        assert expected_rate_loss([0.5, 0.5], [0.9, 0.1], 100) == pytest.approx(
-            loss / 100
-        )
 
     def test_kl_zero_iff_equal(self):
         assert kl_divergence_bits([0.3, 0.7], [0.3, 0.7]) == 0.0
@@ -122,27 +131,21 @@ class TestProportionalBetting:
 
 class TestModerateDeviations:
     def test_zero_penalty_reduces_to_homogeneous_speed(self):
-        sched = ModDevSchedule(rho=lambda n: n**-0.25, lambda_log_penalty=lambda n: 0.0)
-        point = md_exponent_and_speed(ChannelSpec(BSC, 0.11, 8), sched, 10_000)
+        point = md_exponent_and_speed(ChannelSpec(BSC, 0.11, 8), 10_000**-0.25, 0.0, 10_000)
         assert point.speed == pytest.approx(10_000 * (10_000**-0.25) ** 2)
         assert not point.error_bounded_away
 
     def test_positivity_violation(self):
-        sched = ModDevSchedule(
-            rho=lambda n: n**-0.25, lambda_log_penalty=lambda n: n**-0.25
-        )
-        point = md_exponent_and_speed(ChannelSpec(BSC, 0.11, 8), sched, 500)
+        point = md_exponent_and_speed(ChannelSpec(BSC, 0.11, 8), 500**-0.25, 500**-0.25, 500)
         assert point.error_bounded_away
         assert point.predicted_log2_error is None
 
     def test_reference_values(self):
         # rho = n^(-1/3), penalty = log2(n)/n at n = 1e4, plugged by hand
         n = 10_000
-        sched = ModDevSchedule(
-            rho=lambda v: v ** (-1 / 3),
-            lambda_log_penalty=lambda v: math.log2(v) / v,
+        point = md_exponent_and_speed(
+            ChannelSpec(BSC, 0.11, 8), n ** (-1 / 3), math.log2(n) / n, n
         )
-        point = md_exponent_and_speed(ChannelSpec(BSC, 0.11, 8), sched, n)
         gap = n ** (-1 / 3) - math.log2(n) / n
         assert point.exponent == pytest.approx(1.0 / (2.0 * V_BSC11), abs=1e-12)
         assert point.speed == pytest.approx(n * gap * gap, rel=1e-12)
@@ -151,41 +154,15 @@ class TestModerateDeviations:
         )
 
     def test_zero_dispersion_rejected(self):
-        sched = ModDevSchedule(rho=lambda n: 0.1, lambda_log_penalty=lambda n: 0.0)
         with pytest.raises(ValueError):
-            md_exponent_and_speed(ChannelSpec(BEC, 1.0, 8), sched, 100)
+            md_exponent_and_speed(ChannelSpec(BEC, 1.0, 8), 0.1, 0.0, 100)
 
     def test_predicted_error_trend_over_n_grid(self):
         # finite-n diagnostics stand in for the limit: along a regular
         # schedule the predicted log-error must decay monotonically
-        sched = ModDevSchedule(
-            rho=lambda v: v ** (-1 / 3),
-            lambda_log_penalty=lambda v: math.log2(v) / v,
-        )
         spec = ChannelSpec(BSC, 0.11, 8)
         preds = [
-            md_exponent_and_speed(spec, sched, n).predicted_log2_error
+            md_exponent_and_speed(spec, n ** (-1 / 3), math.log2(n) / n, n).predicted_log2_error
             for n in (200, 500, 1000, 5000, 20_000)
         ]
         assert all(b < a for a, b in zip(preds, preds[1:]))
-
-    def test_regularity_prefix_check(self):
-        ns = [100, 200, 400, 800, 1600]
-        good = ModDevSchedule(
-            rho=lambda n: n ** (-1 / 3), lambda_log_penalty=lambda n: math.log2(n) / n
-        )
-        assert good.check_regularity(ns)
-        increasing_rho = ModDevSchedule(
-            rho=lambda n: n**0.1, lambda_log_penalty=lambda n: 0.0
-        )
-        assert not increasing_rho.check_regularity(ns)
-        too_fast = ModDevSchedule(
-            # n*rho^2 shrinking: rho = n^(-2/3)
-            rho=lambda n: n ** (-2 / 3),
-            lambda_log_penalty=lambda n: 0.0,
-        )
-        assert not too_fast.check_regularity(ns)
-        positivity = ModDevSchedule(
-            rho=lambda n: n ** (-1 / 3), lambda_log_penalty=lambda n: 1.0
-        )
-        assert not positivity.check_regularity(ns)

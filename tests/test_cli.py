@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -115,10 +116,31 @@ class TestInputChecks:
         "--class", "eps=0.1,lambda=0.25", "--mu", "0.5,0.25,0.25",
     ]
 
-    @pytest.mark.parametrize("grid", ["0", "2", "-0.1", "nan"])
+    @pytest.mark.parametrize("grid", ["0", "2", "-0.1", "nan", "0.3"])
     def test_grid_outside_unit_interval(self, grid, capsys):
         assert cli.main(self.TRADEOFF + ["--grid", grid]) == cli.EXIT_CONFIG
         assert "--grid" in capsys.readouterr().err
+
+    def test_nan_mu_rejected(self, capsys):
+        argv = self.TRADEOFF[:-1] + ["nan,0.5,0.5"]
+        assert cli.main(argv + ["--grid", "0.5"]) == cli.EXIT_CONFIG
+        assert "mu" in capsys.readouterr().err
+
+    def test_nan_lambda_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate ran on a NaN lambda")
+
+        monkeypatch.setattr(cli, "monte_carlo_error", no_simulation)
+        argv = [
+            "simulate", "--channel", "bec", "--p", "0.5", "--n", "16",
+            "--class", "k=2,lambda=nan", "--class", "k=1,lambda=0.5", "--trials", "100",
+        ]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        argv = [
+            "tradeoff", "--channel", "bsc", "--p", "0.11", "--n", "100", "--mu", "0.5,0.5",
+            "--class", "eps=0.1,lambda=0.5", "--class", "eps=0.1,lambda=nan", "--grid", "0.5",
+        ]
+        assert cli.main(argv) == cli.EXIT_CONFIG
 
     def test_eps0_grid_needs_a_point(self, capsys):
         assert cli.main(self.BOUND + ["--eps0-grid", "0"]) == cli.EXIT_CONFIG
@@ -365,6 +387,17 @@ class TestTradeoffCommand:
         )
         best = [r for r in self._rows(out) if r["is_argmax"] == "1"]
         assert float(best[0]["lambda_1"]) == 1.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_simplex_grid_order(self, m):
+        # every composition of steps into m parts, in lexicographic order
+        for steps in range(1, 9):
+            want = [
+                tuple(c / steps for c in comp)
+                for comp in itertools.product(range(steps + 1), repeat=m)
+                if sum(comp) == steps
+            ]
+            assert list(cli._simplex_grid(m, steps)) == want
 
     def test_grid_point_count(self, tmp_path):
         out = tmp_path / "t3.csv"
