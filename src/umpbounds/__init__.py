@@ -22,7 +22,6 @@ from .channel import (
     ChannelSpec,
     ChannelStats,
     InfoDensitySpectrum,
-    Symbol,
     channel_stats,
     info_density_spectrum,
 )
@@ -41,7 +40,6 @@ from .cosets import (
     CosetCodebook,
     ResourceBudgetError,
     build_coset_code,
-    info_density_bits,
     load_codebook,
     monte_carlo_error,
     save_codebook,
@@ -65,7 +63,6 @@ __all__ = [
     "NPBetaResult",
     "ResourceBudgetError",
     "SimplexWeights",
-    "Symbol",
     "build_coset_code",
     "channel_stats",
     "converse_eps_bec",
@@ -80,7 +77,6 @@ __all__ = [
     "header_conv_eps_bec",
     "header_conv_max_log2M",
     "header_conv_max_log2M_bsc",
-    "info_density_bits",
     "info_density_spectrum",
     "kl_divergence_bits",
     "load_codebook",

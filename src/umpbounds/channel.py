@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 
 import numpy as np
 
@@ -19,14 +19,6 @@ from .numerics import log_binomial_row
 class ChannelKind(Enum):
     BSC = "bsc"
     BEC = "bec"
-
-
-class Symbol(IntEnum):
-    """Channel output alphabet; BEC erasures are an explicit third value."""
-
-    ZERO = 0
-    ONE = 1
-    ERASED = 2
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,16 @@
 
 Each class is a coset {uG_i + v_i} of a random linear code; the decoder scans
 classes in index order and outputs the first codeword whose information
-density strictly exceeds the class threshold log2(M_i / lambda_i). The batch
-decoders below, driven by `monte_carlo_error`, are the only decoders. Words
-are stored packed 64 bits per word. On the BSC the density is affine in the
-Hamming distance, so a class's qualifying distances are a prefix or a suffix
-of 0..n and one comparison tests a codeword; the decoder compares outputs
-with the codeword table by XOR + popcount, one (codewords, trials) block at a
-time within a byte budget, in buffers allocated once per call. The BEC
-decoder needs no table scan, since the first consistent codeword is the
-smallest solution of a GF(2) linear system on the unerased positions.
+density strictly exceeds the class threshold log2(M_i / lambda_i).
+`monte_carlo_error` counts how often that rule errs. Words are stored packed
+64 bits per word. On the BSC the density is affine in the Hamming distance,
+so a class's qualifying distances are a prefix or a suffix of 0..n and one
+comparison tests a codeword; the BSC decoder compares outputs with the
+codeword table by XOR + popcount, one (codewords, trials) block at a time
+within a byte budget, in buffers allocated once per call. The BEC needs no
+decode at all: every word that agrees with the unerased symbols has the same
+density, so whether a trial errs follows from the rank profile of the
+generator rows masked to the unerased positions (`_bec_errors`).
 
 Single codebook draws may exceed the analytic class bound; the random-coding
 guarantee is in expectation over codebooks, so validation averages over
@@ -28,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .achievability import SimplexWeights
-from .channel import ChannelKind, ChannelSpec, Symbol, info_density_spectrum
+from .channel import ChannelKind, ChannelSpec, info_density_spectrum
 
 MAX_CLASS_K = 20
 MAX_TOTAL_CODEWORDS = 1 << 22
@@ -50,8 +51,12 @@ def _words(n: int) -> int:
 
 
 def _pack_rows(bits: np.ndarray, n: int) -> np.ndarray:
-    """Pack (T, n) 0/1 rows into (T, ceil(n/64)) uint64 words, bit 0 first."""
-    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
+    """Pack (T, n) 0/1 rows into (T, ceil(n/64)) uint64 words, bit 0 first.
+
+    Boolean rows are packed as they are; other dtypes are converted first.
+    """
+    bits = np.atleast_2d(bits)
+    bits = bits.view(np.uint8) if bits.dtype == bool else bits.astype(np.uint8, copy=False)
     packed = np.packbits(bits, axis=1, bitorder="little")
     pad = _words(n) * 8 - packed.shape[1]
     if pad:
@@ -74,7 +79,15 @@ class CosetCodebook:
     lambdas: SimplexWeights
     generators: List[np.ndarray]  # class i: (k_i, n) uint8
     shifts: List[np.ndarray]  # class i: (n,) uint8
+    # class i: generator rows (k_i, words) and shift (words,), packed
+    packed: List[Tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.packed = [
+            (_pack_rows(g, self.n), _pack_rows(v, self.n)[0])
+            for g, v in zip(self.generators, self.shifts)
+        ]
 
     @property
     def m(self) -> int:
@@ -90,10 +103,10 @@ class CosetCodebook:
         cached = self._tables.get(class_i)
         if cached is not None:
             return cached
-        table = _pack_rows(self.shifts[class_i][None, :], self.n)
-        for row in self.generators[class_i]:
-            row_packed = _pack_rows(row[None, :], self.n)
-            table = np.vstack([table, table ^ row_packed])
+        gen, shift = self.packed[class_i]
+        table = shift[None, :]
+        for row in gen:
+            table = np.vstack([table, table ^ row])
         self._tables[class_i] = table
         return table
 
@@ -128,24 +141,6 @@ def build_coset_code(
         generators.append(rng.integers(0, 2, size=(k_i, spec.n), dtype=np.uint8))
         shifts.append(rng.integers(0, 2, size=spec.n, dtype=np.uint8))
     return CosetCodebook(spec.n, k, lambdas, generators, shifts)
-
-
-def info_density_bits(spec: ChannelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Information density in bits of (input word, channel output), -inf allowed."""
-    x = np.asarray(x, dtype=np.uint8)
-    y = np.asarray(y, dtype=np.uint8)
-    if x.shape != y.shape or x.shape != (spec.n,):
-        raise ValueError(f"length mismatch: x {x.shape}, y {y.shape}, n={spec.n}")
-    if spec.kind is ChannelKind.BSC:
-        if np.any(y > 1):
-            raise ValueError("BSC outputs are bits")
-        t = int(np.count_nonzero(x != y))
-    else:
-        unerased = y != Symbol.ERASED
-        if np.any(x[unerased] != y[unerased]):
-            return -math.inf
-        t = spec.n - int(np.count_nonzero(unerased))
-    return float(info_density_spectrum(spec.kind, spec.n, spec.p).density[t])
 
 
 def _qualifying_distances(density: np.ndarray, threshold: float) -> Optional[Tuple[int, int]]:
@@ -232,82 +227,88 @@ def _decode_batch_bsc(
 def _lowest_bit(rows: np.ndarray) -> np.ndarray:
     """One-hot (t, words) mask of each row's lowest set bit; zero rows give zeros."""
     low = rows & (~rows + np.uint64(1))
-    if rows.shape[1] > 1:
-        first = (rows != 0).argmax(axis=1)
-        low *= np.arange(rows.shape[1]) == first[:, None]
+    first = (rows != 0).argmax(axis=1)
+    low *= np.arange(rows.shape[1]) == first[:, None]
     return low
 
 
-def _smallest_solution(
-    gen: np.ndarray, target: np.ndarray, known: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Smallest u with uG = target on the known positions, per trial.
+def _rank_profile(rows: Sequence[np.ndarray], known: np.ndarray) -> np.ndarray:
+    """Bit j set, per trial, where rows[j] & known lies in the span of the
+    earlier masked rows.
 
-    gen is (k, words) packed; target and known are (t, words). Returns
-    (solvable, u). Gaussian elimination over GF(2), vectorized across
-    trials: each masked row j is reduced against the earlier pivots while its
-    k-bit combination of rows is tracked, and the target is reduced the same
-    way; a nonzero residue means no solution. A row j that reduces to zero
-    is a combination of earlier rows, so bit j enters no tracked combination
-    and the solution found has it clear. That makes the solution the
-    smallest: solutions differ by null-space vectors, one with highest bit j
-    for each such row, and a solution with any of those bits set shrinks by
-    clearing its highest one. Selection multiplies by 0/1 hits; boolean
-    indexing would copy.
+    known is (t,) packed words for one-word n, else (t, words); each row
+    broadcasts against it, so a row is shared by every trial (a generator
+    row) or given per trial. Gaussian elimination over GF(2), vectorized
+    across trials: each masked row is reduced against the earlier reduced
+    rows in order, and a reduced row's pivot is one of its set bits. Every
+    later row is reduced with that bit clear, so the reduced rows stay in
+    echelon form and a row reduces to zero exactly when it depends on the
+    rows before it. On one word the pivot is the top bit, so a step is
+    min(x, x ^ b): x ^ b < x exactly when x has b's top bit. On more words
+    it is the lowest bit, tested through a one-hot mask and applied by
+    multiplying by the 0/1 hit. Temporaries are allocated once per call.
     """
-    t = target.shape[0]
-    basis, pivots, combos = [], [], []
-    for j, g in enumerate(gen):
-        row = g[None, :] & known
-        combo = np.full(t, 1 << j, dtype=np.uint64)
-        for b, piv, c in zip(basis, pivots, combos):
-            hit = (row & piv).any(axis=1)
-            row ^= b * hit[:, None]
-            combo ^= c * hit
-        basis.append(row)
-        pivots.append(_lowest_bit(row))
-        combos.append(combo)
-    residue = target & known
-    u = np.zeros(t, dtype=np.uint64)
-    for b, piv, c in zip(basis, pivots, combos):
-        hit = (residue & piv).any(axis=1)
-        residue ^= b * hit[:, None]
-        u ^= c * hit
-    return ~residue.any(axis=1), u
+    t = known.shape[0]
+    tmp = np.empty_like(known)
+    hit = np.empty((t, 1), dtype=bool)
+    dependent = np.zeros(t, dtype=np.uint64)
+    basis = []
+    for j, row in enumerate(rows):
+        row = known & row
+        if row.ndim == 1:
+            for b in basis:
+                np.minimum(row, np.bitwise_xor(row, b, out=tmp), out=row)
+            nonzero = row != 0
+        else:
+            for b, piv in basis:
+                np.any(np.bitwise_and(row, piv, out=tmp), axis=1, keepdims=True, out=hit)
+                row ^= np.multiply(b, hit, out=tmp)
+            nonzero = row.any(axis=1)
+        dependent |= np.left_shift(~nonzero, j, dtype=np.uint64)
+        basis.append(row if row.ndim == 1 else (row, _lowest_bit(row)))
+    return dependent
 
 
-def _decode_batch_bec(
+def _bec_errors(
     code: CosetCodebook,
-    spec: ChannelSpec,
-    y_packed: np.ndarray,
-    erased_packed: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """First codeword above threshold on the BEC, by elimination per class.
+    class_i: int,
+    msgs: np.ndarray,
+    sent: np.ndarray,
+    erased: np.ndarray,
+) -> np.ndarray:
+    """Per-trial error mask of class-i trials on the BEC, without decoding.
 
-    Every codeword that agrees with the unerased symbols has density equal
-    to the unerased count, so a class decodes iff that count exceeds its
-    threshold and uG = y + v has a solution there; the first message in
-    index order is the smallest solution.
+    sent and erased are packed (t, words). The output agrees with the sent
+    word on the known (unerased) positions K, and every word that agrees
+    there has density |K|. So the decoder errs exactly when
+    (a) some class j < i decodes: |K| > gamma_j and (sent + v_j)|K lies in
+        span(G_j|K);
+    (b) class i does not: |K| <= gamma_i; or
+    (c) class i decodes another message: the decoder outputs the smallest
+        solution of uG_i|K = (sent + v_i)|K, and msg & D != 0, where D holds
+        the rows of G_i|K that depend on the rows before them. Solutions
+        differ by null combinations, one with top bit j for each j in D, so
+        exactly one solution has every bit of D clear, and it is the
+        smallest: a solution with a bit of D set shrinks by clearing its
+        highest one.
+    gamma_j = log2(M_j / lambda_j); trials already in error are not tested
+    again.
     """
-    T = y_packed.shape[0]
-    out_class = np.full(T, -1, dtype=np.int32)
-    out_msg = np.full(T, -1, dtype=np.int64)
-    undecided = np.ones(T, dtype=bool)
-    unerased = spec.n - np.bitwise_count(erased_packed).sum(axis=1, dtype=np.int64)
-    for class_i in range(code.m):
-        idx = np.nonzero(undecided & (unerased > code.log2_thresholds[class_i]))[0]
-        if not idx.size:
-            continue
-        shift = _pack_rows(code.shifts[class_i][None, :], spec.n)
-        gen = _pack_rows(code.generators[class_i], spec.n)
-        solvable, u = _smallest_solution(
-            gen, y_packed[idx] ^ shift, ~erased_packed[idx]
-        )
-        hit = idx[solvable]
-        out_class[hit] = class_i
-        out_msg[hit] = u[solvable].astype(np.int64)
-        undecided[hit] = False
-    return out_class, out_msg
+    unerased = code.n - np.bitwise_count(erased).sum(axis=1, dtype=np.int64)
+    if erased.shape[1] == 1:
+        sent, erased = sent[:, 0], erased[:, 0]
+    known = ~erased
+    gammas = code.log2_thresholds
+    err = unerased <= gammas[class_i]
+    live = np.flatnonzero(~err)
+    gen, _ = code.packed[class_i]
+    err[live] = (msgs[live].astype(np.uint64) & _rank_profile(gen, known[live])) != 0
+    for j in range(class_i):
+        live = np.flatnonzero(~err & (unerased > gammas[j]))
+        gen, shift = code.packed[j]
+        target = sent[live] ^ shift
+        err[live] = (_rank_profile([*gen, target], known[live]) >> len(gen)) != 0
+    return err
 
 
 def _mc_chunk_errors(
@@ -321,16 +322,12 @@ def _mc_chunk_errors(
     """Errors in one deterministic chunk of Monte Carlo trials for one class."""
     ss = np.random.SeedSequence([seed, class_i, chunk_index])
     rng = np.random.Generator(np.random.PCG64(ss))
-    table = code.codewords_packed(class_i)
     msgs = rng.integers(0, 1 << code.k[class_i], size=trials, dtype=np.int64)
-    x = table[msgs]
-    noise = rng.random((trials, spec.n)) < spec.p
-    if spec.kind is ChannelKind.BSC:
-        y = x ^ _pack_rows(noise, spec.n)
-        cls, dec = _decode_batch_bsc(code, spec, y)
-    else:
-        erased = _pack_rows(noise, spec.n)
-        cls, dec = _decode_batch_bec(code, spec, x, erased)
+    x = code.codewords_packed(class_i)[msgs]
+    noise = _pack_rows(rng.random((trials, spec.n)) < spec.p, spec.n)
+    if spec.kind is ChannelKind.BEC:
+        return int(np.count_nonzero(_bec_errors(code, class_i, msgs, x, noise)))
+    cls, dec = _decode_batch_bsc(code, spec, x ^ noise)
     return int(np.count_nonzero((cls != class_i) | (dec != msgs)))
 
 

@@ -7,22 +7,24 @@ each evaluation needs O(log n) exact comparisons after an O(n) precompute.
 
 Past the sizes where fractions stay cheap, the BSC Neyman-Pearson references
 use 60-digit mpmath arithmetic instead. An all-splits header scan is the
-reference for the pruned one. The file ends with exhaustive reference
-decoders for the union-of-coset codes, which compare a channel output
-against every codeword of every class.
+reference for the pruned one. The file ends with the information density
+of one (input, output) word pair and exhaustive reference decoders for the
+union-of-coset codes, which compare a channel output against every codeword
+of every class.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from enum import IntEnum
 from fractions import Fraction
 from typing import List, Tuple
 
 import mpmath
 import numpy as np
 
-from umpbounds.channel import ChannelKind, info_density_spectrum
+from umpbounds.channel import ChannelKind, ChannelSpec, info_density_spectrum
 
 HALF = Fraction(1, 2)
 
@@ -262,8 +264,34 @@ def exhaustive_best_over_splits(rate, spec, eps, m, all_eps):
 
 
 # --------------------------------------------------------------------------
-# exhaustive threshold decoders
+# word-level information density and exhaustive threshold decoders
 # --------------------------------------------------------------------------
+
+
+class Symbol(IntEnum):
+    """Channel output alphabet; BEC erasures are an explicit third value."""
+
+    ZERO = 0
+    ONE = 1
+    ERASED = 2
+
+
+def info_density_bits(spec: ChannelSpec, x: np.ndarray, y: np.ndarray) -> float:
+    """Information density in bits of (input word, channel output), -inf allowed."""
+    x = np.asarray(x, dtype=np.uint8)
+    y = np.asarray(y, dtype=np.uint8)
+    if x.shape != y.shape or x.shape != (spec.n,):
+        raise ValueError(f"length mismatch: x {x.shape}, y {y.shape}, n={spec.n}")
+    if spec.kind is ChannelKind.BSC:
+        if np.any(y > 1):
+            raise ValueError("BSC outputs are bits")
+        t = int(np.count_nonzero(x != y))
+    else:
+        unerased = y != Symbol.ERASED
+        if np.any(x[unerased] != y[unerased]):
+            return -math.inf
+        t = spec.n - int(np.count_nonzero(unerased))
+    return float(info_density_spectrum(spec.kind, spec.n, spec.p).density[t])
 
 
 def _first_qualifying(code, T, qualify_rows) -> Tuple[np.ndarray, np.ndarray]:

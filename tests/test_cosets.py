@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Symbol, info_density_bits
 from umpbounds.achievability import SimplexWeights, dt_class_bound
-from umpbounds.channel import ChannelKind, ChannelSpec, Symbol, info_density_spectrum
+from umpbounds.channel import ChannelKind, ChannelSpec, info_density_spectrum
 from umpbounds.cosets import (
     CosetCodebook,
     ResourceBudgetError,
     _pack_rows,
     build_coset_code,
-    info_density_bits,
     load_codebook,
     monte_carlo_error,
     save_codebook,
@@ -106,6 +106,8 @@ class TestEncode:
 
 
 class TestInfoDensity:
+    """The word-level density of the reference decoders (tests/oracles.py)."""
+
     def test_bsc_clean_reception(self):
         spec = ChannelSpec(BSC, 0.11, 32)
         x = np.ones(32, dtype=np.uint8)

@@ -1,5 +1,6 @@
-"""Monte Carlo decoders: exact agreement with the exhaustive reference scans,
-single-word decoding rules, bounded memory per chunk, and pinned error counts."""
+"""Monte Carlo error counting: the BSC decoder and the BEC error test agree
+exactly with the exhaustive reference decoders, single-word decoding rules,
+bounded memory per chunk, and pinned error counts."""
 
 import tracemalloc
 
@@ -20,7 +21,7 @@ from umpbounds.channel import (
 from umpbounds.cosets import (
     MC_CHUNK,
     CosetCodebook,
-    _decode_batch_bec,
+    _bec_errors,
     _decode_batch_bsc,
     _mc_chunk_errors,
     _pack_rows,
@@ -70,21 +71,29 @@ def _sent_words(rng, code, trials):
     return words
 
 
+def _oracle_errors(code, spec, class_i, msgs, y, erased):
+    """Per-trial errors of class-i trials, by the exhaustive BEC decoder."""
+    cls, msg = oracles.exhaustive_decode_bec(code, spec, y, erased)
+    return (cls != class_i) | (msg != msgs)
+
+
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("n", LENGTHS)
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_bec_decoder_matches_exhaustive_scan(n, p, seed):
+    # the error test must flag exactly the trials the decoder gets wrong
     rng = _rng(seed)
     code = _random_code(rng, n)
     spec = ChannelSpec(BEC, p, n)
-    erased = _pack_rows(rng.random((TRIALS, n)) < p, n)
-    # symbols under an erasure carry arbitrary values, which must not matter
-    y = _sent_words(rng, code, TRIALS) ^ (erased & _sent_words(rng, code, TRIALS))
-    got = _decode_batch_bec(code, spec, y, erased)
-    want = oracles.exhaustive_decode_bec(code, spec, y, erased)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
+    for class_i in range(code.m):
+        msgs = rng.integers(0, 1 << code.k[class_i], size=TRIALS)
+        erased = _pack_rows(rng.random((TRIALS, n)) < p, n)
+        # symbols under an erasure carry arbitrary values, which must not matter
+        y = code.codewords_packed(class_i)[msgs] ^ (erased & _sent_words(rng, code, TRIALS))
+        got = _bec_errors(code, class_i, msgs, y, erased)
+        want = _oracle_errors(code, spec, class_i, msgs, y, erased)
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("block_bytes", [1 << 24, 2048, 8, cosets.DECODE_BLOCK_BYTES])
@@ -151,15 +160,18 @@ def test_bsc_decoder_rejects_a_non_monotone_spectrum(monkeypatch, density):
         _decode_batch_bsc(code, spec, _pack_rows(np.zeros((4, 3)), 3))
 
 
-def _decode_one(code, spec, y, erased=None):
-    """(class, message) the batch decoder gives one output word, (-1, -1) for
-    none; on the BEC, `erased` marks the erased positions."""
-    y = _pack_rows(y, spec.n)
-    if spec.kind is BSC:
-        cls, msg = _decode_batch_bsc(code, spec, y)
-    else:
-        cls, msg = _decode_batch_bec(code, spec, y, _pack_rows(erased, spec.n))
+def _decode_one(code, spec, y):
+    """(class, message) the BSC decoder gives one output word, (-1, -1) for none."""
+    cls, msg = _decode_batch_bsc(code, spec, _pack_rows(y, spec.n))
     return int(cls[0]), int(msg[0])
+
+
+def _errs_one(code, class_i, msg, erased):
+    """Whether sending message msg of class class_i over the BEC errs when the
+    positions in `erased` are erased."""
+    sent = code.codewords_packed(class_i)[[msg]]
+    errs = _bec_errors(code, class_i, np.array([msg]), sent, _pack_rows(erased, code.n))
+    return bool(errs[0])
 
 
 def _singletons(n, shifts, lambdas):
@@ -178,17 +190,23 @@ def test_noiseless_singleton():
 
 
 def test_all_erased_never_qualifies():
+    # no class decodes an all-erased output, so every message of every class errs
     spec = ChannelSpec(BEC, 1.0, 16)
     code = build_coset_code(spec, [2, 2], SimplexWeights([0.5, 0.5]), _rng(14))
-    assert _decode_one(code, spec, np.zeros(16), np.ones(16)) == (-1, -1)
+    for class_i in range(2):
+        assert all(_errs_one(code, class_i, msg, np.ones(16)) for msg in range(4))
 
 
 def test_cross_class_confusion_is_reachable():
     # a clean class-0 codeword wins even when class 1 transmitted it
     spec = ChannelSpec(BEC, 0.1, 16)
     code = build_coset_code(spec, [2, 2], SimplexWeights([0.5, 0.5]), _rng(15))
-    # class-0 message 0, zero erasures
-    assert _decode_one(code, spec, code.shifts[0], np.zeros(16))[0] == 0
+    clean = np.zeros(16)
+    assert not _errs_one(code, 1, 0, clean)
+    # share class 0's shift: class-1 message 0 is class-0 message 0
+    shared = CosetCodebook(16, code.k, code.lambdas, code.generators, [code.shifts[0]] * 2)
+    assert _errs_one(shared, 1, 0, clean)
+    assert not _errs_one(shared, 0, 0, clean)
 
 
 def test_ties_go_to_the_lower_class_index():
@@ -202,8 +220,7 @@ def test_deterministic():
     spec = ChannelSpec(BEC, 0.5, 64)
     code = build_coset_code(spec, [8, 4], SimplexWeights([0.5, 0.5]), _rng(16))
     erased = _rng(17).random(64) < 0.5
-    y = code.shifts[1] & ~erased
-    assert _decode_one(code, spec, y, erased) == _decode_one(code, spec, y, erased)
+    assert _errs_one(code, 1, 5, erased) == _errs_one(code, 1, 5, erased)
 
 
 def test_strict_threshold_inequality():
@@ -211,12 +228,39 @@ def test_strict_threshold_inequality():
     n = 8
     code = _singletons(n, [np.zeros(n)], [1.0])
     # threshold is 0 bits; erase everything -> density 0, not > 0
-    spec = ChannelSpec(BEC, 0.5, n)
     erased = np.ones(n, dtype=np.uint8)
-    assert _decode_one(code, spec, np.zeros(n), erased) == (-1, -1)
+    assert _errs_one(code, 0, 0, erased)
     # one unerased, agreeing symbol -> density 1 > 0 decodes
     erased[0] = 0
-    assert _decode_one(code, spec, np.zeros(n), erased) == (0, 0)
+    assert not _errs_one(code, 0, 0, erased)
+
+
+def test_duplicated_generator_row():
+    # row 2 repeats row 0, so messages w and w ^ 0b101 share a codeword and the
+    # decoder returns the smaller: a message errs exactly when bit 2 is set
+    n = 8
+    gen = np.zeros((3, n), dtype=np.uint8)
+    gen[0, 0] = gen[1, 1] = gen[2, 0] = 1
+    code = CosetCodebook(n, (3,), SimplexWeights([1.0]), [gen], [np.zeros(n, np.uint8)])
+    assert code.log2_thresholds[0] < n
+    for msg in range(8):
+        assert _errs_one(code, 0, msg, np.zeros(n)) == bool(msg & 0b100)
+
+
+@pytest.mark.parametrize("n,p", [(64, 0.75), (65, 0.85)])
+def test_chunk_recount_with_the_exhaustive_decoder(n, p):
+    # redraw a chunk from its SeedSequence([seed, class, chunk]) substream and
+    # decode every trial exhaustively; both classes err in 15-518 of the trials
+    spec = ChannelSpec(BEC, p, n)
+    code = build_coset_code(spec, (6, 3), SimplexWeights([0.5, 0.5]), _rng(2024, 1))
+    seed, chunk, trials = 777, 3, 2000
+    for class_i in range(code.m):
+        rng = _rng(seed, class_i, chunk)
+        msgs = rng.integers(0, 1 << code.k[class_i], size=trials, dtype=np.int64)
+        erased = _pack_rows(rng.random((trials, n)) < p, n)
+        y = code.codewords_packed(class_i)[msgs]
+        want = np.count_nonzero(_oracle_errors(code, spec, class_i, msgs, y, erased))
+        assert _mc_chunk_errors(code, spec, class_i, seed, chunk, trials) == want
 
 
 CHUNK_PEAK_BOUND = 64 << 20
