@@ -17,7 +17,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_ACCEPTANCE = 4
 
-# tradeoff keeps every row in memory until it writes the CSV; a sweep at this
-# budget peaked at 540 MB RSS with m = 2 classes and 610 MB with m = 3
+# tradeoff streams its rows, so this bounds the CSV's size and the sweep's run time
 MAX_TRADEOFF_ROWS = 1_000_000
 
 # dt_class_bound's rounding tolerance in simulate's pass check (an exact 1 reads 1 - 1e-14)
@@ -449,10 +448,14 @@ def simulate_rows(cfg: SweepConfig) -> Tuple[List[List[str]], bool]:
 
 
 def _simplex_grid(m: int, steps: int):
-    """Compositions of `steps` into m parts as weight tuples, by stars and bars, in lex order."""
+    """Compositions of `steps` into m parts as weight tuples, by stars and bars, in lex order.
+
+    The tuples share one float object per weight c / steps.
+    """
+    weights = [c / steps for c in range(steps + 1)]
     for bars in itertools.combinations(range(steps + m - 1), m - 1):
         edges = (-1, *bars, steps + m - 1)
-        yield tuple((b - a - 1) / steps for a, b in zip(edges, edges[1:]))
+        yield tuple(weights[b - a - 1] for a, b in zip(edges, edges[1:]))
 
 
 def tradeoff_columns(m: int) -> List[str]:
@@ -463,7 +466,14 @@ def tradeoff_columns(m: int) -> List[str]:
     ]
 
 
-def tradeoff_rows(cfg: SweepConfig) -> List[List[str]]:
+def tradeoff_rows(cfg: SweepConfig) -> Iterator[Tuple[str, ...]]:
+    """Rows of the sweep, formatted lazily one blocklength at a time.
+
+    Every number and every check (the row budget, the losses, each n's
+    expected rates and argmax) is computed before this returns, so a failing
+    sweep fails before any output is opened. The iterator then formats one
+    block of rows per n, a column at a time, and zips the columns into rows.
+    """
     m = len(cfg.classes)
     mu = cfg.mu
     steps = round(1.0 / cfg.grid)
@@ -476,20 +486,31 @@ def tradeoff_rows(cfg: SweepConfig) -> List[List[str]]:
     points = list(_simplex_grid(m, steps))
     eps = [c.eps for c in cfg.classes]
     losses = [kl_divergence_bits(mu, lam) for lam in points]
-    lam_cells = [[_fmt(v) for v in lam] for lam in points]
-    rows = []
+    blocks = []
     for n in cfg.n_list:
         spec = ChannelSpec(cfg.channel, cfg.p, n)
         rates = expected_rate(spec, eps, mu, losses)
         # the first maximizer; none when every point has lambda_i = 0 at some mu_i > 0
         top = max(rates)
-        best = rates.index(top) if top > -math.inf else None
-        n_cell = str(n)
-        for i, (cells, rate, loss) in enumerate(zip(lam_cells, rates, losses)):
-            rows.append(
-                [n_cell, *cells, _fmt(rate), _fmt(loss / n), "1" if i == best else "0"]
-            )
-    return rows
+        blocks.append((n, rates, rates.index(top) if top > -math.inf else None))
+    # every weight on the grid is c / steps: format each once and share its string
+    lam_cells = {c / steps: _fmt(c / steps) for c in range(steps + 1)}
+    lam_columns = [list(map(lam_cells.__getitem__, column)) for column in zip(*points)]
+
+    def block_rows(block):
+        n, rates, best = block
+        flags = ["0"] * len(rates)
+        if best is not None:
+            flags[best] = "1"
+        return zip(
+            itertools.repeat(str(n)),
+            *lam_columns,
+            [f"{x:.12g}" for x in rates],
+            [f"{x / n:.12g}" for x in losses],
+            flags,
+        )
+
+    return itertools.chain.from_iterable(map(block_rows, blocks))
 
 
 # --------------------------------------------------------------------------
@@ -497,7 +518,9 @@ def tradeoff_rows(cfg: SweepConfig) -> List[List[str]]:
 # --------------------------------------------------------------------------
 
 
-def write_csv(cfg: SweepConfig, columns: List[str], rows: List[List[str]], stream) -> None:
+def write_csv(
+    cfg: SweepConfig, columns: List[str], rows: Iterable[Sequence[str]], stream
+) -> None:
     stream.write(f"# umpbounds {__version__}\n")
     for key, value in cfg.echo_items():
         stream.write(f"# {key} = {value}\n")

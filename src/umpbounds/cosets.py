@@ -64,30 +64,45 @@ def _pack_rows(bits: np.ndarray, n: int) -> np.ndarray:
     return packed.view("<u8")
 
 
-@dataclass
+def _frozen(rows: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """Read-only uint8 copies of the caller's rows."""
+    out = tuple(np.array(r, dtype=np.uint8) for r in rows)
+    for r in out:
+        r.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True)
 class CosetCodebook:
     """Per-class generator matrices, coset shifts and decoding thresholds.
 
     Message index w maps to coefficient bits little-endian: bit j of w selects
     generator row j. Coset codewords are not necessarily distinct for random
     generators; collisions are not an error, and only make the empirical
-    error conservative.
+    error conservative. The codebook is immutable: `packed` and the codeword
+    tables are derived from `generators` and `shifts` once, so those are kept
+    as tuples of read-only arrays and a write to them raises.
     """
 
     n: int
     k: Tuple[int, ...]
     lambdas: SimplexWeights
-    generators: List[np.ndarray]  # class i: (k_i, n) uint8
-    shifts: List[np.ndarray]  # class i: (n,) uint8
+    generators: Tuple[np.ndarray, ...]  # class i: (k_i, n) uint8
+    shifts: Tuple[np.ndarray, ...]  # class i: (n,) uint8
     # class i: generator rows (k_i, words) and shift (words,), packed
-    packed: List[Tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
+    packed: Tuple[Tuple[np.ndarray, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False
+    )
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.packed = [
-            (_pack_rows(g, self.n), _pack_rows(v, self.n)[0])
-            for g, v in zip(self.generators, self.shifts)
-        ]
+        generators, shifts = _frozen(self.generators), _frozen(self.shifts)
+        packed = tuple(
+            (_pack_rows(g, self.n), _pack_rows(v, self.n)[0]) for g, v in zip(generators, shifts)
+        )
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "packed", packed)
 
     @property
     def m(self) -> int:
@@ -107,6 +122,7 @@ class CosetCodebook:
         table = shift[None, :]
         for row in gen:
             table = np.vstack([table, table ^ row])
+        table.setflags(write=False)
         self._tables[class_i] = table
         return table
 

@@ -10,6 +10,7 @@ import pytest
 import umpbounds
 from umpbounds import cli
 from umpbounds.achievability import max_log2M_dt, max_log2M_header_ach
+from umpbounds.asymptotics import expected_rate, kl_divergence_bits
 from umpbounds.channel import ChannelKind, ChannelSpec
 
 
@@ -409,6 +410,73 @@ class TestTradeoffCommand:
             ]
         )
         assert len(self._rows(out)) == 11
+
+    SWEEP = [
+        "tradeoff", "--channel", "bsc", "--p", "0.11", "--n", "150,400",
+        "--class", "eps=1e-3,lambda=0.5", "--class", "eps=0.1,lambda=0.5", "--mu", "0.5,0.5",
+    ]
+
+    def test_over_budget_leaves_no_file(self, tmp_path):
+        out = tmp_path / "t.csv"
+        # 2 n values x (10^6 + 1) points: over the 10^6-row budget
+        assert cli.main(self.SWEEP + ["--grid", "1e-6", "--out", str(out)]) == cli.EXIT_BUDGET
+        assert not out.exists()
+
+    def test_failing_rate_leaves_no_file(self, tmp_path, monkeypatch):
+        # every rate is computed before the output opens: a failure at the last n writes nothing
+        def fail_at_last_n(spec, *args):
+            if spec.n == 400:
+                raise ValueError("expected_rate failed")
+            return expected_rate(spec, *args)
+
+        monkeypatch.setattr(cli, "expected_rate", fail_at_last_n)
+        out = tmp_path / "t.csv"
+        assert cli.main(self.SWEEP + ["--grid", "0.1", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mu, eps, grid",
+        [
+            ((1.0,), (1e-3,), 0.1),
+            ((0.3, 0.7), (1e-3, 0.1), 0.05),
+            ((1.0, 0.0), (1e-3, 0.1), 0.25),
+            ((0.5, 0.25, 0.25), (1e-3, 1e-2, 0.1), 0.1),
+            ((0.5, 0.0, 0.5), (1e-3, 1e-2, 0.1), 0.2),
+            ((0.5, 0.5), (1e-3, 1e-3), 1.0),  # no finite point: no argmax
+        ],
+    )
+    def test_cells_match_oracle(self, tmp_path, mu, eps, grid):
+        # every streamed cell against one built here from the library formulas
+        m, steps, n_list = len(mu), round(1 / grid), [150, 400]
+        argv = ["tradeoff", "--channel", "bsc", "--p", "0.11", "--n", "150,400"]
+        for e in eps:
+            argv += ["--class", f"eps={e},lambda={1 / m!r}"]
+        out = tmp_path / "t.csv"
+        argv += ["--mu", ",".join(map(str, mu)), "--grid", str(grid), "--out", str(out)]
+        assert cli.main(argv) == 0
+        lams = [
+            tuple(c / steps for c in comp)
+            for comp in itertools.product(range(steps + 1), repeat=m)
+            if sum(comp) == steps
+        ]
+        want = []
+        for n in n_list:
+            spec = ChannelSpec(ChannelKind.BSC, 0.11, n)
+            losses = [kl_divergence_bits(mu, lam) for lam in lams]
+            rates = [expected_rate(spec, eps, mu, [loss])[0] for loss in losses]
+            best = rates.index(max(rates)) if max(rates) > -math.inf else None
+            for i, (lam, rate, loss) in enumerate(zip(lams, rates, losses)):
+                want.append(
+                    [str(n), *(f"{v:.12g}" for v in lam), f"{rate:.12g}", f"{loss / n:.12g}"]
+                    + ["1" if i == best else "0"]
+                )
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0].split(",") == cli.tradeoff_columns(m)
+        assert [l.split(",") for l in lines[1:]] == want
+        flags = [row[-1] for row in want]
+        assert flags.count("1") == (0 if grid == 1.0 else len(n_list))
+        if m > 1:
+            assert ["-inf", "inf"] in [row[-3:-1] for row in want]
 
 
 def test_import_loads_no_scipy():

@@ -60,6 +60,32 @@ class TestBuild:
                 SimplexWeights([0.2] * 5), _rng(0)
             )
 
+    def test_codebook_is_immutable(self):
+        # packed rows and codeword tables are derived once, so every write must raise
+        spec = ChannelSpec(BSC, 0.11, 16)
+        gens = [np.ones((2, 16), dtype=np.uint8), np.zeros((1, 16), dtype=np.uint8)]
+        shifts = [np.zeros(16, dtype=np.uint8), np.ones(16, dtype=np.uint8)]
+        code = CosetCodebook(16, (2, 1), SimplexWeights([0.5, 0.5]), gens, shifts)
+        table = code.codewords_packed(1).copy()
+        with pytest.raises(TypeError):
+            code.shifts[1] = shifts[0]
+        with pytest.raises(TypeError):
+            code.generators[0] = gens[1]
+        with pytest.raises(ValueError):
+            code.shifts[1][0] = 0
+        with pytest.raises(ValueError):
+            code.generators[0][1] ^= 1
+        with pytest.raises(ValueError):
+            code.codewords_packed(1)[0] = 0
+        with pytest.raises(AttributeError):
+            code.shifts = (shifts[0], shifts[0])
+        # the caller's arrays stay writable and no longer reach the codebook
+        shifts[1][:] = 0
+        gens[1][:] = 1
+        assert code.shifts[1].all() and not code.generators[1].any()
+        assert np.array_equal(code.codewords_packed(1), table)
+        assert np.array_equal(code.packed[1][1], _pack_rows(np.ones(16), 16)[0])
+
     def test_entries_are_fair_bits(self):
         # chi-square over rebuilds, gated at five sigma
         spec = ChannelSpec(BEC, 0.5, 64)
