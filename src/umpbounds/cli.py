@@ -112,21 +112,16 @@ def _fmt(x) -> str:
 
 
 def _parse_n(text: str) -> List[int]:
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"n range must be start:stop:step, got {text!r}")
-        start, stop, step = (int(v) for v in parts)
-        if step <= 0 or stop < start:
-            raise ConfigError(f"bad n range {text!r}")
-        return list(range(start, stop + 1, step))
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        if ":" in text:
+            start, stop, step = (int(v) for v in text.split(":"))
+            values = list(range(start, stop + 1, step)) if step > 0 else []
+        else:
+            values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad n list {text!r}") from exc
-    if not values or any(v < 1 for v in values):
-        raise ConfigError(f"n values must be >= 1: {text!r}")
+        raise ConfigError(f"--n must be a comma list or start:stop:step, got {text!r}") from exc
+    if not values or min(values) < 1:
+        raise ConfigError(f"--n values must be >= 1, got {text!r}")
     return values
 
 
@@ -134,21 +129,24 @@ def _parse_class(text: str) -> ClassSpec:
     out = ClassSpec()
     for part in text.split(","):
         if "=" not in part:
-            raise ConfigError(f"class entries look like key=value, got {part!r}")
+            raise ConfigError(f"--class entries look like key=value, got {part!r}")
         key, value = part.split("=", 1)
         key = key.strip()
-        if key == "eps":
-            out.eps = float(value)
-        elif key == "k":
-            out.k = int(value)
-        elif key == "lambda":
-            out.lam = float(value)
-        else:
-            raise ConfigError(f"unknown class key {key!r}")
+        if key not in ("eps", "k", "lambda"):
+            raise ConfigError(f"unknown --class key {key!r}")
+        try:
+            number = int(value) if key == "k" else float(value)
+        except ValueError as exc:
+            raise ConfigError(f"--class {key}= needs a number, got {value!r}") from exc
+        setattr(out, "lam" if key == "lambda" else key, number)
     if out.lam is None:
-        raise ConfigError(f"class {text!r} needs lambda=")
+        raise ConfigError(f"--class {text!r} needs lambda=")
     if (out.eps is None) == (out.k is None):
-        raise ConfigError(f"class {text!r} needs exactly one of eps= or k=")
+        raise ConfigError(f"--class {text!r} needs exactly one of eps= or k=")
+    if out.eps is not None and not 0.0 < out.eps < 1.0:
+        raise ConfigError(f"--class eps= must be in (0, 1), got {out.eps}")
+    if out.k is not None and out.k < 0:
+        raise ConfigError(f"--class k= must be >= 0, got {out.k}")
     return out
 
 
@@ -156,11 +154,51 @@ def _parse_mu(text: str) -> List[float]:
     try:
         return list(SimplexWeights(float(v) for v in text.split(",") if v.strip()).weights)
     except ValueError as exc:
-        raise ConfigError(f"mu must be a probability vector, got {text!r}: {exc}") from exc
+        raise ConfigError(f"--mu must be a probability vector, got {text!r}: {exc}") from exc
 
 
-def _read_config_file(path: str) -> List[Tuple[str, str]]:
-    pairs = []
+def _build_parser(strict: bool = False) -> argparse.ArgumentParser:
+    """The command-line parser; with `strict`, the config-file parser: it has no
+    --config or --help, takes no abbreviated flag and raises ArgumentError."""
+    strictness = dict(allow_abbrev=not strict, exit_on_error=not strict)
+    parser = argparse.ArgumentParser(
+        prog="umpbounds",
+        description="Finite-blocklength UMP bounds and coset-code simulation",
+        **strictness,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("bound", "simulate", "tradeoff"):
+        sp = sub.add_parser(name, add_help=not strict, **strictness)
+        if not strict:
+            sp.add_argument("--config", help="file of key = value lines, keys named as flags")
+        sp.add_argument("--channel", type=ChannelKind, metavar="{bsc,bec}")
+        sp.add_argument("--p", type=float)
+        sp.add_argument(
+            "--n", dest="n_list", type=_parse_n, metavar="N",
+            help="comma list or start:stop:step",
+        )
+        sp.add_argument(
+            "--class",
+            dest="classes",
+            type=_parse_class,
+            action="append",
+            help="eps=<f>,lambda=<f> or k=<u>,lambda=<f>; repeatable",
+        )
+        sp.add_argument("--mu", type=_parse_mu)
+        sp.add_argument("--n0", help="auto or an integer header length")
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--trials", type=int)
+        sp.add_argument("--codebooks", type=int)
+        sp.add_argument("--grid", type=float)
+        sp.add_argument("--eps0-grid", type=int)
+        sp.add_argument("--out")
+        sp.add_argument("--codebook-out")
+    return parser
+
+
+def _read_config_file(path: str, command: str) -> argparse.Namespace:
+    """A file of `key = value` lines, parsed as the flags `--key=value` of `command`."""
+    keys, flags = [], []
     try:
         with open(path) as fh:
             for line in fh:
@@ -168,102 +206,45 @@ def _read_config_file(path: str) -> List[Tuple[str, str]]:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"config line needs key=value: {line!r}")
-                key, value = line.split("=", 1)
-                pairs.append((key.strip(), value.strip()))
+                    raise ConfigError(f"{path}: config line needs key=value: {line!r}")
+                key, value = (part.strip() for part in line.split("=", 1))
+                keys.append(key)
+                flags.append(f"--{key.replace('_', '-')}={value}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return pairs
+    try:
+        args, extras = _build_parser(strict=True).parse_known_args([command, *flags])
+    except (argparse.ArgumentError, ConfigError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    unknown = [key for key, flag in zip(keys, flags) if flag in extras]
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
+    return args
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="umpbounds",
-        description="Finite-blocklength UMP bounds and coset-code simulation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("bound", "simulate", "tradeoff"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None, help="key=value config file; flags override")
-        sp.add_argument("--channel", choices=["bsc", "bec"], default=None)
-        sp.add_argument("--p", type=float, default=None)
-        sp.add_argument("--n", default=None, help="comma list or start:stop:step")
-        sp.add_argument(
-            "--class",
-            dest="classes",
-            action="append",
-            default=None,
-            help="eps=<f>,lambda=<f> or k=<u>,lambda=<f>; repeatable",
-        )
-        sp.add_argument("--mu", default=None)
-        sp.add_argument("--n0", default=None, help="auto or an integer header length")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--codebooks", type=int, default=None)
-        sp.add_argument("--grid", type=float, default=None)
-        sp.add_argument("--eps0-grid", type=int, default=None, dest="eps0_grid")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--codebook-out", default=None, dest="codebook_out")
-    return parser
-
-
-def _merge(cli_value, file_map, key, default):
-    if cli_value is not None:
-        return cli_value
-    if key in file_map:
-        return file_map[key]
-    return default
+REQUIRED_FLAGS = (("channel", "--channel"), ("p", "--p"), ("n_list", "--n"), ("classes", "--class"))
 
 
 def build_config(argv: Sequence[str]) -> SweepConfig:
     args = _build_parser().parse_args(argv)
-    file_pairs = _read_config_file(args.config) if args.config else []
-    file_map = {}
-    file_classes = []
-    for key, value in file_pairs:
-        if key == "class":
-            file_classes.append(value)
-        else:
-            file_map[key] = value
-
-    channel = _merge(args.channel, file_map, "channel", None)
-    if channel is None:
-        raise ConfigError("--channel is required")
-    p = _merge(args.p, file_map, "p", None)
-    if p is None:
-        raise ConfigError("--p is required")
-    n_text = _merge(args.n, file_map, "n", None)
-    if n_text is None:
-        raise ConfigError("--n is required")
-    class_texts = args.classes if args.classes is not None else (file_classes or None)
-    if class_texts is None:
-        raise ConfigError("at least one --class is required")
-    mu_text = _merge(args.mu, file_map, "mu", None)
-
+    # command-line values override the file's; a --class flag replaces every class line
+    sources = [_read_config_file(args.config, args.command), args] if args.config else [args]
+    fields = {k: v for ns in sources for k, v in vars(ns).items() if v is not None}
+    fields.pop("config", None)
+    for field, flag in REQUIRED_FLAGS:
+        if field not in fields:
+            raise ConfigError(f"{flag} is required")
     try:
-        cfg = SweepConfig(
-            command=args.command,
-            channel=ChannelKind(channel),
-            p=float(p),
-            n_list=_parse_n(str(n_text)),
-            classes=[_parse_class(t) for t in class_texts],
-            mu=_parse_mu(mu_text) if mu_text is not None else None,
-            n0=str(_merge(args.n0, file_map, "n0", "auto")),
-            seed=int(_merge(args.seed, file_map, "seed", 0)),
-            trials=int(_merge(args.trials, file_map, "trials", 10000)),
-            codebooks=int(_merge(args.codebooks, file_map, "codebooks", 1)),
-            grid=float(_merge(args.grid, file_map, "grid", 0.01)),
-            eps0_grid=int(_merge(args.eps0_grid, file_map, "eps0_grid", 1000)),
-            out=_merge(args.out, file_map, "out", None),
-            codebook_out=_merge(args.codebook_out, file_map, "codebook_out", None),
-            threads=max(1, int(os.environ.get("UMP_THREADS", "1"))),
-        )
+        threads = max(1, int(os.environ.get("UMP_THREADS", "1")))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"UMP_THREADS must be an integer: {exc}") from exc
+    cfg = SweepConfig(**fields, threads=threads)
     if not 0.0 <= cfg.p <= 1.0:
-        raise ConfigError(f"p must be in [0,1], got {cfg.p}")
+        raise ConfigError(f"--p must be in [0,1], got {cfg.p}")
     if cfg.n0 != "auto" and not (cfg.n0.isdigit() and cfg.n0.isascii()):
         raise ConfigError(f"--n0 must be 'auto' or an integer >= 0, got {cfg.n0!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {cfg.seed}")
     if not 0.0 < cfg.grid <= 1.0 or math.isinf(1.0 / cfg.grid):
         raise ConfigError(f"--grid must be in (0, 1] with 1/grid finite, got {cfg.grid}")
     if abs(1.0 / cfg.grid - round(1.0 / cfg.grid)) > 1e-9 / cfg.grid:
@@ -274,7 +255,9 @@ def build_config(argv: Sequence[str]) -> SweepConfig:
     try:
         SimplexWeights(lams)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"--class lambda= values: {exc}") from exc
+    if cfg.command != "tradeoff" and min(lams) <= 0.0:
+        raise ConfigError(f"{cfg.command} needs every --class lambda= > 0, got {lams}")
     if cfg.command in ("bound", "tradeoff") and any(c.eps is None for c in cfg.classes):
         raise ConfigError(f"{cfg.command} classes need eps=")
     if cfg.command == "simulate":
@@ -287,6 +270,8 @@ def build_config(argv: Sequence[str]) -> SweepConfig:
     if cfg.command == "tradeoff":
         if cfg.mu is None:
             raise ConfigError("tradeoff requires --mu")
+        if channel_stats(ChannelSpec(cfg.channel, cfg.p, 1)).dispersion <= 0.0:
+            raise ConfigError(f"tradeoff needs a channel of positive dispersion, got --p {cfg.p}")
         if len(cfg.mu) != len(cfg.classes):
             raise ConfigError(
                 f"{len(cfg.mu)} mu entries for {len(cfg.classes)} classes"
@@ -552,7 +537,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = build_config(list(argv) if argv is not None else sys.argv[1:])
         return run(cfg)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceBudgetError as exc:

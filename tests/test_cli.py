@@ -46,6 +46,43 @@ class TestConfig:
         assert cfg.seed == 7  # file fills the rest
         assert len(cfg.classes) == 2
 
+    def test_file_keys_are_flag_names(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(
+            "# a comment\nchannel = bec\np = 0.5\nn = 100:300:100\n"
+            "class = eps=1e-3,lambda=0.5\nclass = eps=1e-2,lambda=0.5\n"
+            "eps0_grid = 5\ncodebook-out = cb\nmu = 0.5,0.5\n"
+        )
+        cfg = _cfg("tradeoff", "--config", str(conf), "--class", "eps=0.1,lambda=1", "--mu", "1")
+        assert cfg.channel is ChannelKind.BEC and cfg.n_list == [100, 200, 300]
+        assert cfg.eps0_grid == 5 and cfg.codebook_out == "cb"
+        assert [(c.eps, c.lam) for c in cfg.classes] == [(0.1, 1.0)]  # --class replaces the file's
+        assert cfg.mu == [1.0]
+
+    @pytest.mark.parametrize("key", ["trails", "seeed", "tri", "eps0", "classes", "config", "help"])
+    def test_unknown_config_key_exits_2(self, key, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"channel = bsc\np = 0.11\nn = 64\nclass = eps=0.1,lambda=1\n{key} = 5\n")
+        assert cli.main(["bound", "--config", str(conf)]) == cli.EXIT_CONFIG
+        assert f"config error: {conf}: unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, flag",
+        [
+            ("seed = abc", "--seed"),
+            ("channel = bsx", "--channel"),
+            ("n = 0,64", "--n"),
+            ("class = eps=2,lambda=1", "--class"),
+        ],
+        ids=["seed", "channel", "n", "class"],
+    )
+    def test_bad_config_value_names_key_and_file(self, line, flag, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"channel = bsc\np = 0.11\nn = 64\nclass = eps=0.1,lambda=1\n{line}\n")
+        assert cli.main(["bound", "--config", str(conf)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {conf}: " in err and flag in err
+
     def test_missing_channel_rejected(self):
         with pytest.raises(cli.ConfigError):
             _cfg("bound", "--p", "0.11", "--n", "64", "--class", "eps=0.1,lambda=1")
@@ -149,6 +186,26 @@ class TestInputChecks:
 
     def test_negative_split_rejected(self):
         assert cli.main(self.BOUND + ["--n0", "-1"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command, args, flag",
+        [
+            ("bound", ["--class", "eps=2,lambda=1"], "--class"),
+            ("bound", ["--class", "eps=0,lambda=1"], "--class"),
+            ("bound", ["--class", "eps=nan,lambda=1"], "--class"),
+            ("bound", ["--class", "eps=abc,lambda=1"], "--class"),
+            ("bound", ["--class", "eps=0.1,lambda=0", "--class", "eps=0.1,lambda=1"], "--class"),
+            ("simulate", ["--class", "k=2,lambda=0", "--class", "k=1,lambda=1"], "--class"),
+            ("simulate", ["--class", "k=-1,lambda=1"], "--class"),
+            ("bound", ["--n", "0:10:5", "--class", "eps=0.1,lambda=1"], "--n"),
+            ("simulate", ["--class", "k=2,lambda=1", "--seed", "-1"], "--seed"),
+            ("tradeoff", ["--p", "0.5", "--class", "eps=0.1,lambda=1", "--mu", "1"], "--p"),
+        ],
+    )
+    def test_bad_input_names_its_flag(self, command, args, flag, capsys):
+        argv = [command, "--channel", "bsc", "--p", "0.11", "--n", "64", "--trials", "100"]
+        assert cli.main(argv + args) == cli.EXIT_CONFIG
+        assert flag in capsys.readouterr().err
 
     def test_tradeoff_row_budget(self, capsys, monkeypatch):
         # C(10002, 2) ~ 5e7 points per n: refused before any point is built
@@ -423,7 +480,8 @@ class TestTradeoffCommand:
         assert not out.exists()
 
     def test_failing_rate_leaves_no_file(self, tmp_path, monkeypatch):
-        # every rate is computed before the output opens: a failure at the last n writes nothing
+        # every rate is computed before the output opens: a failure at the last n writes nothing;
+        # an internal fault is not a config error, so it surfaces
         def fail_at_last_n(spec, *args):
             if spec.n == 400:
                 raise ValueError("expected_rate failed")
@@ -431,7 +489,8 @@ class TestTradeoffCommand:
 
         monkeypatch.setattr(cli, "expected_rate", fail_at_last_n)
         out = tmp_path / "t.csv"
-        assert cli.main(self.SWEEP + ["--grid", "0.1", "--out", str(out)]) == cli.EXIT_CONFIG
+        with pytest.raises(ValueError, match="expected_rate failed"):
+            cli.main(self.SWEEP + ["--grid", "0.1", "--out", str(out)])
         assert not out.exists()
 
     @pytest.mark.parametrize(
