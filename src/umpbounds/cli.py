@@ -28,7 +28,6 @@ from .achievability import (
     dt_class_bound,
     max_log2M_dt,
     max_log2M_header_ach,
-    max_log2M_header_ach_best,
 )
 from .asymptotics import expected_rate, kl_divergence_bits, normal_approx_log2M
 from .channel import ChannelKind, ChannelSpec, channel_stats
@@ -157,10 +156,28 @@ def _parse_mu(text: str) -> List[float]:
         raise ConfigError(f"--mu must be a probability vector, got {text!r}: {exc}") from exc
 
 
+def _checked(convert, flag: str, ok, rule: str):
+    """An argparse type= that converts like `convert` and refuses a value `ok` rejects."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ConfigError(f"{flag} must be {rule}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type when `convert` fails
+    return parse
+
+
+def _divides_one(grid: float) -> bool:
+    steps = 1.0 / grid if 0.0 < grid <= 1.0 else math.inf
+    return not math.isinf(steps) and abs(steps - round(steps)) <= 1e-9 / grid
+
+
 def _build_parser(strict: bool = False) -> argparse.ArgumentParser:
     """The command-line parser; with `strict`, the config-file parser: it has no
-    --config or --help, takes no abbreviated flag and raises ArgumentError."""
-    strictness = dict(allow_abbrev=not strict, exit_on_error=not strict)
+    --config or --help and takes no abbreviated flag. Both raise ArgumentError."""
+    strictness = dict(allow_abbrev=not strict, exit_on_error=False)
     parser = argparse.ArgumentParser(
         prog="umpbounds",
         description="Finite-blocklength UMP bounds and coset-code simulation",
@@ -172,7 +189,7 @@ def _build_parser(strict: bool = False) -> argparse.ArgumentParser:
         if not strict:
             sp.add_argument("--config", help="file of key = value lines, keys named as flags")
         sp.add_argument("--channel", type=ChannelKind, metavar="{bsc,bec}")
-        sp.add_argument("--p", type=float)
+        sp.add_argument("--p", type=_checked(float, "--p", lambda p: 0.0 <= p <= 1.0, "in [0, 1]"))
         sp.add_argument(
             "--n", dest="n_list", type=_parse_n, metavar="N",
             help="comma list or start:stop:step",
@@ -185,12 +202,16 @@ def _build_parser(strict: bool = False) -> argparse.ArgumentParser:
             help="eps=<f>,lambda=<f> or k=<u>,lambda=<f>; repeatable",
         )
         sp.add_argument("--mu", type=_parse_mu)
-        sp.add_argument("--n0", help="auto or an integer header length")
-        sp.add_argument("--seed", type=int)
+        sp.add_argument(
+            "--n0", help="auto or an integer header length",
+            type=_checked(str, "--n0", lambda v: v == "auto" or (v.isdigit() and v.isascii()),
+                          "'auto' or an integer >= 0"),
+        )
+        sp.add_argument("--seed", type=_checked(int, "--seed", lambda v: v >= 0, ">= 0"))
         sp.add_argument("--trials", type=int)
         sp.add_argument("--codebooks", type=int)
-        sp.add_argument("--grid", type=float)
-        sp.add_argument("--eps0-grid", type=int)
+        sp.add_argument("--grid", type=_checked(float, "--grid", _divides_one, "in (0, 1] and divide 1"))
+        sp.add_argument("--eps0-grid", type=_checked(int, "--eps0-grid", lambda v: v >= 1, ">= 1"))
         sp.add_argument("--out")
         sp.add_argument("--codebook-out")
     return parser
@@ -226,7 +247,10 @@ REQUIRED_FLAGS = (("channel", "--channel"), ("p", "--p"), ("n_list", "--n"), ("c
 
 
 def build_config(argv: Sequence[str]) -> SweepConfig:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ConfigError(str(exc)) from exc
     # command-line values override the file's; a --class flag replaces every class line
     sources = [_read_config_file(args.config, args.command), args] if args.config else [args]
     fields = {k: v for ns in sources for k, v in vars(ns).items() if v is not None}
@@ -239,18 +263,6 @@ def build_config(argv: Sequence[str]) -> SweepConfig:
     except ValueError as exc:
         raise ConfigError(f"UMP_THREADS must be an integer: {exc}") from exc
     cfg = SweepConfig(**fields, threads=threads)
-    if not 0.0 <= cfg.p <= 1.0:
-        raise ConfigError(f"--p must be in [0,1], got {cfg.p}")
-    if cfg.n0 != "auto" and not (cfg.n0.isdigit() and cfg.n0.isascii()):
-        raise ConfigError(f"--n0 must be 'auto' or an integer >= 0, got {cfg.n0!r}")
-    if cfg.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {cfg.seed}")
-    if not 0.0 < cfg.grid <= 1.0 or math.isinf(1.0 / cfg.grid):
-        raise ConfigError(f"--grid must be in (0, 1] with 1/grid finite, got {cfg.grid}")
-    if abs(1.0 / cfg.grid - round(1.0 / cfg.grid)) > 1e-9 / cfg.grid:
-        raise ConfigError(f"--grid must divide 1 (1/grid an integer), got {cfg.grid}")
-    if cfg.eps0_grid < 1:
-        raise ConfigError(f"--eps0-grid must be >= 1, got {cfg.eps0_grid}")
     lams = [c.lam for c in cfg.classes]
     try:
         SimplexWeights(lams)
@@ -296,58 +308,30 @@ BOUND_COLUMNS = [
 ]
 
 
-def _header_rates(
-    spec: ChannelSpec, eps: float, m: int, all_eps: List[float], cfg: SweepConfig
-) -> Tuple[Optional[float], Optional[float]]:
-    """Header achievability and converse: best over the splits, or at the fixed --n0."""
-    n0 = None if cfg.n0 == "auto" else int(cfg.n0)
-    if n0 is None:
-        ach = max_log2M_header_ach_best(spec, eps, m, all_eps)
-    else:
-        ach = best_over_splits(max_log2M_header_ach, spec, eps, m, all_eps, n0)
-    conv_at = functools.partial(header_conv_max_log2M, eps0_points=cfg.eps0_grid)
-    conv = best_over_splits(conv_at, spec, eps, m, all_eps, n0)
-    return ach, conv
-
-
 def bound_rows(cfg: SweepConfig) -> List[List[str]]:
     m = len(cfg.classes)
     all_eps = [c.eps for c in cfg.classes]
+    n0 = None if cfg.n0 == "auto" else int(cfg.n0)  # None: best over the splits
+    header_conv_at = functools.partial(header_conv_max_log2M, eps0_points=cfg.eps0_grid)
 
     def rows_for_n(n: int) -> List[List[str]]:
         spec = ChannelSpec(cfg.channel, cfg.p, n)
-        stats = channel_stats(spec)
-        cache = {}  # classes sharing (eps, lambda) share one computation
-        header_cache = {}  # header scans take no lambda: classes sharing eps share them
-        out = []
-        for idx, cls in enumerate(cfg.classes):
-            key = (cls.eps, cls.lam)
-            if key not in cache:
-                dt = max_log2M_dt(spec, cls.eps, cls.lam)
-                conv = converse_max_log2M(spec, cls.eps, cls.lam)
-                if cls.eps not in header_cache:
-                    header_cache[cls.eps] = _header_rates(spec, cls.eps, m, all_eps, cfg)
-                header_ach, header_conv = header_cache[cls.eps]
-                if stats.dispersion > 0.0:
-                    normal = max(0.0, normal_approx_log2M(spec, cls.eps, cls.lam))
-                else:
-                    normal = None
-                cache[key] = (dt, conv, header_ach, header_conv, normal)
-            dt, conv, header_ach, header_conv, normal = cache[key]
-            out.append(
-                [
-                    str(n),
-                    str(idx),
-                    _fmt(cls.lam),
-                    _fmt(cls.eps),
-                    _fmt(dt),
-                    _fmt(conv),
-                    _fmt(header_ach),
-                    _fmt(header_conv),
-                    _fmt(normal),
-                ]
+        has_normal = channel_stats(spec).dispersion > 0.0
+
+        @functools.cache  # header scans take no lambda: classes sharing eps share them
+        def header_rates(eps: float) -> Tuple[Optional[float], ...]:
+            return tuple(
+                best_over_splits(rate, spec, eps, m, all_eps, n0)
+                for rate in (max_log2M_header_ach, header_conv_at)
             )
-        return out
+
+        @functools.cache  # classes sharing (eps, lambda) share one computation
+        def cells(eps: float, lam: float) -> List[str]:
+            dt, conv = max_log2M_dt(spec, eps, lam), converse_max_log2M(spec, eps, lam)
+            normal = max(0.0, normal_approx_log2M(spec, eps, lam)) if has_normal else None
+            return [_fmt(x) for x in (lam, eps, dt, conv, *header_rates(eps), normal)]
+
+        return [[str(n), str(idx), *cells(c.eps, c.lam)] for idx, c in enumerate(cfg.classes)]
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

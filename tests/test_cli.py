@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -73,8 +74,13 @@ class TestConfig:
             ("channel = bsx", "--channel"),
             ("n = 0,64", "--n"),
             ("class = eps=2,lambda=1", "--class"),
+            ("grid = 0.3", "--grid"),
+            ("p = 2", "--p"),
+            ("seed = -1", "--seed"),
+            ("eps0_grid = 0", "--eps0-grid"),
+            ("n0 = x", "--n0"),
         ],
-        ids=["seed", "channel", "n", "class"],
+        ids=["seed", "channel", "n", "class", "grid", "p", "seed-range", "eps0-grid", "n0"],
     )
     def test_bad_config_value_names_key_and_file(self, line, flag, tmp_path, capsys):
         conf = tmp_path / "run.conf"
@@ -200,6 +206,10 @@ class TestInputChecks:
             ("bound", ["--n", "0:10:5", "--class", "eps=0.1,lambda=1"], "--n"),
             ("simulate", ["--class", "k=2,lambda=1", "--seed", "-1"], "--seed"),
             ("tradeoff", ["--p", "0.5", "--class", "eps=0.1,lambda=1", "--mu", "1"], "--p"),
+            ("bound", ["--class", "eps=0.1,lambda=1", "--seed", "abc"], "--seed"),
+            ("bound", ["--class", "eps=0.1,lambda=1", "--p", "x"], "--p"),
+            ("bound", ["--class", "eps=0.1,lambda=1", "--channel", "bsx"], "--channel"),
+            ("bound", ["--class", "eps=0.1,lambda=1", "--eps0-grid", "1.5"], "--eps0-grid"),
         ],
     )
     def test_bad_input_names_its_flag(self, command, args, flag, capsys):
@@ -323,6 +333,50 @@ class TestBoundCommand:
         for cls in classes:
             argv += ["--class", cls]
         assert cli.main(argv) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("n0", ["auto", "5"])
+    @pytest.mark.parametrize(
+        "classes",
+        [
+            [(1e-3, 0.25), (1e-3, 0.25), (1e-2, 0.5)],
+            [(1e-3, 0.25), (1e-3, 0.25), (1e-2, 0.375), (1e-2, 0.125)],
+        ],
+        ids=["repeated-class", "eps-shared-across-lambdas"],
+    )
+    def test_each_class_and_header_scan_runs_once_per_n(self, monkeypatch, n0, classes):
+        calls = collections.Counter()
+        rates = ["max_log2M_dt", "converse_max_log2M", "normal_approx_log2M"]
+        for name in rates + ["best_over_splits"]:
+            def counted(*args, _name=name, _fn=getattr(cli, name)):
+                if _name in rates:  # (spec, eps, lam)
+                    calls[(_name, args[0].n, args[1], args[2])] += 1
+                else:  # (rate, spec, eps, m, all_eps, n0)
+                    calls[(_name, args[1].n, args[2])] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        argv = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "200,100", "--n0", n0]
+        for eps, lam in classes:
+            argv += ["--class", f"eps={eps},lambda={lam}"]
+        assert len(cli.bound_rows(_cfg(*argv))) == 2 * len(classes)
+        expected = collections.Counter()
+        for n in (200, 100):
+            for eps, lam in set(classes):
+                expected.update((name, n, eps, lam) for name in rates)
+            for eps in {eps for eps, _ in classes}:
+                expected[("best_over_splits", n, eps)] = 2
+        assert calls == expected
+
+    def test_repeated_n_rows_ordered_by_n_then_class(self):
+        cfg = _cfg(
+            "bound", "--channel", "bec", "--p", "0.5", "--n", "200,100,100",
+            "--class", "eps=1e-3,lambda=0.5", "--class", "eps=1e-2,lambda=0.5",
+        )
+        rows = cli.bound_rows(cfg)
+        assert [(r[0], r[1]) for r in rows] == [
+            ("100", "0"), ("100", "0"), ("100", "1"), ("100", "1"), ("200", "0"), ("200", "1"),
+        ]
+        assert rows[0] == rows[1] and rows[2] == rows[3]
 
     def test_twelve_significant_digits(self):
         assert cli._fmt(1 / 3) == "0.333333333333"
