@@ -36,6 +36,8 @@ MAX_TOTAL_CODEWORDS = 1 << 22
 
 _MAGIC = b"UMPC"
 _FORMAT_VERSION = 1
+_HEADER = struct.Struct("<HBd I H")  # version, channel code, p, n, classes
+_CLASS = struct.Struct("<Hd")  # k_i, lambda_i, then ceil(n/8) bytes per shift and row
 
 MC_CHUNK = 8192
 # byte budget of the BSC decoder's (block, trials, words) XOR buffer
@@ -79,9 +81,9 @@ class CosetCodebook:
     Message index w maps to coefficient bits little-endian: bit j of w selects
     generator row j. Coset codewords are not necessarily distinct for random
     generators; collisions are not an error, and only make the empirical
-    error conservative. The codebook is immutable: `packed` and the codeword
-    tables are derived from `generators` and `shifts` once, so those are kept
-    as tuples of read-only arrays and a write to them raises.
+    error conservative. The codebook is immutable: `packed` is derived from
+    `generators` and `shifts` once, so all three are tuples of read-only
+    arrays and a write to them raises.
     """
 
     n: int
@@ -93,13 +95,14 @@ class CosetCodebook:
     packed: Tuple[Tuple[np.ndarray, np.ndarray], ...] = field(
         init=False, repr=False, compare=False
     )
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         generators, shifts = _frozen(self.generators), _frozen(self.shifts)
         packed = tuple(
             (_pack_rows(g, self.n), _pack_rows(v, self.n)[0]) for g, v in zip(generators, shifts)
         )
+        for gen, shift in packed:
+            gen.flags.writeable = shift.flags.writeable = False
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "packed", packed)
@@ -114,17 +117,34 @@ class CosetCodebook:
         return tuple(k_i - math.log2(lam) for k_i, lam in zip(self.k, self.lambdas.weights))
 
     def codewords_packed(self, class_i: int) -> np.ndarray:
-        """All 2^k_i codewords of the class, packed, indexed by message."""
-        cached = self._tables.get(class_i)
-        if cached is not None:
-            return cached
+        """All 2^k_i codewords of the class, packed, indexed by message; a new
+        read-only table on every call."""
         gen, shift = self.packed[class_i]
         table = shift[None, :]
         for row in gen:
             table = np.vstack([table, table ^ row])
         table.setflags(write=False)
-        self._tables[class_i] = table
         return table
+
+
+def _check_classes(k: Sequence[int], lambdas: Sequence[float]) -> None:
+    """The class rules of a coset code: one weight per class, every k_i in
+    0..MAX_CLASS_K, at most MAX_TOTAL_CODEWORDS codewords in all, and every
+    lambda_i > 0 (the decoding threshold divides by it)."""
+    if len(k) != len(lambdas):
+        raise ValueError(f"{len(k)} classes but {len(lambdas)} simplex weights")
+    if any(v < 0 for v in k):
+        raise ValueError(f"class exponents must be >= 0: {k}")
+    if any(v > MAX_CLASS_K for v in k):
+        raise ResourceBudgetError(
+            f"class exponent above decoding budget k <= {MAX_CLASS_K}: {k}"
+        )
+    if sum(1 << v for v in k) > MAX_TOTAL_CODEWORDS:
+        raise ResourceBudgetError(
+            f"total codewords {sum(1 << v for v in k)} exceed budget {MAX_TOTAL_CODEWORDS}"
+        )
+    if any(lam <= 0.0 for lam in lambdas):
+        raise ValueError("every class in a coset code needs lambda_i > 0")
 
 
 def build_coset_code(
@@ -138,20 +158,7 @@ def build_coset_code(
     symbols of n).
     """
     k = tuple(int(v) for v in k)
-    if len(k) != len(lambdas):
-        raise ValueError(f"{len(k)} classes but {len(lambdas)} simplex weights")
-    if any(v < 0 for v in k):
-        raise ValueError(f"class exponents must be >= 0: {k}")
-    if any(v > MAX_CLASS_K for v in k):
-        raise ResourceBudgetError(
-            f"class exponent above decoding budget k <= {MAX_CLASS_K}: {k}"
-        )
-    if sum(1 << v for v in k) > MAX_TOTAL_CODEWORDS:
-        raise ResourceBudgetError(
-            f"total codewords {sum(1 << v for v in k)} exceed budget {MAX_TOTAL_CODEWORDS}"
-        )
-    if any(lam <= 0.0 for lam in lambdas.weights):
-        raise ValueError("every class in a coset code needs lambda_i > 0")
+    _check_classes(k, lambdas.weights)
     generators, shifts = [], []
     for k_i in k:
         generators.append(rng.integers(0, 2, size=(k_i, spec.n), dtype=np.uint8))
@@ -162,26 +169,19 @@ def build_coset_code(
 def _qualifying_distances(density: np.ndarray, threshold: float) -> Optional[Tuple[int, int]]:
     """(lo, hi) such that density[t] > threshold exactly for lo <= t <= hi.
 
-    On the BSC the density is affine in the distance t where finite and -inf
-    elsewhere, so the qualifying distances are a prefix of 0..n (p < 1/2,
-    p = 0) or a suffix (p > 1/2, p = 1). None when no distance qualifies.
+    On the BSC the density is a constant plus a multiple of the distance t
+    where finite, so monotone in t in float too, and -inf elsewhere; the
+    qualifying distances are a prefix of 0..n (p < 1/2, p = 0) or a suffix
+    (p > 1/2, p = 1). None when no distance qualifies.
     """
     t = np.flatnonzero(density > threshold)
-    if not t.size:
-        return None
-    lo, hi = int(t[0]), int(t[-1])
-    if (lo > 0 and hi < len(density) - 1) or len(t) != hi - lo + 1:
-        raise ValueError(
-            f"the {len(t)} distances in {lo}..{hi} with density above {threshold!r} "
-            f"bits are not a prefix or a suffix of 0..{len(density) - 1}"
-        )
-    return lo, hi
+    return (int(t[0]), int(t[-1])) if t.size else None
 
 
 def _decode_batch_bsc(
-    code: CosetCodebook, spec: ChannelSpec, y_packed: np.ndarray
+    code: CosetCodebook, tables: Sequence[np.ndarray], spec: ChannelSpec, y_packed: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """First codeword above threshold, scanning each class table in blocks.
+    """First codeword above threshold, scanning each class table tables[i] in blocks.
 
     A block is laid out (codewords, trials, words), so each XOR broadcasts one
     codeword over a contiguous row of trials; it holds as many codewords as
@@ -210,7 +210,7 @@ def _decode_batch_bsc(
         if qualifying is None:
             continue
         lo, hi = qualifying
-        table = code.codewords_packed(class_i)
+        table = tables[class_i]
         start = 0
         while idx.size and start < len(table):
             t = idx.size
@@ -329,6 +329,7 @@ def _bec_errors(
 
 def _mc_chunk_errors(
     code: CosetCodebook,
+    tables: Sequence[np.ndarray],
     spec: ChannelSpec,
     class_i: int,
     seed: int,
@@ -339,11 +340,11 @@ def _mc_chunk_errors(
     ss = np.random.SeedSequence([seed, class_i, chunk_index])
     rng = np.random.Generator(np.random.PCG64(ss))
     msgs = rng.integers(0, 1 << code.k[class_i], size=trials, dtype=np.int64)
-    x = code.codewords_packed(class_i)[msgs]
+    x = tables[class_i][msgs]
     noise = _pack_rows(rng.random((trials, spec.n)) < spec.p, spec.n)
     if spec.kind is ChannelKind.BEC:
         return int(np.count_nonzero(_bec_errors(code, class_i, msgs, x, noise)))
-    cls, dec = _decode_batch_bsc(code, spec, x ^ noise)
+    cls, dec = _decode_batch_bsc(code, tables, spec, x ^ noise)
     return int(np.count_nonzero((cls != class_i) | (dec != msgs)))
 
 
@@ -358,7 +359,8 @@ def monte_carlo_error(
 
     Trials are partitioned into fixed-size chunks whose substreams derive
     deterministically from (seed, class, chunk index), so results do not
-    depend on the thread count.
+    depend on the thread count. Each class's codeword table is built once,
+    before any chunk runs.
     """
     if trials_per_class < 100:
         raise ValueError(f"need at least 100 trials per class, got {trials_per_class}")
@@ -372,10 +374,11 @@ def monte_carlo_error(
             done += size
             chunk_index += 1
     errors = [0] * code.m
+    tables = [code.codewords_packed(class_i) for class_i in range(code.m)]
 
     def run(task):
         class_i, chunk_index, size = task
-        return class_i, _mc_chunk_errors(code, spec, class_i, seed, chunk_index, size)
+        return class_i, _mc_chunk_errors(code, tables, spec, class_i, seed, chunk_index, size)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -395,41 +398,65 @@ def save_codebook(code: CosetCodebook, spec: ChannelSpec, path) -> None:
     """Write the little-endian binary codebook format.
 
     Classes are written in index order, which is also the decode order.
-    Bit vectors are packed bit 0 = symbol 0.
+    Bit vectors are packed bit 0 = symbol 0: the first ceil(n/8) bytes of
+    the class's packed shift and generator rows, in that order.
     """
     nbytes = (code.n + 7) // 8
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<HBd I H", _FORMAT_VERSION, _KIND_CODE[spec.kind],
-                             spec.p, spec.n, code.m))
-        for class_i in range(code.m):
-            fh.write(struct.pack("<Hd", code.k[class_i], code.lambdas[class_i]))
-            fh.write(
-                np.packbits(code.shifts[class_i], bitorder="little").tobytes()[:nbytes]
-            )
-            for row in code.generators[class_i]:
-                fh.write(np.packbits(row, bitorder="little").tobytes()[:nbytes])
+        fh.write(_HEADER.pack(_FORMAT_VERSION, _KIND_CODE[spec.kind], spec.p, spec.n, code.m))
+        for class_i, (gen, shift) in enumerate(code.packed):
+            fh.write(_CLASS.pack(code.k[class_i], code.lambdas[class_i]))
+            fh.write(np.vstack([shift, gen]).view(np.uint8)[:, :nbytes].tobytes())
 
 
 def load_codebook(path) -> Tuple[CosetCodebook, ChannelSpec]:
+    """Read a file that `save_codebook` wrote; every refusal names the path."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a codebook file")
-        version, kind_code, p, n, m = struct.unpack("<HBd I H", fh.read(struct.calcsize("<HBd I H")))
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported codebook version {version}")
-        spec = ChannelSpec(_CODE_KIND[kind_code], p, n)
-        nbytes = (n + 7) // 8
-        ks, lams, gens, shifts = [], [], [], []
-        for _ in range(m):
-            k_i, lam_i = struct.unpack("<Hd", fh.read(struct.calcsize("<Hd")))
-            ks.append(k_i)
-            lams.append(lam_i)
-            raw = np.frombuffer(fh.read(nbytes), dtype=np.uint8)
-            shifts.append(np.unpackbits(raw, bitorder="little")[:n].astype(np.uint8))
-            rows = np.empty((k_i, n), dtype=np.uint8)
-            for r in range(k_i):
-                raw = np.frombuffer(fh.read(nbytes), dtype=np.uint8)
-                rows[r] = np.unpackbits(raw, bitorder="little")[:n]
-            gens.append(rows)
-    return CosetCodebook(n, tuple(ks), SimplexWeights(lams), gens, shifts), spec
+        data = fh.read()
+    try:
+        return _parse_codebook(data)
+    except (ValueError, ResourceBudgetError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _parse_codebook(data: bytes) -> Tuple[CosetCodebook, ChannelSpec]:
+    """The codebook and channel in a codebook file's bytes.
+
+    A file is input from outside the program, so it must hold exactly one
+    codebook of a known channel, and its classes must pass `_check_classes`,
+    as those of `build_coset_code` do, before any class is unpacked.
+    """
+    if data[:4] != _MAGIC:
+        raise ValueError("not a codebook file")
+    pos = 4
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(data):
+            raise ValueError(f"the file ends early, after {len(data)} of {pos + size} bytes")
+        pos += size
+        return data[pos - size : pos]
+
+    version, kind_code, p, n, m = _HEADER.unpack(take(_HEADER.size))
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported codebook version {version}")
+    if kind_code not in _CODE_KIND:
+        raise ValueError(f"unknown channel code {kind_code}")
+    spec = ChannelSpec(_CODE_KIND[kind_code], p, n)
+    nbytes = (n + 7) // 8
+    ks, lams, blocks = [], [], []
+    for _ in range(m):
+        k_i, lam_i = _CLASS.unpack(take(_CLASS.size))
+        ks.append(k_i)
+        lams.append(lam_i)
+        # the shift, then the k_i generator rows
+        blocks.append(np.frombuffer(take((k_i + 1) * nbytes), np.uint8).reshape(k_i + 1, nbytes))
+    if pos != len(data):
+        raise ValueError(f"{len(data) - pos} bytes after the last class")
+    _check_classes(tuple(ks), lams)
+    bits = [np.unpackbits(b, axis=1, count=n, bitorder="little") for b in blocks]
+    code = CosetCodebook(
+        n, tuple(ks), SimplexWeights(lams), [b[1:] for b in bits], [b[0] for b in bits]
+    )
+    return code, spec

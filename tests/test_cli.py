@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import umpbounds
 from umpbounds import cli
@@ -381,6 +383,84 @@ class TestBoundCommand:
     def test_twelve_significant_digits(self):
         assert cli._fmt(1 / 3) == "0.333333333333"
         assert cli._fmt(1234567.0) == "1234567"
+
+
+SWEEP_P = [0.0, 1e-300, 1e-9, 0.11, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.89, 1.0]
+BOUND_RATES = cli.BOUND_COLUMNS[4:]
+
+
+@st.composite
+def bound_argv(draw):
+    """`bound` arguments over the accepted range: both channels, n <= 300,
+    m <= 3, eps in [1e-300, 1 - 1e-6], lambda down to 1e-300, every --n0 kind."""
+    n = draw(st.integers(1, 300))
+    m = draw(st.integers(1, 3))
+    eps = st.one_of(
+        st.sampled_from([1e-300, 1e-16, 1e-3, 0.5, 1 - 1e-6]),
+        st.floats(1e-300, 1 - 1e-6),
+    )
+    lams = [
+        draw(st.one_of(st.just(1e-300), st.floats(1e-300, 1 / m))) for _ in range(m - 1)
+    ]
+    lams.append(1.0 - sum(lams))
+    argv = [
+        "bound", "--channel", draw(st.sampled_from(["bsc", "bec"])),
+        "--p", repr(draw(st.sampled_from(SWEEP_P))), "--n", str(n),
+        "--n0", draw(st.sampled_from(["auto", "0", "1", str(n), str(n + 1)])),
+    ]
+    for lam in lams:
+        argv += ["--class", f"eps={draw(eps)!r},lambda={lam!r}"]
+    return argv
+
+
+def _bound_cells(csv_text):
+    """One {column: cell} dict per CSV row."""
+    lines = [l for l in csv_text.splitlines() if not l.startswith("#")]
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+class TestBoundSweep:
+    @settings(
+        max_examples=300, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=bound_argv())
+    def test_every_accepted_input_gives_a_bound_or_a_refusal(self, argv, capsys):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if code != cli.EXIT_OK:
+            assert err.startswith(
+                {cli.EXIT_CONFIG: "config error: ", cli.EXIT_BUDGET: "resource budget exceeded: "}[code]
+            )
+            return
+        for cells in _bound_cells(out):
+            rates = {c: None if cells[c] == "NA" else float(cells[c]) for c in BOUND_RATES}
+            assert all(r is None or math.isfinite(r) for r in rates.values())
+            dt, conv = rates["log2M_dt"], rates["log2M_converse"]
+            if dt is not None and conv is not None:
+                assert dt <= conv + 1e-9
+            ach, conv = rates["log2M_header_ach"], rates["log2M_header_conv"]
+            if ach is not None and conv is not None:
+                # integer code sizes nest, both cells taken to 1e-9 bits; from 52
+                # bits the floor is below float resolution
+                if ach < 52:
+                    assert math.floor(2.0 ** (ach - 1e-9)) <= 2.0 ** (conv + 1e-9)
+                else:
+                    assert ach <= conv + 1e-9
+
+    def test_header_cells_below_one_bit_can_cross(self, capsys):
+        # both cells mean one codeword: ach is log2(1 + 2 eps), the DT bound's
+        # (M - 1)/2 on an empty payload, and conv is -log2(1 - eps)
+        argv = [
+            "bound", "--channel", "bsc", "--p", "0.11", "--n", "1", "--n0", "1",
+            "--class", "eps=1e-3,lambda=1",
+        ]
+        assert cli.main(argv) == cli.EXIT_OK
+        (cells,) = _bound_cells(capsys.readouterr().out)
+        assert cells["log2M_header_ach"] == "0.00288250853312"
+        assert cells["log2M_header_conv"] == "0.00144341686967"
+        assert float(cells["log2M_header_ach"]) == pytest.approx(math.log2(1 + 2e-3), rel=1e-11)
+        assert float(cells["log2M_header_conv"]) == pytest.approx(-math.log2(1 - 1e-3), rel=1e-11)
 
 
 class TestSimulateCommand:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ class TestBuild:
             )
 
     def test_codebook_is_immutable(self):
-        # packed rows and codeword tables are derived once, so every write must raise
+        # packed rows are derived once and tables from them, so every write must raise
         spec = ChannelSpec(BSC, 0.11, 16)
         gens = [np.ones((2, 16), dtype=np.uint8), np.zeros((1, 16), dtype=np.uint8)]
         shifts = [np.zeros(16, dtype=np.uint8), np.ones(16, dtype=np.uint8)]
@@ -75,6 +76,8 @@ class TestBuild:
             code.shifts[1][0] = 0
         with pytest.raises(ValueError):
             code.generators[0][1] ^= 1
+        with pytest.raises(ValueError):
+            code.packed[0][0][1] ^= 1
         with pytest.raises(ValueError):
             code.codewords_packed(1)[0] = 0
         with pytest.raises(AttributeError):
@@ -230,6 +233,17 @@ class TestMonteCarlo:
             assert rate <= dt_class_bound(spec, float(k), 0.5) + 3 * se
 
 
+def _codebook_file(classes, kind_code=0, n=16):
+    """Codebook file bytes with all-zero shifts and rows; classes are (k, lambda)."""
+    blob = b"UMPC" + struct.pack("<HBd I H", 1, kind_code, 0.11, n, len(classes))
+    for k, lam in classes:
+        blob += struct.pack("<Hd", k, lam) + bytes((k + 1) * ((n + 7) // 8))
+    return blob
+
+
+VALID_FILE = _codebook_file([(0, 1.0)])  # n = 16: a 2-byte shift, no rows
+
+
 class TestCodebookFile:
     def test_round_trip(self, tmp_path):
         spec = ChannelSpec(BEC, 0.5, 75)
@@ -256,8 +270,6 @@ class TestCodebookFile:
         blob = path.read_bytes()
         assert blob[:4] == b"UMPC"
         header = blob[4:]
-        import struct
-
         version, kind, p, nn, m = struct.unpack("<HBd I H", header[:17])
         assert (version, kind, p, nn, m) == (1, 0, 0.25, 9, 1)
         k_i, lam = struct.unpack("<Hd", header[17:27])
@@ -271,3 +283,34 @@ class TestCodebookFile:
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(ValueError):
             load_codebook(path)
+
+    @pytest.mark.parametrize(
+        "blob,error,match",
+        [
+            pytest.param(
+                _codebook_file([(0, 1.0)], kind_code=7), ValueError, "unknown channel code 7",
+                id="channel-code-7",
+            ),
+            pytest.param(VALID_FILE[:12], ValueError, "ends early", id="short-header"),
+            pytest.param(VALID_FILE[:-1], ValueError, "ends early", id="short-shift"),
+            pytest.param(
+                _codebook_file([(25, 1.0)]), ResourceBudgetError, "decoding budget", id="k-25"
+            ),
+            pytest.param(
+                _codebook_file([(0, 0.0), (0, 1.0)]), ValueError, "lambda_i > 0", id="lambda-0"
+            ),
+            pytest.param(
+                VALID_FILE + b"\x00", ValueError, "1 bytes after the last class",
+                id="trailing-bytes",
+            ),
+        ],
+    )
+    def test_rejects_a_malformed_file(self, tmp_path, blob, error, match):
+        # each file breaks one rule that VALID_FILE keeps; the refusal names the file
+        ok, bad = tmp_path / "ok.umpc", tmp_path / "bad.umpc"
+        ok.write_bytes(VALID_FILE)
+        bad.write_bytes(blob)
+        assert load_codebook(ok)[0].k == (0,)
+        with pytest.raises(error, match=match) as info:
+            load_codebook(bad)
+        assert str(info.value).startswith(f"{bad}: ")

@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from umpbounds import cosets
 from umpbounds.achievability import SimplexWeights
-from umpbounds.channel import (
-    ChannelKind,
-    ChannelSpec,
-    InfoDensitySpectrum,
-    info_density_spectrum,
-)
+from umpbounds.channel import ChannelKind, ChannelSpec, info_density_spectrum
 from umpbounds.cosets import (
     MC_CHUNK,
     CosetCodebook,
@@ -59,13 +54,17 @@ def _random_code(rng, n):
     return CosetCodebook(n, k, lams, gens, shifts)
 
 
+def _tables(code):
+    """Every class's codeword table, as `monte_carlo_error` builds them."""
+    return [code.codewords_packed(c) for c in range(code.m)]
+
+
 def _sent_words(rng, code, trials):
     """Packed codewords of random (class, message) pairs; a quarter are
     replaced by uniform words that need not be codewords at all."""
     classes = rng.integers(0, code.m, size=trials)
-    words = np.stack(
-        [code.codewords_packed(c)[rng.integers(0, 1 << code.k[c])] for c in classes]
-    )
+    tables = _tables(code)
+    words = np.stack([tables[c][rng.integers(0, 1 << code.k[c])] for c in classes])
     junk = rng.random(trials) < 0.25
     words[junk] = _pack_rows(rng.integers(0, 2, size=(int(junk.sum()), code.n)), code.n)
     return words
@@ -112,7 +111,7 @@ def test_bsc_decoder_matches_exhaustive_scan(monkeypatch, n, p, block_bytes, see
     code = _random_code(rng, n)
     spec = ChannelSpec(BSC, p, n)
     y = _sent_words(rng, code, TRIALS) ^ _pack_rows(rng.random((TRIALS, n)) < p, n)
-    got = _decode_batch_bsc(code, spec, y)
+    got = _decode_batch_bsc(code, _tables(code), spec, y)
     want = oracles.exhaustive_decode_bsc(code, spec, y)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
@@ -146,23 +145,9 @@ def test_qualifying_distances_are_a_prefix_or_suffix(n, p):
         assert len(t) == t[-1] - t[0] + 1 and (t[0] == 0 or t[-1] == n)
 
 
-@pytest.mark.parametrize(
-    "density",
-    [[5.0, -np.inf, 5.0, 5.0], [0.0, 5.0, 5.0, 0.0]],
-    ids=["gap", "inner-interval"],
-)
-def test_bsc_decoder_rejects_a_non_monotone_spectrum(monkeypatch, density):
-    spectrum = InfoDensitySpectrum(np.zeros(4), np.array(density))
-    monkeypatch.setattr(cosets, "info_density_spectrum", lambda kind, n, p: spectrum)
-    spec = ChannelSpec(BSC, 0.11, 3)
-    code = build_coset_code(spec, (1,), SimplexWeights([1.0]), _rng(3))  # threshold 1 bit
-    with pytest.raises(ValueError, match="not a prefix or a suffix"):
-        _decode_batch_bsc(code, spec, _pack_rows(np.zeros((4, 3)), 3))
-
-
 def _decode_one(code, spec, y):
     """(class, message) the BSC decoder gives one output word, (-1, -1) for none."""
-    cls, msg = _decode_batch_bsc(code, spec, _pack_rows(y, spec.n))
+    cls, msg = _decode_batch_bsc(code, _tables(code), spec, _pack_rows(y, spec.n))
     return int(cls[0]), int(msg[0])
 
 
@@ -260,7 +245,7 @@ def test_chunk_recount_with_the_exhaustive_decoder(n, p):
         erased = _pack_rows(rng.random((trials, n)) < p, n)
         y = code.codewords_packed(class_i)[msgs]
         want = np.count_nonzero(_oracle_errors(code, spec, class_i, msgs, y, erased))
-        assert _mc_chunk_errors(code, spec, class_i, seed, chunk, trials) == want
+        assert _mc_chunk_errors(code, _tables(code), spec, class_i, seed, chunk, trials) == want
 
 
 CHUNK_PEAK_BOUND = 64 << 20
@@ -277,8 +262,9 @@ def test_chunk_memory_is_bounded(kind, p, k):
     code = build_coset_code(spec, k, SimplexWeights([1 / len(k)] * len(k)), _rng(40))
     tracemalloc.start()
     try:
+        tables = _tables(code)
         for class_i in range(code.m):
-            _mc_chunk_errors(code, spec, class_i, 7, 0, MC_CHUNK)
+            _mc_chunk_errors(code, tables, spec, class_i, 7, 0, MC_CHUNK)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
