@@ -13,6 +13,7 @@ import argparse
 import functools
 import itertools
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -436,12 +437,14 @@ def tradeoff_columns(m: int) -> List[str]:
 
 
 def tradeoff_rows(cfg: SweepConfig) -> Iterator[Tuple[str, ...]]:
-    """Rows of the sweep, formatted lazily one blocklength at a time.
+    """Rows of the sweep, formatted lazily a slice of one blocklength at a time.
 
     Every number and every check (the row budget, the losses, each n's
     expected rates and argmax) is computed before this returns, so a failing
-    sweep fails before any output is opened. The iterator then formats one
-    block of rows per n, a column at a time, and zips the columns into rows.
+    sweep fails before any output is opened. The iterator then formats each
+    n's rows in slices of at most 2^14 rows, a column at a time, and zips the
+    columns into rows, so the formatted strings alive at once stay bounded
+    however many points one n has.
     """
     m = len(cfg.classes)
     mu = cfg.mu
@@ -453,8 +456,15 @@ def tradeoff_rows(cfg: SweepConfig) -> Iterator[Tuple[str, ...]]:
             "coarsen --grid or sweep fewer n"
         )
     points = list(_simplex_grid(m, steps))
-    eps = [c.eps for c in cfg.classes]
     losses = [kl_divergence_bits(mu, lam) for lam in points]
+    # every weight on the grid is c / steps: format each once and share its
+    # string; itemgetter reads a column without one iterator per point
+    lam_cells = {c / steps: _fmt(c / steps) for c in range(steps + 1)}
+    lam_columns = [
+        list(map(lam_cells.__getitem__, map(operator.itemgetter(i), points))) for i in range(m)
+    ]
+    del points  # the largest of these lists; the rates below need only the losses
+    eps = [c.eps for c in cfg.classes]
     blocks = []
     for n in cfg.n_list:
         spec = ChannelSpec(cfg.channel, cfg.p, n)
@@ -462,24 +472,25 @@ def tradeoff_rows(cfg: SweepConfig) -> Iterator[Tuple[str, ...]]:
         # the first maximizer; none when every point has lambda_i = 0 at some mu_i > 0
         top = max(rates)
         blocks.append((n, rates, rates.index(top) if top > -math.inf else None))
-    # every weight on the grid is c / steps: format each once and share its string
-    lam_cells = {c / steps: _fmt(c / steps) for c in range(steps + 1)}
-    lam_columns = [list(map(lam_cells.__getitem__, column)) for column in zip(*points)]
 
-    def block_rows(block):
-        n, rates, best = block
-        flags = ["0"] * len(rates)
-        if best is not None:
-            flags[best] = "1"
+    rows_per_slice = 1 << 14
+
+    def slice_rows(part):
+        (n, rates, best), a = part
+        b = min(a + rows_per_slice, len(rates))
+        flags = ["0"] * (b - a)
+        if best is not None and a <= best < b:
+            flags[best - a] = "1"
         return zip(
             itertools.repeat(str(n)),
-            *lam_columns,
-            [f"{x:.12g}" for x in rates],
-            [f"{x / n:.12g}" for x in losses],
+            *(column[a:b] for column in lam_columns),
+            [f"{x:.12g}" for x in rates[a:b]],
+            [f"{x / n:.12g}" for x in losses[a:b]],
             flags,
         )
 
-    return itertools.chain.from_iterable(map(block_rows, blocks))
+    parts = ((block, a) for block in blocks for a in range(0, len(losses), rows_per_slice))
+    return itertools.chain.from_iterable(map(slice_rows, parts))
 
 
 # --------------------------------------------------------------------------

@@ -3,15 +3,18 @@
 Each class is a coset {uG_i + v_i} of a random linear code; the decoder scans
 classes in index order and outputs the first codeword whose information
 density strictly exceeds the class threshold log2(M_i / lambda_i).
-`monte_carlo_error` counts how often that rule errs. Words are stored packed
-64 bits per word. On the BSC the density is affine in the Hamming distance,
-so a class's qualifying distances are a prefix or a suffix of 0..n and one
-comparison tests a codeword; the BSC decoder compares outputs with the
-codeword table by XOR + popcount, one (codewords, trials) block at a time
-within a byte budget, in buffers allocated once per call. The BEC needs no
-decode at all: every word that agrees with the unerased symbols has the same
-density, so whether a trial errs follows from the rank profile of the
-generator rows masked to the unerased positions (`_bec_errors`).
+`monte_carlo_error` counts how often that rule errs, without decoding. Words
+are stored packed 64 bits per word. On the BSC the density is affine in the
+Hamming distance, so a class's qualifying distances are a prefix or a suffix
+of 0..n; a trial errs when the sent word does not qualify, or an earlier
+class or a smaller message of its own class has a qualifying codeword
+(`_bsc_errors`). By the triangle inequality such a codeword lies within a
+reach of the sent word that depends only on the noise weight, so each trial
+tests a short run of candidates, sorted by their distance to the sent word,
+instead of every codeword. The BEC needs no scan at all: every word that
+agrees with the unerased symbols has the same density, so whether a trial
+errs follows from the rank profile of the generator rows masked to the
+unerased positions (`_bec_errors`).
 
 Single codebook draws may exceed the analytic class bound; the random-coding
 guarantee is in expectation over codebooks, so validation averages over
@@ -40,7 +43,9 @@ _HEADER = struct.Struct("<HBd I H")  # version, channel code, p, n, classes
 _CLASS = struct.Struct("<Hd")  # k_i, lambda_i, then ceil(n/8) bytes per shift and row
 
 MC_CHUNK = 8192
-# byte budget of the BSC decoder's (block, trials, words) XOR buffer
+# byte budget of a chunk's temporaries: each block of its noise draw, and in
+# the BSC error test each XOR block of a distance table, each group of
+# cross-class keys and each block of candidate pairs
 DECODE_BLOCK_BYTES = 1 << 21
 
 
@@ -154,7 +159,7 @@ def build_coset_code(
 
     Deterministic given the rng state. Budget: every k_i <= 20 and the total
     codeword count <= 2^22, so the packed codeword tables that Monte Carlo
-    encoding and the BSC block scan read stay small (at most 32 MiB per 64
+    encoding and the BSC error test read stay small (at most 32 MiB per 64
     symbols of n).
     """
     k = tuple(int(v) for v in k)
@@ -178,66 +183,145 @@ def _qualifying_distances(density: np.ndarray, threshold: float) -> Optional[Tup
     return (int(t[0]), int(t[-1])) if t.size else None
 
 
-def _decode_batch_bsc(
-    code: CosetCodebook, tables: Sequence[np.ndarray], spec: ChannelSpec, y_packed: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """First codeword above threshold, scanning each class table tables[i] in blocks.
+def _weights(words: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Hamming weight of each packed word (the last axis), as int64 or into out."""
+    dtype = np.int64 if out is None else out.dtype
+    return np.add.reduce(np.bitwise_count(words), axis=-1, dtype=dtype, out=out)
 
-    A block is laid out (codewords, trials, words), so each XOR broadcasts one
-    codeword over a contiguous row of trials; it holds as many codewords as
-    keep that XOR within DECODE_BLOCK_BYTES (at least one). The XOR, its
-    popcount, the distance and the qualify test write into buffers allocated
-    once per call. A codeword qualifies when its distance lies in the class's
-    qualifying prefix or suffix, one comparison. Trials that hit leave before
-    the next block, so the scan order, and the output, is that of one full
-    pass.
+
+def _distance_rows(table: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(len(words), len(table)) distances d(table[u], words[r]), in the
+    smallest unsigned type that holds 64 bits per packed word; each XOR
+    block holds at most DECODE_BLOCK_BYTES (at least one pair)."""
+    out = np.empty((len(words), len(table)), dtype=np.min_scalar_type(64 * table.shape[1]))
+    per = max(1, DECODE_BLOCK_BYTES // table[:1].nbytes)
+    cols = min(len(table), per)
+    step = max(1, per // cols)
+    for a in range(0, len(words), step):
+        for b in range(0, len(table), cols):
+            diff = table[None, b : b + cols] ^ words[a : a + step, None]
+            _weights(diff, out[a : a + step, b : b + cols])
+    return out
+
+
+def _reach(lo: int, hi: int, n: int, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distances d(c, x) that a codeword c can have when d(c, y) lies in
+    [lo, hi] and d(x, y) = w, by the triangle inequality through y and
+    through its complement: from max(lo - w, w - hi, 0) to
+    min(hi + w, 2n - lo - w)."""
+    near = np.maximum(np.maximum(lo - w, w - hi), 0)
+    far = np.minimum(hi + w, 2 * n - lo - w)
+    return near, far
+
+
+def _pairs(starts: np.ndarray, counts: np.ndarray, size: int):
+    """(owner, item) index blocks of at most `size` pairs that together list
+    item starts[t] + r for every owner t and 0 <= r < counts[t], in order."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    shift = starts - (ends - counts)  # item = pair position + shift[owner]
+    for a in range(0, total, size):
+        b = min(a + size, total)
+        t0, t1 = np.searchsorted(ends, [a, b - 1], side="right")
+        t1 += 1
+        run = np.minimum(ends[t0:t1], b) - np.maximum(ends[t0:t1] - counts[t0:t1], a)
+        owner = np.repeat(np.arange(t0, t1), run)
+        yield owner, np.arange(a, b) + shift[owner]
+
+
+def _bsc_errors(
+    code: CosetCodebook,
+    tables: Sequence[np.ndarray],
+    spec: ChannelSpec,
+    class_i: int,
+    msgs: np.ndarray,
+    noise: np.ndarray,
+) -> np.ndarray:
+    """Per-trial error mask of class-i trials on the BSC, without decoding.
+
+    Trial t sends x = tables[class_i][msgs[t]] and receives y = x + noise[t],
+    at distance w = wt(noise[t]); a class-j codeword c qualifies when d(c, y)
+    lies in [lo_j, hi_j] (`_qualifying_distances`). The decoder errs exactly
+    when
+    (B) x does not qualify: w is outside [lo_i, hi_i];
+    (A) a codeword of a class j < i qualifies; or
+    (C) a class-i codeword of a smaller message u < msgs[t] qualifies
+        (codewords that repeat x fall here too).
+    A codeword that qualifies lies within `_reach` of x, so each trial tests
+    only those candidates. Own class: d(c_u, x) = W[u ^ msgs[t]], where
+    W[s] = d(table[s], table[0]), so the candidates are one run of the s != 0
+    sorted by W. Earlier classes: the distances from every class-j codeword
+    to each distinct sent word, kept up to the largest reach and sorted by
+    the key (row (n + 1) + distance) 2^k_j + u, give each trial one run.
+    Candidates are tested in blocks of `_pairs`, and the cross-class keys
+    are built a group of sent words at a time, so that every temporary stays
+    within about DECODE_BLOCK_BYTES. Trials already in error are not tested
+    again.
     """
-    T, W = y_packed.shape
-    out_class = np.full(T, -1, dtype=np.int32)
-    out_msg = np.full(T, -1, dtype=np.int64)
-    idx = np.arange(T)
-    ys = y_packed
-    density = info_density_spectrum(ChannelKind.BSC, spec.n, spec.p).density
-    size = max(DECODE_BLOCK_BYTES // 8, T * W)
-    xor_buf = np.empty(size, dtype=np.uint64)
-    count_buf = np.empty(size, dtype=np.uint8)
-    dist_buf = count_buf if W == 1 else np.empty(size // W, np.min_scalar_type(spec.n))
-    test_buf = np.empty(size // W, dtype=bool)
-    for class_i in range(code.m):
-        if not idx.size:
-            break
-        qualifying = _qualifying_distances(density, code.log2_thresholds[class_i])
-        if qualifying is None:
+    n, words = spec.n, noise.shape[1]
+    density = info_density_spectrum(ChannelKind.BSC, n, spec.p).density
+    bounds = [_qualifying_distances(density, g) for g in code.log2_thresholds[: class_i + 1]]
+    if bounds[class_i] is None:
+        return np.ones(len(msgs), dtype=bool)
+    w = _weights(noise)
+    lo, hi = bounds[class_i]
+    err = (w < lo) | (w > hi)
+    own = tables[class_i]
+    y = own[msgs] ^ noise
+    size = max(1, DECODE_BLOCK_BYTES // (8 * (3 * words + 8)))
+
+    def hits(live, table, cands, starts, counts, qualifying, sent=None):
+        # whether, per live trial t, some codeword table[cands[starts[t] + r]],
+        # r < counts[t], qualifies; with sent, the candidate is the message
+        # sent[t] ^ cands[...], and only messages below sent[t] count
+        lo_c, hi_c = qualifying
+        probes = y[live]
+        hit = np.zeros(len(live), dtype=bool)
+        for owner, item in _pairs(starts, counts, size):
+            u = cands[item]
+            if sent is not None:
+                sent_t = sent[owner]
+                u ^= sent_t
+                below = u < sent_t
+                owner, u = owner[below], u[below]
+            diff = table[u]
+            diff ^= probes[owner]
+            d = _weights(diff)
+            hit[owner[(d >= lo_c) & (d <= hi_c)]] = True
+        return hit
+
+    for j in range(class_i):
+        live = np.flatnonzero(~err)
+        if bounds[j] is None or not live.size:
             continue
-        lo, hi = qualifying
-        table = tables[class_i]
-        start = 0
-        while idx.size and start < len(table):
-            t = idx.size
-            rows = table[start : start + max(1, DECODE_BLOCK_BYTES // (t * W * 8))]
-            b = len(rows)
-            shape = (b, t, W)
-            diff = np.bitwise_xor(
-                rows[:, None, :], ys[None, :, :], out=xor_buf[: b * t * W].reshape(shape)
-            )
-            count = np.bitwise_count(diff, out=count_buf[: b * t * W].reshape(shape))
-            dist = dist_buf[: b * t].reshape(b, t)
-            if W > 1:
-                np.add.reduce(count, axis=2, dtype=dist.dtype, out=dist)
-            qualify = test_buf[: b * t].reshape(b, t)
-            if lo == 0:
-                np.less_equal(dist, hi, out=qualify)
-            else:
-                np.greater_equal(dist, lo, out=qualify)
-            has = qualify.any(axis=0)
-            cols = np.flatnonzero(has)
-            if cols.size:
-                out_class[idx[cols]] = class_i
-                out_msg[idx[cols]] = start + qualify[:, cols].argmax(axis=0)
-                miss = ~has
-                idx, ys = idx[miss], ys[miss]
-            start += b
-    return out_class, out_msg
+        table, k_j = tables[j], code.k[j]
+        live = live[np.argsort(msgs[live], kind="stable")]
+        sent, row = np.unique(msgs[live], return_inverse=True)
+        near, far = _reach(*bounds[j], n, w[live])
+        group = max(1, DECODE_BLOCK_BYTES // (32 * len(table)))
+        for a in range(0, len(sent), group):
+            t0, t1 = np.searchsorted(row, [a, a + group])
+            dist = _distance_rows(table, own[sent[a : a + group]])
+            flat = np.flatnonzero(dist <= far[t0:t1].max())
+            key = (flat >> k_j) * n
+            key += dist.ravel()[flat]
+            key <<= k_j
+            key += flat
+            key.sort()
+            base = (row[t0:t1] - a) * (n + 1)
+            starts = np.searchsorted(key, (base + near[t0:t1]) << k_j)
+            counts = np.searchsorted(key, (base + far[t0:t1] + 1) << k_j) - starts
+            cands = key & ((1 << k_j) - 1)
+            err[live[t0:t1]] |= hits(live[t0:t1], table, cands, starts, counts, bounds[j])
+    live = np.flatnonzero(~err)
+    weight = _distance_rows(own, own[:1])[0]
+    order = 1 + np.argsort(weight[1:], kind="stable")
+    ranked = weight[order]
+    near, far = _reach(lo, hi, n, w[live])
+    starts = np.searchsorted(ranked, near)
+    counts = np.searchsorted(ranked, far, side="right") - starts
+    err[live] |= hits(live, own, order, starts, counts, (lo, hi), msgs[live])
+    return err
 
 
 def _lowest_bit(rows: np.ndarray) -> np.ndarray:
@@ -340,12 +424,18 @@ def _mc_chunk_errors(
     ss = np.random.SeedSequence([seed, class_i, chunk_index])
     rng = np.random.Generator(np.random.PCG64(ss))
     msgs = rng.integers(0, 1 << code.k[class_i], size=trials, dtype=np.int64)
-    x = tables[class_i][msgs]
-    noise = _pack_rows(rng.random((trials, spec.n)) < spec.p, spec.n)
+    # drawn in blocks of rows, each at most DECODE_BLOCK_BYTES of float64; the
+    # stream, and so every noise bit, is that of one (trials, n) draw
+    noise = np.empty((trials, _words(spec.n)), dtype=np.uint64)
+    rows = max(1, DECODE_BLOCK_BYTES // (8 * spec.n))
+    for a in range(0, trials, rows):
+        draw = rng.random((min(rows, trials - a), spec.n)) < spec.p
+        noise[a : a + rows] = _pack_rows(draw, spec.n)
     if spec.kind is ChannelKind.BEC:
-        return int(np.count_nonzero(_bec_errors(code, class_i, msgs, x, noise)))
-    cls, dec = _decode_batch_bsc(code, tables, spec, x ^ noise)
-    return int(np.count_nonzero((cls != class_i) | (dec != msgs)))
+        err = _bec_errors(code, class_i, msgs, tables[class_i][msgs], noise)
+    else:
+        err = _bsc_errors(code, tables, spec, class_i, msgs, noise)
+    return int(np.count_nonzero(err))
 
 
 def monte_carlo_error(

@@ -671,6 +671,30 @@ class TestTradeoffCommand:
         if m > 1:
             assert ["-inf", "inf"] in [row[-3:-1] for row in want]
 
+    def test_one_n_rows_span_slices(self, tmp_path):
+        # 40001 rows at one n are formatted in three slices of at most 2^14
+        # rows; the argmax, at lambda = mu (row 20000), lies in the second
+        steps, n = 40000, 300
+        eps, mu = (1e-3, 0.1), (0.5, 0.5)
+        out = tmp_path / "t.csv"
+        argv = ["tradeoff", "--channel", "bsc", "--p", "0.11", "--n", str(n)]
+        argv += ["--class", "eps=1e-3,lambda=0.5", "--class", "eps=0.1,lambda=0.5"]
+        assert cli.main(argv + ["--mu", "0.5,0.5", "--grid", "2.5e-05", "--out", str(out)]) == 0
+        lams = [(c / steps, (steps - c) / steps) for c in range(steps + 1)]
+        losses = [kl_divergence_bits(mu, lam) for lam in lams]
+        rates = expected_rate(ChannelSpec(ChannelKind.BSC, 0.11, n), eps, mu, losses)
+        want = "".join(
+            ",".join(
+                [str(n), *(f"{v:.12g}" for v in lam), f"{rate:.12g}", f"{loss / n:.12g}"]
+                + ["1" if i == steps // 2 else "0"]
+            )
+            + "\n"
+            for i, (lam, rate, loss) in enumerate(zip(lams, rates, losses))
+        )
+        body = out.read_text().split("is_argmax\n", 1)[1]
+        assert rates.index(max(rates)) == steps // 2
+        assert body == want
+
 
 def test_import_loads_no_scipy():
     # the package needs only numpy at run time; scipy is a test-only reference

@@ -1,6 +1,6 @@
-"""Monte Carlo error counting: the BSC decoder and the BEC error test agree
-exactly with the exhaustive reference decoders, single-word decoding rules,
-bounded memory per chunk, and pinned error counts."""
+"""Monte Carlo error counting: the BSC and BEC error tests agree exactly with
+the exhaustive reference decoders, single-word decoding rules, bounded memory
+per chunk, and pinned error counts."""
 
 import tracemalloc
 
@@ -17,7 +17,7 @@ from umpbounds.cosets import (
     MC_CHUNK,
     CosetCodebook,
     _bec_errors,
-    _decode_batch_bsc,
+    _bsc_errors,
     _mc_chunk_errors,
     _pack_rows,
     build_coset_code,
@@ -70,9 +70,13 @@ def _sent_words(rng, code, trials):
     return words
 
 
-def _oracle_errors(code, spec, class_i, msgs, y, erased):
-    """Per-trial errors of class-i trials, by the exhaustive BEC decoder."""
-    cls, msg = oracles.exhaustive_decode_bec(code, spec, y, erased)
+def _oracle_errors(code, spec, class_i, msgs, y, noise):
+    """Per-trial errors of class-i trials, by the exhaustive decoder of the
+    channel; noise is the erasure pattern on the BEC (unused on the BSC)."""
+    if spec.kind is BEC:
+        cls, msg = oracles.exhaustive_decode_bec(code, spec, y, noise)
+    else:
+        cls, msg = oracles.exhaustive_decode_bsc(code, spec, y)
     return (cls != class_i) | (msg != msgs)
 
 
@@ -97,24 +101,29 @@ def test_bec_decoder_matches_exhaustive_scan(n, p, seed):
 
 @pytest.mark.parametrize("block_bytes", [1 << 24, 2048, 8, cosets.DECODE_BLOCK_BYTES])
 @pytest.mark.parametrize("p", [0.0, 0.11, 0.5, 0.89, 1.0])
-@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("n", LENGTHS + (300,))
 @settings(
     max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(seed=st.integers(0, 2**32 - 1))
 def test_bsc_decoder_matches_exhaustive_scan(monkeypatch, n, p, block_bytes, seed):
-    # 16 MiB holds every table here in one block; 2048 bytes holds 4 codewords
-    # of 64 trials at one word, so scans cross blocks; 8 bytes holds less than
-    # one, so every block is a single codeword that overruns the budget
+    # the error test must flag exactly the trials the decoder gets wrong. 16 MiB
+    # holds every distance table here in one block and every trial's
+    # candidates in one pair block; 2048 bytes holds 23 pairs at one word, so
+    # runs cross pair blocks; 8 bytes makes every XOR block one pair, every
+    # group one sent word and every pair block one pair. At n = 300 distances
+    # pass 255 and a key (row (n + 1) + d) 2^k_j + u passes 2^16
     monkeypatch.setattr(cosets, "DECODE_BLOCK_BYTES", block_bytes)
     rng = _rng(seed)
     code = _random_code(rng, n)
     spec = ChannelSpec(BSC, p, n)
-    y = _sent_words(rng, code, TRIALS) ^ _pack_rows(rng.random((TRIALS, n)) < p, n)
-    got = _decode_batch_bsc(code, _tables(code), spec, y)
-    want = oracles.exhaustive_decode_bsc(code, spec, y)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
+    tables = _tables(code)
+    for class_i in range(code.m):
+        msgs = rng.integers(0, 1 << code.k[class_i], size=TRIALS)
+        noise = _pack_rows(rng.random((TRIALS, n)) < p, n)
+        got = _bsc_errors(code, tables, spec, class_i, msgs, noise)
+        want = _oracle_errors(code, spec, class_i, msgs, tables[class_i][msgs] ^ noise, None)
+        np.testing.assert_array_equal(got, want)
 
 
 # p = 1/2 +- k 2^-54: the expanded density len + t log2 p + (len - t) log2(1-p)
@@ -145,17 +154,15 @@ def test_qualifying_distances_are_a_prefix_or_suffix(n, p):
         assert len(t) == t[-1] - t[0] + 1 and (t[0] == 0 or t[-1] == n)
 
 
-def _decode_one(code, spec, y):
-    """(class, message) the BSC decoder gives one output word, (-1, -1) for none."""
-    cls, msg = _decode_batch_bsc(code, _tables(code), spec, _pack_rows(y, spec.n))
-    return int(cls[0]), int(msg[0])
-
-
-def _errs_one(code, class_i, msg, erased):
-    """Whether sending message msg of class class_i over the BEC errs when the
-    positions in `erased` are erased."""
-    sent = code.codewords_packed(class_i)[[msg]]
-    errs = _bec_errors(code, class_i, np.array([msg]), sent, _pack_rows(erased, code.n))
+def _errs_one(code, class_i, msg, noise, spec=None):
+    """Whether sending message msg of class class_i errs when the positions
+    set in `noise` are erased (the BEC, when spec is None) or flipped (a BSC
+    spec)."""
+    msgs, noise = np.array([msg]), _pack_rows(noise, code.n)
+    if spec is None:
+        errs = _bec_errors(code, class_i, msgs, code.codewords_packed(class_i)[msgs], noise)
+    else:
+        errs = _bsc_errors(code, _tables(code), spec, class_i, msgs, noise)
     return bool(errs[0])
 
 
@@ -171,7 +178,9 @@ def _singletons(n, shifts, lambdas):
 def test_noiseless_singleton():
     spec = ChannelSpec(BSC, 0.0, 16)
     code = build_coset_code(spec, [0], SimplexWeights([1.0]), _rng(12))
-    assert _decode_one(code, spec, code.shifts[0]) == (0, 0)
+    assert not _errs_one(code, 0, 0, np.zeros(16), spec)
+    # one flip at p = 0 leaves no qualifying distance
+    assert _errs_one(code, 0, 0, np.eye(16)[3], spec)
 
 
 def test_all_erased_never_qualifies():
@@ -195,10 +204,36 @@ def test_cross_class_confusion_is_reachable():
 
 
 def test_ties_go_to_the_lower_class_index():
-    # both classes hold the same word, at the same threshold: the lower index wins
+    # both classes hold the same word, at the same threshold: the lower index
+    # wins, so the word sent as class 0 decodes and sent as class 1 errs
     n = 16
     code = _singletons(n, [np.zeros(n), np.zeros(n)], [0.5, 0.5])
-    assert _decode_one(code, ChannelSpec(BSC, 0.11, n), np.zeros(n)) == (0, 0)
+    spec = ChannelSpec(BSC, 0.11, n)
+    assert not _errs_one(code, 0, 0, np.zeros(n), spec)
+    assert _errs_one(code, 1, 0, np.zeros(n), spec)
+
+
+def test_qualifying_suffix_above_one_half():
+    # BSC(0.89), n = 16, gamma = 1: a word qualifies at distance 12..16 from
+    # the output. Class 1 sends all ones; class 0 holds ones but for bits 0, 1
+    n = 16
+    ones = np.ones(n)
+    near_ones = ones.copy()
+    near_ones[:2] = 0
+    code = _singletons(n, [near_ones, ones], [0.5, 0.5])
+    spec = ChannelSpec(BSC, 0.89, n)
+    flips = np.zeros(n)
+    flips[2:14] = 1  # output bits 0, 1, 14, 15: 12 from ones, 14 from class 0
+    assert _errs_one(code, 1, 0, flips, spec)
+    flips = np.zeros(n)
+    flips[:12] = 1  # output bits 12..15: 12 from ones, 10 from class 0
+    assert not _errs_one(code, 1, 0, flips, spec)
+    # an unflipped word is at distance 0, outside the suffix; flipping every
+    # bit of ones gives the zero word, 16 from ones but also 14 from class 0,
+    # while class 0's word with every bit flipped decodes
+    assert _errs_one(code, 1, 0, np.zeros(n), spec)
+    assert _errs_one(code, 1, 0, ones, spec)
+    assert not _errs_one(code, 0, 0, ones, spec)
 
 
 def test_deterministic():
@@ -220,44 +255,75 @@ def test_strict_threshold_inequality():
     assert not _errs_one(code, 0, 0, erased)
 
 
-def test_duplicated_generator_row():
-    # row 2 repeats row 0, so messages w and w ^ 0b101 share a codeword and the
-    # decoder returns the smaller: a message errs exactly when bit 2 is set
-    n = 8
+def _duplicated_row_code(n, width):
+    """One class, k = 3, zero shift: row 0 sets bits 0..width-1, row 1 the next
+    width bits, and row 2 repeats row 0, so messages w and w ^ 0b101 share a
+    codeword and distinct codewords lie at least width apart."""
     gen = np.zeros((3, n), dtype=np.uint8)
-    gen[0, 0] = gen[1, 1] = gen[2, 0] = 1
+    gen[0, :width] = gen[1, width : 2 * width] = gen[2, :width] = 1
     code = CosetCodebook(n, (3,), SimplexWeights([1.0]), [gen], [np.zeros(n, np.uint8)])
     assert code.log2_thresholds[0] < n
+    return code
+
+
+def test_duplicated_generator_row():
+    # the decoder returns the smaller of two messages that share a codeword:
+    # a message errs exactly when bit 2 is set
+    code = _duplicated_row_code(8, 1)
     for msg in range(8):
-        assert _errs_one(code, 0, msg, np.zeros(n)) == bool(msg & 0b100)
+        assert _errs_one(code, 0, msg, np.zeros(8)) == bool(msg & 0b100)
 
 
-@pytest.mark.parametrize("n,p", [(64, 0.75), (65, 0.85)])
-def test_chunk_recount_with_the_exhaustive_decoder(n, p):
-    # redraw a chunk from its SeedSequence([seed, class, chunk]) substream and
-    # decode every trial exhaustively; both classes err in 15-518 of the trials
-    spec = ChannelSpec(BEC, p, n)
-    code = build_coset_code(spec, (6, 3), SimplexWeights([0.5, 0.5]), _rng(2024, 1))
-    seed, chunk, trials = 777, 3, 2000
-    for class_i in range(code.m):
-        rng = _rng(seed, class_i, chunk)
-        msgs = rng.integers(0, 1 << code.k[class_i], size=trials, dtype=np.int64)
-        erased = _pack_rows(rng.random((trials, n)) < p, n)
-        y = code.codewords_packed(class_i)[msgs]
-        want = np.count_nonzero(_oracle_errors(code, spec, class_i, msgs, y, erased))
-        assert _mc_chunk_errors(code, _tables(code), spec, class_i, seed, chunk, trials) == want
-
-
-CHUNK_PEAK_BOUND = 64 << 20
+def test_duplicated_generator_row_bsc():
+    # the same on BSC(0.11), n = 16, where distances 0..3 qualify: noiseless or
+    # with one flip off the rows, distinct codewords stay more than 3 away.
+    # Four flips leave every message outside that range
+    code = _duplicated_row_code(16, 6)
+    spec = ChannelSpec(BSC, 0.11, 16)
+    off_rows = np.arange(16) >= 12
+    for msg in range(8):
+        for flips in (np.zeros(16), np.eye(16)[13]):
+            assert _errs_one(code, 0, msg, flips, spec) == bool(msg & 0b100)
+        assert _errs_one(code, 0, msg, off_rows, spec)
 
 
 @pytest.mark.parametrize(
-    "kind,p,k",
-    [(BEC, 0.5, (20,)), (BSC, 0.11, (12, 6))],
-    ids=["bec-k20", "bsc-k12-6"],
+    "kind,n,p",
+    [(BEC, 64, 0.75), (BEC, 65, 0.85), (BSC, 64, 0.25), (BSC, 130, 0.7)],
+    ids=["64-0.75", "65-0.85", "bsc-64-0.25", "bsc-130-0.7"],
 )
-def test_chunk_memory_is_bounded(kind, p, k):
-    # the exhaustive scans needed MC_CHUNK * 2^k * 8 bytes: 64 GiB at k = 20
+def test_chunk_recount_with_the_exhaustive_decoder(monkeypatch, kind, n, p):
+    # redraw a chunk from its SeedSequence([seed, class, chunk]) substream in
+    # one (trials, n) draw and decode every trial exhaustively; the chunk draws
+    # its noise in blocks of rows (3 to 8 rows at 4096 bytes), which must not
+    # change a bit. Both classes err in 15-518 of the trials on the BEC and in
+    # 129-355 on the BSC
+    spec = ChannelSpec(kind, p, n)
+    code = build_coset_code(spec, (6, 3), SimplexWeights([0.5, 0.5]), _rng(2024, 1))
+    seed, chunk, trials = 777, 3, 2000
+    budgets = (cosets.DECODE_BLOCK_BYTES, 4096)
+    for class_i in range(code.m):
+        rng = _rng(seed, class_i, chunk)
+        msgs = rng.integers(0, 1 << code.k[class_i], size=trials, dtype=np.int64)
+        noise = _pack_rows(rng.random((trials, n)) < p, n)
+        x = code.codewords_packed(class_i)[msgs]
+        y = x if kind is BEC else x ^ noise
+        want = np.count_nonzero(_oracle_errors(code, spec, class_i, msgs, y, noise))
+        for block_bytes in budgets:
+            monkeypatch.setattr(cosets, "DECODE_BLOCK_BYTES", block_bytes)
+            got = _mc_chunk_errors(code, _tables(code), spec, class_i, seed, chunk, trials)
+            assert got == want
+
+
+@pytest.mark.parametrize(
+    "kind,p,k,bound",
+    [(BEC, 0.5, (20,), 64 << 20), (BSC, 0.11, (12, 6), 8 << 20), (BSC, 0.3, (12, 12), 8 << 20)],
+    ids=["bec-k20", "bsc-k12-6", "bsc-k12-12-dense"],
+)
+def test_chunk_memory_is_bounded(kind, p, k, bound):
+    # the exhaustive scans needed MC_CHUNK * 2^k * 8 bytes: 64 GiB at k = 20.
+    # At BSC(0.3) a candidate can lie 14 + w from the sent word, past n/2, so
+    # about half of each class's codewords are candidates of every trial
     spec = ChannelSpec(kind, p, 64)
     code = build_coset_code(spec, k, SimplexWeights([1 / len(k)] * len(k)), _rng(40))
     tracemalloc.start()
@@ -268,7 +334,7 @@ def test_chunk_memory_is_bounded(kind, p, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < CHUNK_PEAK_BOUND
+    assert peak < bound
 
 
 # counts computed with the exhaustive decoders these replaced
