@@ -43,9 +43,6 @@ class SimplexWeights:
             raise ValueError(f"simplex weights must sum to 1, got {sum(w)!r}")
         object.__setattr__(self, "weights", w)
 
-    def __len__(self):
-        return len(self.weights)
-
     def __getitem__(self, i):
         return self.weights[i]
 

@@ -272,14 +272,14 @@ def build_config(argv: Sequence[str]) -> SweepConfig:
     if cfg.command != "tradeoff" and min(lams) <= 0.0:
         raise ConfigError(f"{cfg.command} needs every --class lambda= > 0, got {lams}")
     if cfg.command in ("bound", "tradeoff") and any(c.eps is None for c in cfg.classes):
-        raise ConfigError(f"{cfg.command} classes need eps=")
+        raise ConfigError(f"{cfg.command} needs eps= in every --class")
     if cfg.command == "simulate":
         if any(c.k is None for c in cfg.classes):
-            raise ConfigError("simulate classes need k=")
+            raise ConfigError("simulate needs k= in every --class")
         if cfg.trials < 100:
-            raise ConfigError(f"simulate needs at least 100 trials, got {cfg.trials}")
+            raise ConfigError(f"simulate needs --trials >= 100, got {cfg.trials}")
         if cfg.codebooks < 1:
-            raise ConfigError(f"codebooks must be >= 1, got {cfg.codebooks}")
+            raise ConfigError(f"--codebooks must be >= 1, got {cfg.codebooks}")
     if cfg.command == "tradeoff":
         if cfg.mu is None:
             raise ConfigError("tradeoff requires --mu")
@@ -365,7 +365,7 @@ SIMULATE_COLUMNS = [
 
 def simulate_rows(cfg: SweepConfig) -> Tuple[List[List[str]], bool]:
     if len(cfg.n_list) != 1:
-        raise ConfigError("simulate expects a single blocklength n")
+        raise ConfigError(f"simulate takes a single blocklength --n, got {len(cfg.n_list)}")
     n = cfg.n_list[0]
     spec = ChannelSpec(cfg.channel, cfg.p, n)
     ks = [c.k for c in cfg.classes]

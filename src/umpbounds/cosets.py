@@ -248,15 +248,16 @@ def _bsc_errors(
     (C) a class-i codeword of a smaller message u < msgs[t] qualifies
         (codewords that repeat x fall here too).
     A codeword that qualifies lies within `_reach` of x, so each trial tests
-    only those candidates. Own class: d(c_u, x) = W[u ^ msgs[t]], where
-    W[s] = d(table[s], table[0]), so the candidates are one run of the s != 0
-    sorted by W. Earlier classes: the distances from every class-j codeword
-    to each distinct sent word, kept up to the largest reach and sorted by
-    the key (row (n + 1) + distance) 2^k_j + u, give each trial one run.
-    Candidates are tested in blocks of `_pairs`, and the cross-class keys
-    are built a group of sent words at a time, so that every temporary stays
-    within about DECODE_BLOCK_BYTES. Trials already in error are not tested
-    again.
+    only those candidates, found by one search for every class j <= i: the
+    distances from each class-j codeword to a set of anchor words, kept up
+    to the largest reach and sorted by the key (row (n + 1) + distance)
+    2^k_j + index, give each trial one run. For j < i the anchors are the
+    distinct sent words and the index is the message. For j = i the one
+    anchor is codeword 0, since d(c_u, x) = d(table[u ^ msgs[t]], table[0]),
+    so the index is s = u ^ msgs[t]; s = 0, the sent word itself, is left
+    out. Candidates are tested in blocks of `_pairs`, and the keys are built
+    a group of anchors at a time, so that every temporary stays within about
+    DECODE_BLOCK_BYTES. Trials already in error are not tested again.
     """
     n, words = spec.n, noise.shape[1]
     density = info_density_spectrum(ChannelKind.BSC, n, spec.p).density
@@ -269,40 +270,24 @@ def _bsc_errors(
     own = tables[class_i]
     y = own[msgs] ^ noise
     size = max(1, DECODE_BLOCK_BYTES // (8 * (3 * words + 8)))
-
-    def hits(live, table, cands, starts, counts, qualifying, sent=None):
-        # whether, per live trial t, some codeword table[cands[starts[t] + r]],
-        # r < counts[t], qualifies; with sent, the candidate is the message
-        # sent[t] ^ cands[...], and only messages below sent[t] count
-        lo_c, hi_c = qualifying
-        probes = y[live]
-        hit = np.zeros(len(live), dtype=bool)
-        for owner, item in _pairs(starts, counts, size):
-            u = cands[item]
-            if sent is not None:
-                sent_t = sent[owner]
-                u ^= sent_t
-                below = u < sent_t
-                owner, u = owner[below], u[below]
-            diff = table[u]
-            diff ^= probes[owner]
-            d = _weights(diff)
-            hit[owner[(d >= lo_c) & (d <= hi_c)]] = True
-        return hit
-
-    for j in range(class_i):
+    for j in range(class_i + 1):
         live = np.flatnonzero(~err)
         if bounds[j] is None or not live.size:
             continue
-        table, k_j = tables[j], code.k[j]
-        live = live[np.argsort(msgs[live], kind="stable")]
-        sent, row = np.unique(msgs[live], return_inverse=True)
-        near, far = _reach(*bounds[j], n, w[live])
+        table, k_j, (lo_j, hi_j) = tables[j], code.k[j], bounds[j]
+        if j < class_i:
+            live = live[np.argsort(msgs[live], kind="stable")]
+            anchors, row = np.unique(msgs[live], return_inverse=True)
+        else:
+            anchors, row = np.zeros(1, dtype=np.int64), np.zeros(len(live), dtype=np.int64)
+        near, far = _reach(lo_j, hi_j, n, w[live])
         group = max(1, DECODE_BLOCK_BYTES // (32 * len(table)))
-        for a in range(0, len(sent), group):
+        for a in range(0, len(anchors), group):
             t0, t1 = np.searchsorted(row, [a, a + group])
-            dist = _distance_rows(table, own[sent[a : a + group]])
+            dist = _distance_rows(table, own[anchors[a : a + group]])
             flat = np.flatnonzero(dist <= far[t0:t1].max())
+            if j == class_i:
+                flat = flat[1:]  # s = 0: the sent word itself
             key = (flat >> k_j) * n
             key += dist.ravel()[flat]
             key <<= k_j
@@ -312,15 +297,19 @@ def _bsc_errors(
             starts = np.searchsorted(key, (base + near[t0:t1]) << k_j)
             counts = np.searchsorted(key, (base + far[t0:t1] + 1) << k_j) - starts
             cands = key & ((1 << k_j) - 1)
-            err[live[t0:t1]] |= hits(live[t0:t1], table, cands, starts, counts, bounds[j])
-    live = np.flatnonzero(~err)
-    weight = _distance_rows(own, own[:1])[0]
-    order = 1 + np.argsort(weight[1:], kind="stable")
-    ranked = weight[order]
-    near, far = _reach(lo, hi, n, w[live])
-    starts = np.searchsorted(ranked, near)
-    counts = np.searchsorted(ranked, far, side="right") - starts
-    err[live] |= hits(live, own, order, starts, counts, (lo, hi), msgs[live])
+            trials = live[t0:t1]
+            probes, sent = y[trials], msgs[trials]
+            for owner, item in _pairs(starts, counts, size):
+                u = cands[item]
+                if j == class_i:  # u = s ^ msg; only smaller messages count
+                    sent_t = sent[owner]
+                    u ^= sent_t
+                    below = u < sent_t
+                    owner, u = owner[below], u[below]
+                diff = table[u]
+                diff ^= probes[owner]
+                d = _weights(diff)
+                err[trials[owner[(d >= lo_j) & (d <= hi_j)]]] = True
     return err
 
 
@@ -514,8 +503,9 @@ def _parse_codebook(data: bytes) -> Tuple[CosetCodebook, ChannelSpec]:
     """The codebook and channel in a codebook file's bytes.
 
     A file is input from outside the program, so it must hold exactly one
-    codebook of a known channel, and its classes must pass `_check_classes`,
-    as those of `build_coset_code` do, before any class is unpacked.
+    codebook of a known channel with every padding bit clear, so that saving
+    it gives the file back, and its classes must pass `_check_classes`, as
+    those of `build_coset_code` do, before any class is unpacked.
     """
     if data[:4] != _MAGIC:
         raise ValueError("not a codebook file")
@@ -536,12 +526,15 @@ def _parse_codebook(data: bytes) -> Tuple[CosetCodebook, ChannelSpec]:
     spec = ChannelSpec(_CODE_KIND[kind_code], p, n)
     nbytes = (n + 7) // 8
     ks, lams, blocks = [], [], []
-    for _ in range(m):
+    for class_i in range(m):
         k_i, lam_i = _CLASS.unpack(take(_CLASS.size))
         ks.append(k_i)
         lams.append(lam_i)
         # the shift, then the k_i generator rows
-        blocks.append(np.frombuffer(take((k_i + 1) * nbytes), np.uint8).reshape(k_i + 1, nbytes))
+        block = np.frombuffer(take((k_i + 1) * nbytes), np.uint8).reshape(k_i + 1, nbytes)
+        if n % 8 and (block[:, -1] >> n % 8).any():
+            raise ValueError(f"class {class_i} sets a padding bit past symbol {n - 1}")
+        blocks.append(block)
     if pos != len(data):
         raise ValueError(f"{len(data) - pos} bytes after the last class")
     _check_classes(tuple(ks), lams)

@@ -219,6 +219,40 @@ class TestInputChecks:
         assert cli.main(argv + args) == cli.EXIT_CONFIG
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, env, named",
+        [
+            ("bound --n 1,x --class eps=0.1,lambda=1", {}, "--n"),
+            ("bound --n 64 --class eps=0.1,lambda", {}, "--class"),
+            ("bound --n 64 --class eps=0.1,mu=1", {}, "--class"),
+            ("bound --n 64 --class eps=0.1", {}, "--class"),
+            ("bound --config {conf}", {}, "{conf}"),
+            ("bound --config {missing}", {}, "{missing}"),
+            ("bound --n 64 --class eps=0.1,lambda=1", {"UMP_THREADS": "abc"}, "UMP_THREADS"),
+            ("bound --n 64 --class k=3,lambda=1", {}, "--class"),
+            ("simulate --n 64 --class k=3,lambda=1 --trials 99", {}, "--trials"),
+            ("simulate --n 64 --class k=3,lambda=1 --codebooks 0", {}, "--codebooks"),
+            ("simulate --n 64,128 --class k=3,lambda=1", {}, "--n"),
+            ("tradeoff --n 64 --class eps=0.1,lambda=1", {}, "--mu"),
+        ],
+        ids=[
+            "n-not-a-number", "class-entry-without-equals", "class-unknown-key",
+            "class-without-lambda", "config-line-without-equals", "config-unreadable",
+            "threads-not-a-number", "bound-k-class", "simulate-99-trials", "simulate-0-codebooks",
+            "simulate-two-n", "tradeoff-without-mu",
+        ],
+    )
+    def test_refusal_names_its_flag_or_file(self, argv, env, named, tmp_path, monkeypatch, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("n = 64\nclass = eps=0.1,lambda=1\nseed 5\n")
+        paths = {"conf": conf, "missing": tmp_path / "missing.conf"}
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        argv = [arg.format(**paths) for arg in argv.split()] + ["--channel", "bsc", "--p", "0.11"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named.format(**paths) in err
+
     def test_tradeoff_row_budget(self, capsys, monkeypatch):
         # C(10002, 2) ~ 5e7 points per n: refused before any point is built
         def no_enumeration(*args):
@@ -380,6 +414,22 @@ class TestBoundCommand:
         ]
         assert rows[0] == rows[1] and rows[2] == rows[3]
 
+    @pytest.mark.parametrize("channel, p", [("bsc", "0.11"), ("bec", "0.5")], ids=["bsc", "bec"])
+    def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch, channel, p):
+        # unsorted and repeated n run in the pool; classes 0 and 1 share eps, so one header scan
+        args = [
+            "bound", "--channel", channel, "--p", p, "--n", "200,100,200",
+            "--class", "eps=1e-3,lambda=0.5", "--class", "eps=1e-3,lambda=0.25",
+            "--class", "eps=1e-2,lambda=0.25",
+        ]
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("UMP_THREADS", threads)
+            out = tmp_path / f"t{threads}.csv"
+            assert cli.main(args + ["--out", str(out)]) == cli.EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_twelve_significant_digits(self):
         assert cli._fmt(1 / 3) == "0.333333333333"
         assert cli._fmt(1234567.0) == "1234567"
@@ -413,7 +463,7 @@ def bound_argv(draw):
     return argv
 
 
-def _bound_cells(csv_text):
+def _csv_cells(csv_text):
     """One {column: cell} dict per CSV row."""
     lines = [l for l in csv_text.splitlines() if not l.startswith("#")]
     return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
@@ -433,7 +483,7 @@ class TestBoundSweep:
                 {cli.EXIT_CONFIG: "config error: ", cli.EXIT_BUDGET: "resource budget exceeded: "}[code]
             )
             return
-        for cells in _bound_cells(out):
+        for cells in _csv_cells(out):
             rates = {c: None if cells[c] == "NA" else float(cells[c]) for c in BOUND_RATES}
             assert all(r is None or math.isfinite(r) for r in rates.values())
             dt, conv = rates["log2M_dt"], rates["log2M_converse"]
@@ -456,11 +506,57 @@ class TestBoundSweep:
             "--class", "eps=1e-3,lambda=1",
         ]
         assert cli.main(argv) == cli.EXIT_OK
-        (cells,) = _bound_cells(capsys.readouterr().out)
+        (cells,) = _csv_cells(capsys.readouterr().out)
         assert cells["log2M_header_ach"] == "0.00288250853312"
         assert cells["log2M_header_conv"] == "0.00144341686967"
         assert float(cells["log2M_header_ach"]) == pytest.approx(math.log2(1 + 2e-3), rel=1e-11)
         assert float(cells["log2M_header_conv"]) == pytest.approx(-math.log2(1 - 1e-3), rel=1e-11)
+
+
+@st.composite
+def simulate_argv(draw):
+    """`simulate` arguments: both channels, n <= 70 so that words take one or
+    two 64-bit lanes, m <= 3, k_i <= 8, lambda down to 1e-300, 1-2 codebooks."""
+    m = draw(st.integers(1, 3))
+    lams = [
+        draw(st.one_of(st.just(1e-300), st.floats(1e-300, 1 / m))) for _ in range(m - 1)
+    ]
+    lams.append(1.0 - sum(lams))
+    argv = [
+        "simulate", "--channel", draw(st.sampled_from(["bsc", "bec"])),
+        "--p", repr(draw(st.sampled_from([0.0, 0.11, 0.5, 0.89, 1.0]))),
+        "--n", str(draw(st.integers(1, 70))), "--trials", str(draw(st.integers(100, 300))),
+        "--codebooks", str(draw(st.integers(1, 2))), "--seed", str(draw(st.integers(0, 1000))),
+    ]
+    for lam in lams:
+        argv += ["--class", f"k={draw(st.integers(0, 8))},lambda={lam!r}"]
+    return argv
+
+
+class TestSimulateSweep:
+    @settings(
+        max_examples=200, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=simulate_argv())
+    def test_every_accepted_input_gives_counts_or_a_refusal(self, argv, capsys):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if code in (cli.EXIT_CONFIG, cli.EXIT_BUDGET):
+            assert err.startswith(
+                {cli.EXIT_CONFIG: "config error: ", cli.EXIT_BUDGET: "resource budget exceeded: "}[code]
+            )
+            return
+        assert code in (cli.EXIT_OK, cli.EXIT_ACCEPTANCE) and err == ""
+        rows = _csv_cells(out)
+        for cells in rows:
+            errors, trials = int(cells["errors"]), int(cells["trials"])
+            assert 0 <= errors <= trials
+            rate = errors / trials
+            se = math.sqrt(rate * (1.0 - rate) / trials)
+            limit = float(cells["dt_bound"]) + 3.0 * se + cli.DT_BOUND_SLACK
+            assert (cells["pass"] == "1") == (rate <= limit)
+        assert (code == cli.EXIT_ACCEPTANCE) == any(cells["pass"] == "0" for cells in rows)
 
 
 class TestSimulateCommand:

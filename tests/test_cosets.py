@@ -233,9 +233,9 @@ class TestMonteCarlo:
             assert rate <= dt_class_bound(spec, float(k), 0.5) + 3 * se
 
 
-def _codebook_file(classes, kind_code=0, n=16):
+def _codebook_file(classes, kind_code=0, n=16, version=1):
     """Codebook file bytes with all-zero shifts and rows; classes are (k, lambda)."""
-    blob = b"UMPC" + struct.pack("<HBd I H", 1, kind_code, 0.11, n, len(classes))
+    blob = b"UMPC" + struct.pack("<HBd I H", version, kind_code, 0.11, n, len(classes))
     for k, lam in classes:
         blob += struct.pack("<Hd", k, lam) + bytes((k + 1) * ((n + 7) // 8))
     return blob
@@ -302,6 +302,15 @@ class TestCodebookFile:
             pytest.param(
                 VALID_FILE + b"\x00", ValueError, "1 bytes after the last class",
                 id="trailing-bytes",
+            ),
+            pytest.param(
+                _codebook_file([(0, 1.0)], version=2), ValueError,
+                "unsupported codebook version 2", id="version-2",
+            ),
+            # n = 9: the shift's second byte holds symbol 8 and seven padding bits
+            pytest.param(
+                _codebook_file([(0, 1.0)], n=9)[:-1] + bytes([0b11111110]), ValueError,
+                "class 0 sets a padding bit past symbol 8", id="padding-bits",
             ),
         ],
     )
