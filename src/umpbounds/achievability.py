@@ -18,6 +18,7 @@ bound's own evaluator, which must give a value at or below the target.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -175,34 +176,62 @@ def best_over_splits(
     Infeasible splits (None) are skipped. Returns None when no split is
     feasible, which includes a fixed n0 beyond the blocklength.
 
-    The auto scan visits splits 0, 1, ... and stops at split s < n once the
-    best rate so far is at least cap(s) + SPLIT_PRUNE_SLACK_BITS, where cap(s)
-    = rate(length n - s, eps, 1, 0, [eps]) spends the whole budget on the
-    payload. No split s' >= s rates above cap(s): header terms are >= 0,
-    every rate is nondecreasing in its budget, and each payload bound only
-    gets better as its block gets longer:
+    The auto scan returns exactly the all-splits maximum, at a cost that
+    grows with the winning header length rather than with n. Header terms
+    are >= 0 and only shrink as the header grows, every rate is
+    nondecreasing in its budget, and each payload bound only gets better as
+    its block gets longer:
       - the DT sum E[min(1, 2^(c - i_L))] is nonincreasing in L (Jensen:
         E_P[2^-i_1] <= 1 and min(1, a z) is concave in z);
       - the Neyman-Pearson beta_L(alpha) is nonincreasing in L, since a test
         may ignore a symbol;
       - the BEC converse sum is nonincreasing in L, term by term.
-    A cap of None means no later split is feasible either. Split n itself is
-    never checked: there is no length-0 ChannelSpec, and a length-0 payload
-    still carries log2(1 + 2 eps) bits in the DT bound, so a cap of 0 there
-    would be wrong. The scan returns exactly the all-splits maximum, at a
-    cost that grows with the winning header length rather than with n.
+    So the feasible splits form a suffix of 0..n, and no split s' >= s rates
+    above cap(s) = rate(length n - s, eps, 1, 0, [eps]), which spends the
+    whole budget on the payload. The scan runs in three steps:
+      1. It gallops over splits 0, 1, 3, 7, ..., n to a feasible one, then
+         bisects back to the first feasible split.
+      2. It visits splits from there upward. Each rate is computed once: a
+         memo made for the call keeps the gallop's probes for the visit.
+      3. After a split that did not raise the best rate, it checks the cap
+         of the next split s < n and stops once the best rate so far is at
+         least cap(s) + SPLIT_PRUNE_SLACK_BITS, or cap(s) is None. A cap
+         costs a full rate search, and cap(s) >= rate(s), so right after an
+         improvement it almost never stops the scan; skipping it there
+         delays the stop by at most one split.
+    Split n itself is never capped: there is no length-0 ChannelSpec, and a
+    length-0 payload still carries log2(1 + 2 eps) bits in the DT bound, so a
+    cap of 0 there would be wrong. At a first feasible split s0 and a stop
+    at split S, the scan makes about 2 log2(s0 + 1) + (S - s0) rate calls
+    plus one per cap checked: 34 and 15 for the two header columns at
+    BSC(0.11), eps = 1e-3, m = 3, n = 1000.
     """
     n = spec.n
     if n0 is not None:
         return rate(spec, eps, m, n0, all_eps) if n0 <= n else None
-    best = None
-    for s in range(n + 1):
-        if best is not None and s < n:
+    # a fresh memo per call: nothing outlives the scan
+    rate_at = functools.cache(lambda s: rate(spec, eps, m, s, all_eps))
+    # after the gallop, lo is infeasible (or -1) and hi is feasible
+    lo, hi = -1, 0
+    while rate_at(hi) is None:
+        if hi == n:
+            return None
+        lo, hi = hi, min(2 * hi + 1, n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rate_at(mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    best, improved = rate_at(hi), True
+    for s in range(hi + 1, n + 1):
+        if not improved and s < n:
             cap = rate(ChannelSpec(spec.kind, spec.p, n - s), eps, 1, 0, [eps])
             if cap is None or best >= cap + SPLIT_PRUNE_SLACK_BITS:
                 break
-        r = rate(spec, eps, m, s, all_eps)
-        if r is not None and (best is None or r > best):
+        r = rate_at(s)
+        improved = r is not None and r > best
+        if improved:
             best = r
     return best
 

@@ -16,7 +16,6 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -335,6 +334,9 @@ def bound_rows(cfg: SweepConfig) -> List[List[str]]:
         return [[str(n), str(idx), *cells(c.eps, c.lam)] for idx, c in enumerate(cfg.classes)]
 
     if cfg.threads > 1:
+        # imported here: single-thread runs never load concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             groups = list(pool.map(rows_for_n, cfg.n_list))
     else:

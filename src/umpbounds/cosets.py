@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -460,6 +459,9 @@ def monte_carlo_error(
         return class_i, _mc_chunk_errors(code, tables, spec, class_i, seed, chunk_index, size)
 
     if threads > 1:
+        # imported here: single-thread runs never load concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, tasks))
     else:

@@ -209,8 +209,27 @@ def test_log2_count_minus_one_matches_mpmath(x):
     assert _log2_count_minus_one(x) == pytest.approx(want, rel=1e-15)
 
 
+def _check_scan(rate, spec, eps, m, all_eps):
+    """Check the auto scan against the exhaustive oracle and return the oracle's value.
+
+    Also checks that the feasible splits form a suffix of 0..n: the scan's
+    gallop and bisection find the first feasible split only because of that.
+    """
+    seen = {}
+
+    def recorded(spec, eps, m, n0, all_eps):
+        seen[n0] = rate(spec, eps, m, n0, all_eps)
+        return seen[n0]
+
+    want = oracles.exhaustive_best_over_splits(recorded, spec, eps, m, all_eps)
+    feasible = [seen[s] is not None for s in range(spec.n + 1)]
+    assert feasible == sorted(feasible)
+    assert best_over_splits(rate, spec, eps, m, all_eps) == want
+    return want
+
+
 class TestSplitScan:
-    """The pruned --n0 auto scan returns exactly the all-splits maximum."""
+    """The --n0 auto scan returns exactly the all-splits maximum."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -218,7 +237,7 @@ class TestSplitScan:
         p=st.sampled_from([0.0, 1e-300, 0.01, 0.11, 0.5, 0.89, 1.0]),
         n=st.sampled_from([1, 2, 17, 64, 300]),
         all_eps=st.lists(
-            st.floats(-12.0, math.log10(0.9)).map(lambda e: 10.0**e), min_size=1, max_size=4
+            st.floats(-15.0, math.log10(0.9)).map(lambda e: 10.0**e), min_size=1, max_size=4
         ),
         cls=st.integers(0, 3),
         eps0_points=st.sampled_from([1, 10, 1000]),
@@ -226,11 +245,43 @@ class TestSplitScan:
     def test_matches_exhaustive_scan(self, kind, p, n, all_eps, cls, eps0_points):
         spec = ChannelSpec(kind, p, n)
         m, eps = len(all_eps), all_eps[cls % len(all_eps)]
-        ach = oracles.exhaustive_best_over_splits(max_log2M_header_ach, spec, eps, m, all_eps)
+        ach = _check_scan(max_log2M_header_ach, spec, eps, m, all_eps)
         assert max_log2M_header_ach_best(spec, eps, m, all_eps) == ach
         conv_at = functools.partial(header_conv_max_log2M, eps0_points=eps0_points)
-        conv = oracles.exhaustive_best_over_splits(conv_at, spec, eps, m, all_eps)
-        assert best_over_splits(conv_at, spec, eps, m, all_eps) == conv
+        _check_scan(conv_at, spec, eps, m, all_eps)
+
+    @pytest.mark.parametrize("kind, p", [(BSC, 0.11), (BEC, 0.5)], ids=["bsc", "bec"])
+    @pytest.mark.parametrize("n", [1000, 2000])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-15])
+    @pytest.mark.parametrize(
+        "rate", [max_log2M_header_ach, header_conv_max_log2M], ids=["ach", "conv"]
+    )
+    def test_long_blocks_match_exhaustive_scan(self, kind, p, n, eps, rate):
+        assert _check_scan(rate, ChannelSpec(kind, p, n), eps, 3, [eps, 1e-3, 1e-2]) is not None
+
+    @pytest.mark.parametrize(
+        "n, all_eps, rate, limit",
+        [
+            (1000, [1e-3] * 3, max_log2M_header_ach, 40),
+            (1000, [1e-3] * 3, header_conv_max_log2M, 20),
+            (2000, [1e-15, 1e-9, 1e-3], max_log2M_header_ach, 50),
+        ],
+        ids=["ach-n1000", "conv-n1000", "ach-n2000-small-eps"],
+    )
+    def test_rate_calls_per_scan(self, n, all_eps, rate, limit):
+        # a scan's cost in rate calls, caps included, at BSC(0.11), m = 3, class 0
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rate(*args)
+
+        spec = ChannelSpec(BSC, 0.11, n)
+        assert best_over_splits(counted, spec, all_eps[0], 3, all_eps) is not None
+        assert len(calls) <= limit
+        # caps run at shorter lengths; no split of the full block is asked twice
+        splits = [n0 for s, _, _, n0, _ in calls if s == spec]
+        assert len(splits) == len(set(splits))
 
     def test_fixed_split(self):
         spec = ChannelSpec(BEC, 0.5, 60)

@@ -805,3 +805,22 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_single_thread_run_loads_no_thread_pool(tmp_path):
+    # the pools import concurrent.futures (and with it logging and queue) only when used
+    src = str(Path(umpbounds.__file__).resolve().parents[1])
+    bound = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "100,200",
+             "--class", "eps=1e-3,lambda=1", "--out", str(tmp_path / "b.csv")]
+    simulate = ["simulate", "--channel", "bec", "--p", "0.5", "--n", "16",
+                "--class", "k=4,lambda=1", "--trials", "100", "--out", str(tmp_path / "s.csv")]
+    code = (
+        "import sys, umpbounds.cli as cli; "
+        f"print(cli.main({bound!r}), cli.main({simulate!r}), 'concurrent.futures' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src, "UMP_THREADS": "1"},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "0 0 False"
