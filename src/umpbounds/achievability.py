@@ -4,16 +4,17 @@ Every bound here is a binomial tail sum of the form
 
     sum_t  C(len,t) p^t (1-p)^(len-t) * min[1, 2^(coeff + density shift at t)]
 
-evaluated fully in the log domain by `numerics._exp2_sum`: the min is taken
-per summand before accumulation, never by clamping an overflowed sum. Class
-sizes are carried as real-valued log2(M); a concrete integer code takes
-floor(2^log2M).
+evaluated by `_block_sum` fully in the log domain (`numerics._exp2_sum`): the
+min is taken per summand before accumulation, never by clamping an
+overflowed sum. Class sizes are carried as real-valued log2(M); a concrete
+integer code takes floor(2^log2M).
 
-The inverse rate search (largest log2M meeting an error target) is exact:
-the sum is piecewise A + B 2^coeff between the breakpoints coeff = -shift,
-so one pass over the terms locates the segment and solves it in closed form
-(`numerics.invert_exp2_sum`). Every returned rate is then confirmed by the
-bound's own evaluator, which must give a value at or below the target.
+Every search over such a sum, the BEC converses' hinge sums in `converse`
+included, is `_max_log2M`: the sum is piecewise A + B 2^coeff between the
+breakpoints coeff = -shift, so one pass over the terms solves it exactly
+(`numerics.invert_exp2_sum`). The search steps that rate down until the
+evaluator meets the target, since the two round differently. Every rate is
+a Python float.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .channel import ChannelSpec, info_density_spectrum
-from .numerics import LN2, _exp2_sum, invert_exp2_sum, largest_feasible
+from .numerics import LN2, _exp2_sum, invert_exp2_sum
 
 
 @dataclass(frozen=True)
@@ -59,18 +60,67 @@ class HeaderSplit:
             raise ValueError(f"n0 must be >= 0, got {self.n0}")
 
 
+def _block_sum(spec: ChannelSpec, length: int, coeff: float, hinge: bool = False) -> float:
+    """min(1, S(coeff)), S the capped (or hinge) sum over the length-symbol spectrum.
+
+    A -inf coefficient (one codeword) adds nothing: build no spectrum for it.
+    """
+    if coeff == -math.inf:
+        return 0.0
+    spectrum = info_density_spectrum(spec.kind, length, spec.p)
+    return _exp2_sum(spectrum.log_mass, -spectrum.density, coeff, hinge)
+
+
+def _max_log2M(
+    spec: ChannelSpec, length: int, eps: float, coeff: Callable[[float], float],
+    log2M: Callable[[float], float], hinge: bool = False, fixed: float = 0.0,
+    all_eps: Sequence[float] = (),
+) -> Optional[float]:
+    """Largest log2M with min(1, fixed + block sum at coeff(log2M)) <= eps.
+
+    `log2M` maps a coefficient back to its class size, and `fixed` is a
+    header term that does not depend on log2M. Returns None when one
+    codeword misses eps, or when the header term misses a class target in
+    `all_eps`. The closed-form inversion and the evaluator round
+    differently, so the guess can sit a few ulps past the crossing: it is
+    stepped down, by doubling steps, until the bound meets eps.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0,1), got {eps}")
+
+    def bound(lm):
+        return min(1.0, fixed + _block_sum(spec, length, coeff(lm), hinge))
+
+    if fixed > min(all_eps, default=fixed) or bound(0.0) > eps:
+        return None
+    spectrum = info_density_spectrum(spec.kind, length, spec.p)
+    guess = log2M(invert_exp2_sum(spectrum.log_mass, -spectrum.density, eps - fixed, hinge))
+    if guess == math.inf:
+        return math.inf
+    x, step = guess, math.ulp(max(abs(guess), 1.0))
+    while x > 0.0 and bound(x) > eps:
+        x = guess - step
+        step *= 2.0
+    return float(max(x, 0.0))
+
+
+def _log2_lambda(lambda_i: float) -> float:
+    """log2(lambda_i), the shift of the DT class coefficient, for lambda_i in (0,1]."""
+    if not 0.0 < lambda_i <= 1.0:
+        raise ValueError(f"lambda_i must be in (0,1], got {lambda_i}")
+    return math.log2(lambda_i)
+
+
 def dt_class_bound(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
     """Upper bound on the class error of a UMP code with M/lambda threshold.
 
     The bound depends on M and lambda only through M/lambda, so it is exactly
     invariant under (log2M, lambda) -> (log2M - log2 lambda, 1).
     """
-    if not 0.0 < lambda_i <= 1.0:
-        raise ValueError(f"lambda_i must be in (0,1], got {lambda_i}")
+    log2_lambda = _log2_lambda(lambda_i)
     if log2M < 0:
         raise ValueError(f"log2M must be >= 0, got {log2M}")
-    spectrum = info_density_spectrum(spec.kind, spec.n, spec.p)
-    return _exp2_sum(spectrum.log_mass, -spectrum.density, log2M - math.log2(lambda_i))
+    return _block_sum(spec, spec.n, log2M - log2_lambda)
 
 
 def _log2_count_minus_one(log2_count: float) -> float:
@@ -99,15 +149,9 @@ def header_ach_bound(spec: ChannelSpec, split: HeaderSplit, m: int, log2M: float
         raise ValueError("a zero-length header cannot distinguish m > 1 classes")
     if log2M < 0:
         raise ValueError(f"log2M must be >= 0, got {log2M}")
-    header_coeff = (math.log2(m - 1) - 1.0) if m > 1 else -math.inf
-    payload_coeff = _log2_count_minus_one(log2M) - 1.0
-    total = 0.0
-    for length, coeff in ((split.n0, header_coeff), (spec.n - split.n0, payload_coeff)):
-        # a -inf coefficient (one codeword) adds nothing: build no spectrum for it
-        if coeff > -math.inf:
-            spectrum = info_density_spectrum(spec.kind, length, spec.p)
-            total += _exp2_sum(spectrum.log_mass, -spectrum.density, coeff)
-    return min(1.0, total)
+    header = _block_sum(spec, split.n0, (math.log2(m - 1) - 1.0) if m > 1 else -math.inf)
+    payload = _block_sum(spec, spec.n - split.n0, _log2_count_minus_one(log2M) - 1.0)
+    return min(1.0, header + payload)
 
 
 def max_log2M_dt(spec: ChannelSpec, eps_target: float, lambda_i: float) -> Optional[float]:
@@ -116,18 +160,10 @@ def max_log2M_dt(spec: ChannelSpec, eps_target: float, lambda_i: float) -> Optio
     Returns None when even a single codeword exceeds the target; rate sweeps
     hit that routinely at small n, so infeasibility is a value, not an error.
     """
-    if not 0.0 < eps_target < 1.0:
-        raise ValueError(f"eps_target must be in (0,1), got {eps_target}")
-
-    def bound(lm):
-        return dt_class_bound(spec, lm, lambda_i)
-
-    if bound(0.0) > eps_target:
-        return None
-    # the bound depends on log2M only through coeff = log2M - log2(lambda)
-    spectrum = info_density_spectrum(spec.kind, spec.n, spec.p)
-    coeff = invert_exp2_sum(spectrum.log_mass, -spectrum.density, eps_target)
-    return largest_feasible(bound, coeff + math.log2(lambda_i), eps_target)
+    log2_lambda = _log2_lambda(lambda_i)
+    return _max_log2M(
+        spec, spec.n, eps_target, lambda lm: lm - log2_lambda, lambda c: c + log2_lambda
+    )
 
 
 def max_log2M_header_ach(
@@ -141,21 +177,13 @@ def max_log2M_header_ach(
     against the strictest target. Returns None for an inadmissible split,
     including a zero-length header with m > 1 classes.
     """
-    if not 0.0 < eps_target < 1.0:
-        raise ValueError(f"eps_target must be in (0,1), got {eps_target}")
-    if n0 == 0 and m > 1:
-        return None
-    split = HeaderSplit(n0)
-    # at log2M = 0 the payload sum vanishes, leaving the header term
-    header_term = header_ach_bound(spec, split, m, 0.0)
-    if header_term > min(all_eps) or header_term > eps_target:
-        return None
-    payload = info_density_spectrum(spec.kind, spec.n - n0, spec.p)
-    coeff = invert_exp2_sum(payload.log_mass, -payload.density, eps_target - header_term)
+    # at log2M = 0 the payload sum vanishes, leaving the header term; a
+    # zero-length header tells m > 1 classes apart with no guarantee at all
+    header_term = 1.0 if n0 == 0 and m > 1 else header_ach_bound(spec, HeaderSplit(n0), m, 0.0)
     # the payload coefficient log2(2^x - 1) - 1 inverts to x = log2(1 + 2^(coeff + 1))
-    guess = float(np.logaddexp2(0.0, coeff + 1.0))
-    return largest_feasible(
-        lambda lm: header_ach_bound(spec, split, m, lm), guess, eps_target
+    return _max_log2M(
+        spec, spec.n - n0, eps_target, lambda lm: _log2_count_minus_one(lm) - 1.0,
+        lambda c: float(np.logaddexp2(0.0, c + 1.0)), fixed=header_term, all_eps=all_eps,
     )
 
 

@@ -23,15 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .achievability import _block_sum, _max_log2M
 from .channel import ChannelKind, ChannelSpec, info_density_spectrum
-from .numerics import (
-    LN2,
-    LogValue,
-    _exp2_sum,
-    invert_exp2_sum,
-    largest_feasible,
-    log_sum_exp,
-)
+from .numerics import LN2, LogValue, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -131,49 +125,42 @@ def converse_max_log2M_bsc(spec: ChannelSpec, eps: float, lambda_i: float) -> Op
     return math.log2(lambda_i) - np_beta_bsc_miss(spec.n, p, eps).log2_beta
 
 
-def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
-    """Meta-converse error floor for a BEC class at size M and split lambda."""
+def _bec_log2_lambda(spec: ChannelSpec, lambda_i: float) -> float:
+    """log2(lambda_i), the shift of the BEC converse coefficient, on a BEC spec."""
     if spec.kind is not ChannelKind.BEC:
-        raise ValueError("converse_eps_bec requires a BEC spec")
-    if log2M < 0:
-        raise ValueError(f"log2M must be >= 0, got {log2M}")
+        raise ValueError("the BEC converses require a BEC spec")
     if lambda_i <= 0.0:
         raise ValueError(f"lambda_i must be > 0, got {lambda_i}")
-    spectrum = info_density_spectrum(ChannelKind.BEC, spec.n, spec.p)
-    return _exp2_sum(
-        spectrum.log_mass, -spectrum.density, log2M - math.log2(lambda_i), hinge=True
-    )
+    return math.log2(lambda_i)
+
+
+def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
+    """Meta-converse error floor for a BEC class at size M and split lambda."""
+    log2_lambda = _bec_log2_lambda(spec, lambda_i)
+    if log2M < 0:
+        raise ValueError(f"log2M must be >= 0, got {log2M}")
+    return _block_sum(spec, spec.n, log2M - log2_lambda, hinge=True)
 
 
 def converse_max_log2M_bec(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
     """Largest log2M whose BEC converse floor does not exceed eps."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0,1), got {eps}")
-
-    def floor(lm):
-        return converse_eps_bec(spec, lm, lambda_i)
-
-    if floor(0.0) > eps:
-        return None
     # the floor depends on log2M only through log2M - log2(lambda)
-    spectrum = info_density_spectrum(ChannelKind.BEC, spec.n, spec.p)
-    count = invert_exp2_sum(spectrum.log_mass, -spectrum.density, eps, hinge=True)
-    return largest_feasible(floor, count + math.log2(lambda_i), eps)
+    log2_lambda = _bec_log2_lambda(spec, lambda_i)
+    return _max_log2M(
+        spec, spec.n, eps, lambda lm: lm - log2_lambda, lambda c: c + log2_lambda, hinge=True
+    )
 
 
 def header_conv_eps_bec(spec: ChannelSpec, n0: int, m: int, log2M: float) -> float:
     """Error floor for BEC header codes: header-part plus payload-part sums."""
     if spec.kind is not ChannelKind.BEC:
-        raise ValueError("header_conv_eps_bec requires a BEC spec")
+        raise ValueError("the BEC converses require a BEC spec")
     if not 0 <= n0 <= spec.n:
         raise ValueError(f"n0 must be in [0, n], got {n0}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    header = info_density_spectrum(ChannelKind.BEC, n0, spec.p)
-    payload = info_density_spectrum(ChannelKind.BEC, spec.n - n0, spec.p)
-    total = _exp2_sum(header.log_mass, -header.density, math.log2(m), hinge=True)
-    total += _exp2_sum(payload.log_mass, -payload.density, log2M, hinge=True)
-    return min(1.0, total)
+    header = _block_sum(spec, n0, math.log2(m), hinge=True)
+    return min(1.0, header + _block_sum(spec, spec.n - n0, log2M, hinge=True))
 
 
 @functools.lru_cache(maxsize=16)
@@ -231,6 +218,8 @@ def header_conv_max_log2M_bsc(
     feasible one. None when no grid point admits the header, and at p in
     {0, 1/2, 1}; p > 1/2 is reduced to 1 - p by symmetry.
     """
+    if not 0.0 < eps_i < 1.0:
+        raise ValueError(f"eps must be in (0,1), got {eps_i}")
     p = _reduced_bsc_p(spec)
     if not 0 <= n0 <= spec.n:
         raise ValueError(f"n0 must be in [0, n], got {n0}")
@@ -250,17 +239,12 @@ def header_conv_max_log2M_bec(
     spec: ChannelSpec, eps_i: float, m: int, n0: int, all_eps: Sequence[float]
 ) -> Optional[float]:
     """Largest class size whose BEC header-converse floor meets eps_i."""
-
-    def floor(lm):
-        return header_conv_eps_bec(spec, n0, m, lm)
-
     # at log2M = 0 the payload sum vanishes, leaving the header part
-    header_term = floor(0.0)
-    if header_term > min(all_eps) or header_term > eps_i:
-        return None
-    payload = info_density_spectrum(ChannelKind.BEC, spec.n - n0, spec.p)
-    count = invert_exp2_sum(payload.log_mass, -payload.density, eps_i - header_term, hinge=True)
-    return largest_feasible(floor, count, eps_i)
+    header_term = header_conv_eps_bec(spec, n0, m, 0.0)
+    return _max_log2M(
+        spec, spec.n - n0, eps_i, lambda lm: lm, lambda c: c,
+        hinge=True, fixed=header_term, all_eps=all_eps,
+    )
 
 
 def converse_max_log2M(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:

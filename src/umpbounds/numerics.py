@@ -97,8 +97,8 @@ def invert_exp2_sum(log_w, shift, budget: float, hinge: bool = False) -> float:
     same) terms. Log-domain prefix and suffix sums give S at every breakpoint,
     one searchsorted finds the segment, and the segment's equation is solved
     exactly. Returns +inf when S never exceeds budget. The result is exact up
-    to rounding; callers confirm it against their bound, which _exp2_sum
-    evaluates.
+    to rounding; `achievability._max_log2M` confirms it against the bound,
+    which _exp2_sum evaluates.
     """
     log_w = np.asarray(log_w, dtype=float)
     log_budget = math.log(budget) if budget > 0.0 else _NEG_INF
@@ -133,22 +133,6 @@ def invert_exp2_sum(log_w, shift, budget: float, hinge: bool = False) -> float:
         log_gap = float(_log_sub(log_budget, log_mass[k]))
         c = (log_gap - log_b[k]) / LN2
     return min(max(c, lo), hi)
-
-
-def largest_feasible(bound_fn, guess: float, target: float) -> float:
-    """Step a log2M guess down until bound_fn(value) <= target, stopping at 0.
-
-    A closed-form inversion and the evaluator it inverts round differently,
-    so the guess can sit a few ulps past the crossing. The caller has checked
-    bound_fn(0) <= target.
-    """
-    if guess == math.inf:
-        return guess
-    x, step = guess, math.ulp(max(abs(guess), 1.0))
-    while x > 0.0 and bound_fn(x) > target:
-        x = guess - step
-        step *= 2.0
-    return max(x, 0.0)
 
 
 # ln k! for k < len; grown on demand, so one table serves every length

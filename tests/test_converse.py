@@ -2,12 +2,13 @@ import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import oracles
-from umpbounds.achievability import dt_class_bound, max_log2M_dt
+from umpbounds.achievability import dt_class_bound, max_log2M_dt, max_log2M_header_ach
 from umpbounds.channel import ChannelKind, ChannelSpec
 from umpbounds.converse import (
     converse_eps_bec,
@@ -210,6 +211,32 @@ class TestSmallEpsMpmath:
                 continue
             at_rate = float(mp_sum(n, p, got - math.log2(lam)))
             assert at_rate == pytest.approx(eps, rel=1e-12, abs=0.0), (eps, got)
+
+    @pytest.mark.parametrize(
+        "kind,p,bound,n0",
+        [
+            pytest.param(BSC, 0.11, "header-dt", 400, id="header-dt-bsc"),
+            pytest.param(BEC, 0.5, "header-dt", 250, id="header-dt-bec"),
+            pytest.param(BEC, 0.5, "header-converse", 250, id="header-converse-bec"),
+        ],
+    )
+    def test_header_bound_sum_at_rate(self, kind, p, bound, n0):
+        # the header searches sum a float header term and a float payload sum,
+        # each good to about 1e-12 relative at n = 1000, as the sums above
+        n, m = 1000, 3
+        spec = ChannelSpec(kind, p, n)
+        for eps in (1e-9, 1e-15):
+            if bound == "header-dt":
+                got = max_log2M_header_ach(spec, eps, m, n0, [eps] * m)
+                with mpmath.workdps(oracles.MP_DPS):
+                    payload_coeff = mpmath.log(2 ** mpmath.mpf(got) - 1, 2) - 1
+                at_rate = oracles.mp_dt_sum(kind.value, n0, p, math.log2(m - 1) - 1)
+                at_rate += oracles.mp_dt_sum(kind.value, n - n0, p, payload_coeff)
+            else:
+                got = header_conv_max_log2M_bec(spec, eps, m, n0, [eps] * m)
+                at_rate = oracles.mp_bec_conv_sum(n0, p, math.log2(m))
+                at_rate += oracles.mp_bec_conv_sum(n - n0, p, got)
+            assert float(at_rate) == pytest.approx(eps, rel=1e-12, abs=0.0), (eps, got)
 
 
 class TestConverseBec:

@@ -11,19 +11,24 @@ import math
 import numpy as np
 import pytest
 
+from umpbounds import achievability, converse
 from umpbounds.achievability import (
     HeaderSplit,
     dt_class_bound,
     header_ach_bound,
     max_log2M_dt,
     max_log2M_header_ach,
+    max_log2M_header_ach_best,
 )
 from umpbounds.channel import ChannelKind, ChannelSpec
 from umpbounds.converse import (
     _header_eps0_index,
     converse_eps_bec,
+    converse_max_log2M,
     converse_max_log2M_bec,
+    converse_max_log2M_bsc,
     header_conv_eps_bec,
+    header_conv_max_log2M,
     header_conv_max_log2M_bec,
     header_conv_max_log2M_bsc,
     np_beta_bsc_miss,
@@ -203,3 +208,102 @@ def test_invert_exp2_sum_edges():
     assert invert_exp2_sum(log_w, shift, 0.0) == -math.inf
     # the hinge sum stays 0 until c passes the first breakpoint -max(shift) = 0
     assert invert_exp2_sum(log_w, shift, 0.0, hinge=True) == pytest.approx(0.0)
+
+
+# each channel search at a fixed class of a 100-symbol block, as a function of eps
+SEARCHES = {
+    "max_log2M_dt": lambda eps: max_log2M_dt(ChannelSpec(BSC, 0.11, 100), eps, 1 / 3),
+    "max_log2M_header_ach": lambda eps: max_log2M_header_ach(
+        ChannelSpec(BSC, 0.11, 100), eps, 2, 10, [eps, eps]
+    ),
+    "converse_max_log2M_bsc": lambda eps: converse_max_log2M_bsc(
+        ChannelSpec(BSC, 0.11, 100), eps, 1 / 3
+    ),
+    "converse_max_log2M_bec": lambda eps: converse_max_log2M_bec(
+        ChannelSpec(BEC, 0.5, 100), eps, 1 / 3
+    ),
+    "header_conv_max_log2M_bsc": lambda eps: header_conv_max_log2M_bsc(
+        ChannelSpec(BSC, 0.11, 100), eps, 2, 10, [eps, eps]
+    ),
+    "header_conv_max_log2M_bec": lambda eps: header_conv_max_log2M_bec(
+        ChannelSpec(BEC, 0.5, 100), eps, 1, 0, [eps]
+    ),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, math.nan])
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_every_search_refuses_eps_outside_unit_interval(name, eps):
+    with pytest.raises(ValueError, match=r"eps must be in \(0,1\)"):
+        SEARCHES[name](eps)
+
+
+@pytest.mark.parametrize("kind,p", [(BSC, 0.11), (BEC, 0.5)])
+def test_every_search_returns_python_float(kind, p):
+    spec, eps, m = ChannelSpec(kind, p, 1000), 1e-3, 3
+    rates = {
+        "dt": max_log2M_dt(spec, eps, 1 / 3),
+        "header_ach": max_log2M_header_ach(spec, eps, m, 100, [eps] * m),
+        "header_ach_best": max_log2M_header_ach_best(spec, eps, m, [eps] * m),
+        "converse": converse_max_log2M(spec, eps, 1 / 3),
+        "header_conv": header_conv_max_log2M(spec, eps, m, 100, [eps] * m),
+        "header_conv_best": achievability.best_over_splits(
+            header_conv_max_log2M, spec, eps, m, [eps] * m
+        ),
+    }
+    assert {name: type(r) for name, r in rates.items()} == dict.fromkeys(rates, float)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_header_searches_sum_the_header_once(monkeypatch):
+    bsc, bec, eps = ChannelSpec(BSC, 0.11, 500), ChannelSpec(BEC, 0.5, 500), 1e-3
+    ach_calls = _counting(monkeypatch, achievability, "header_ach_bound")
+    conv_calls = _counting(monkeypatch, converse, "header_conv_eps_bec")
+    assert max_log2M_header_ach(bsc, eps, 3, 100, [eps] * 3) is not None
+    assert header_conv_max_log2M_bec(bec, eps, 3, 100, [eps] * 3) is not None
+    assert (len(ach_calls), len(conv_calls)) == (1, 1)
+
+
+# (search, public evaluator of its bound at a rate), each at a feasible class
+STEP_DOWN_CASES = {
+    "dt": (
+        lambda: max_log2M_dt(ChannelSpec(BSC, 0.11, 1000), 1e-3, 1 / 3),
+        lambda r: dt_class_bound(ChannelSpec(BSC, 0.11, 1000), r, 1 / 3),
+    ),
+    "header_ach": (
+        lambda: max_log2M_header_ach(ChannelSpec(BSC, 0.11, 1000), 1e-3, 3, 100, [1e-3] * 3),
+        lambda r: header_ach_bound(ChannelSpec(BSC, 0.11, 1000), HeaderSplit(100), 3, r),
+    ),
+    "bec_converse": (
+        lambda: converse_max_log2M_bec(ChannelSpec(BEC, 0.5, 1000), 1e-3, 1 / 3),
+        lambda r: converse_eps_bec(ChannelSpec(BEC, 0.5, 1000), r, 1 / 3),
+    ),
+    "bec_header_converse": (
+        lambda: header_conv_max_log2M_bec(ChannelSpec(BEC, 0.5, 1000), 1e-3, 3, 100, [1e-3] * 3),
+        lambda r: header_conv_eps_bec(ChannelSpec(BEC, 0.5, 1000), 100, 3, r),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_DOWN_CASES))
+def test_search_steps_an_overshooting_inversion_back(monkeypatch, name):
+    search, bound = STEP_DOWN_CASES[name]
+    eps, exact = 1e-3, search()
+    real = achievability.invert_exp2_sum
+    monkeypatch.setattr(
+        achievability, "invert_exp2_sum", lambda *args, **kwargs: real(*args, **kwargs) + 1e-6
+    )
+    stepped = search()
+    assert bound(stepped) <= eps
+    assert abs(stepped - exact) <= 4e-6
