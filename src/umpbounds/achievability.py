@@ -64,10 +64,14 @@ def _block_sum(spec: ChannelSpec, length: int, coeff: float, hinge: bool = False
     """min(1, S(coeff)), S the capped (or hinge) sum over the length-symbol spectrum.
 
     A -inf coefficient (one codeword) adds nothing: build no spectrum for it.
+    A hinge term is positive only where coeff exceeds the density, which is
+    monotone in t, so a hinge sum at or below both ends of it is 0: skip it.
     """
     if coeff == -math.inf:
         return 0.0
     spectrum = info_density_spectrum(spec.kind, length, spec.p)
+    if hinge and coeff <= min(spectrum.density[0], spectrum.density[-1]):
+        return 0.0
     return _exp2_sum(spectrum.log_mass, -spectrum.density, coeff, hinge)
 
 

@@ -11,7 +11,9 @@ class or a smaller message of its own class has a qualifying codeword
 (`_bsc_errors`). By the triangle inequality such a codeword lies within a
 reach of the sent word that depends only on the noise weight, so each trial
 tests a short run of candidates, sorted by their distance to the sent word,
-instead of every codeword. The BEC needs no scan at all: every word that
+instead of every codeword; candidates are gathered once per group of runs as
+flat word columns, and each block of runs is tested with whole-array
+operations per column. The BEC needs no scan at all: every word that
 agrees with the unerased symbols has the same density, so whether a trial
 errs follows from the rank profile of the generator rows masked to the
 unerased positions (`_bec_errors`).
@@ -43,8 +45,9 @@ _CLASS = struct.Struct("<Hd")  # k_i, lambda_i, then ceil(n/8) bytes per shift a
 
 MC_CHUNK = 8192
 # byte budget of a chunk's temporaries: each block of its noise draw, and in
-# the BSC error test each XOR block of a distance table, each group of
-# cross-class keys and each block of candidate pairs
+# the BSC error test each XOR block of a distance table, each group of keys
+# with its candidates' word columns, and each block of (trial, candidate)
+# pairs, about 35 bytes a pair at one word
 DECODE_BLOCK_BYTES = 1 << 21
 
 
@@ -213,9 +216,12 @@ def _reach(lo: int, hi: int, n: int, w: np.ndarray) -> Tuple[np.ndarray, np.ndar
     return near, far
 
 
-def _pairs(starts: np.ndarray, counts: np.ndarray, size: int):
-    """(owner, item) index blocks of at most `size` pairs that together list
-    item starts[t] + r for every owner t and 0 <= r < counts[t], in order."""
+def _runs(starts: np.ndarray, counts: np.ndarray, size: int):
+    """Blocks of at most `size` of the items starts[t] + r, 0 <= r < counts[t],
+    listed in order of t then r. Each block yields (rows, run, item): the
+    owners t in slice `rows`, run[t - rows.start] of each owner's items, and
+    the items, so an owner's value reaches its items by np.repeat(v[rows], run).
+    """
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
     shift = starts - (ends - counts)  # item = pair position + shift[owner]
@@ -224,8 +230,9 @@ def _pairs(starts: np.ndarray, counts: np.ndarray, size: int):
         t0, t1 = np.searchsorted(ends, [a, b - 1], side="right")
         t1 += 1
         run = np.minimum(ends[t0:t1], b) - np.maximum(ends[t0:t1] - counts[t0:t1], a)
-        owner = np.repeat(np.arange(t0, t1), run)
-        yield owner, np.arange(a, b) + shift[owner]
+        item = np.repeat(shift[t0:t1], run)
+        item += np.arange(a, b)
+        yield slice(t0, t1), run, item
 
 
 def _bsc_errors(
@@ -254,9 +261,17 @@ def _bsc_errors(
     distinct sent words and the index is the message. For j = i the one
     anchor is codeword 0, since d(c_u, x) = d(table[u ^ msgs[t]], table[0]),
     so the index is s = u ^ msgs[t]; s = 0, the sent word itself, is left
-    out. Candidates are tested in blocks of `_pairs`, and the keys are built
-    a group of anchors at a time, so that every temporary stays within about
-    DECODE_BLOCK_BYTES. Trials already in error are not tested again.
+    out. The keys are built a group of anchors at a time, and each group's
+    candidate words are gathered once, in key order, as one flat array per
+    packed-word column. A class j < i candidate is tested against y; an own
+    candidate is c_s ^ c_0, tested against the noise, since c_u ^ y =
+    (c_s ^ c_0) ^ noise[t]. `_runs` cuts the runs into blocks of pairs: a
+    trial's probe word reaches its pairs by np.repeat, the distance is the
+    sum of the columns' popcounts (uint16 past one word), and only the pairs
+    at a qualifying distance are mapped back to their trials. In the own
+    class such a pair counts only when u < msgs[t]. Every temporary stays
+    within about DECODE_BLOCK_BYTES. Trials already in error are not tested
+    again.
     """
     n, words = spec.n, noise.shape[1]
     density = info_density_spectrum(ChannelKind.BSC, n, spec.p).density
@@ -269,6 +284,8 @@ def _bsc_errors(
     own = tables[class_i]
     y = own[msgs] ^ noise
     size = max(1, DECODE_BLOCK_BYTES // (8 * (3 * words + 8)))
+    # distances: a uint8 sum would wrap past 255
+    dtype = np.uint8 if words == 1 else np.uint16
     for j in range(class_i + 1):
         live = np.flatnonzero(~err)
         if bounds[j] is None or not live.size:
@@ -297,18 +314,26 @@ def _bsc_errors(
             counts = np.searchsorted(key, (base + far[t0:t1] + 1) << k_j) - starts
             cands = key & ((1 << k_j) - 1)
             trials = live[t0:t1]
-            probes, sent = y[trials], msgs[trials]
-            for owner, item in _pairs(starts, counts, size):
-                u = cands[item]
+            # the candidates' words and the words they are tested against, as
+            # flat columns; in the own class c_u ^ y = (c_s ^ c_0) ^ noise
+            cols = np.ascontiguousarray(table[cands].T)
+            if j == class_i:
+                cols ^= table[0][:, None]
+            probes = np.ascontiguousarray((y if j < class_i else noise)[trials].T)
+            for rows, run, item in _runs(starts, counts, size):
+                d = np.zeros(len(item), dtype)
+                for col, probe in zip(cols, probes):
+                    diff = col[item]
+                    diff ^= np.repeat(probe[rows], run)
+                    d += np.bitwise_count(diff)
+                d -= lo_j  # unsigned: a distance below lo_j wraps past hi_j - lo_j
+                hit = np.flatnonzero(d <= hi_j - lo_j)
+                if not hit.size:
+                    continue
+                t = trials[rows][np.searchsorted(np.cumsum(run), hit, side="right")]
                 if j == class_i:  # u = s ^ msg; only smaller messages count
-                    sent_t = sent[owner]
-                    u ^= sent_t
-                    below = u < sent_t
-                    owner, u = owner[below], u[below]
-                diff = table[u]
-                diff ^= probes[owner]
-                d = _weights(diff)
-                err[trials[owner[(d >= lo_j) & (d <= hi_j)]]] = True
+                    t = t[(cands[item[hit]] ^ msgs[t]) < msgs[t]]
+                err[t] = True
     return err
 
 

@@ -316,15 +316,21 @@ def test_chunk_recount_with_the_exhaustive_decoder(monkeypatch, kind, n, p):
 
 
 @pytest.mark.parametrize(
-    "kind,p,k,bound",
-    [(BEC, 0.5, (20,), 64 << 20), (BSC, 0.11, (12, 6), 8 << 20), (BSC, 0.3, (12, 12), 8 << 20)],
-    ids=["bec-k20", "bsc-k12-6", "bsc-k12-12-dense"],
+    "kind,p,n,k,bound",
+    [
+        (BEC, 0.5, 64, (20,), 64 << 20),
+        (BSC, 0.11, 64, (12, 6), 8 << 20),
+        (BSC, 0.3, 64, (12, 12), 8 << 20),
+        (BSC, 0.3, 130, (8, 5), 8 << 20),
+    ],
+    ids=["bec-k20", "bsc-k12-6", "bsc-k12-12-dense", "bsc-n130-k8-5-dense"],
 )
-def test_chunk_memory_is_bounded(kind, p, k, bound):
+def test_chunk_memory_is_bounded(kind, p, n, k, bound):
     # the exhaustive scans needed MC_CHUNK * 2^k * 8 bytes: 64 GiB at k = 20.
     # At BSC(0.3) a candidate can lie 14 + w from the sent word, past n/2, so
-    # about half of each class's codewords are candidates of every trial
-    spec = ChannelSpec(kind, p, 64)
+    # about half of each class's codewords are candidates of every trial; at
+    # n = 130 every candidate is three word columns
+    spec = ChannelSpec(kind, p, n)
     code = build_coset_code(spec, k, SimplexWeights([1 / len(k)] * len(k)), _rng(40))
     tracemalloc.start()
     try:
@@ -337,13 +343,21 @@ def test_chunk_memory_is_bounded(kind, p, k, bound):
     assert peak < bound
 
 
-# counts computed with the exhaustive decoders these replaced
+# the first two counts were computed with the exhaustive decoders that the
+# error tests replaced, the last two with the error test whose pair test
+# gathered each pair's candidate row; n = 130 takes three words, and at
+# BSC(0.3) about half of each class is a candidate of every trial
 @pytest.mark.parametrize(
-    "kind,p,n,errors",
-    [(BEC, 0.85, 65, [2592, 955]), (BSC, 0.25, 64, [1664, 1161])],
-    ids=["bec-n65", "bsc-n64"],
+    "kind,p,n,k,trials,errors",
+    [
+        (BEC, 0.85, 65, (6, 3), 10_000, [2592, 955]),
+        (BSC, 0.25, 64, (6, 3), 10_000, [1664, 1161]),
+        (BSC, 0.11, 64, (12, 6), 16_384, [158, 103]),
+        (BSC, 0.3, 130, (8, 5), 10_000, [1625, 1150]),
+    ],
+    ids=["bec-n65", "bsc-n64", "bsc-n64-k12-6", "bsc-n130-dense"],
 )
-def test_pinned_error_counts(kind, p, n, errors):
+def test_pinned_error_counts(kind, p, n, k, trials, errors):
     spec = ChannelSpec(kind, p, n)
-    code = build_coset_code(spec, (6, 3), SimplexWeights([0.5, 0.5]), _rng(2024, 0))
-    assert monte_carlo_error(code, spec, 10_000, seed=777) == errors
+    code = build_coset_code(spec, k, SimplexWeights([0.5, 0.5]), _rng(2024, 0))
+    assert monte_carlo_error(code, spec, trials, seed=777) == errors

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from umpbounds import achievability, converse
+from umpbounds import achievability, cli, converse
 from umpbounds.achievability import (
     HeaderSplit,
     dt_class_bound,
@@ -273,6 +273,32 @@ def test_header_searches_sum_the_header_once(monkeypatch):
     assert max_log2M_header_ach(bsc, eps, 3, 100, [eps] * 3) is not None
     assert header_conv_max_log2M_bec(bec, eps, 3, 100, [eps] * 3) is not None
     assert (len(ach_calls), len(conv_calls)) == (1, 1)
+
+
+def test_hinge_sums_with_no_positive_term_are_skipped(monkeypatch, tmp_path):
+    # the BEC density falls to 0 at t = length, so at coefficient 0 every
+    # hinge term is dropped: the header converse's header at m = 1 and its
+    # payload at log2M = 0, which each BEC header search evaluates first
+    spec = ChannelSpec(BEC, 0.5, 500)
+    sums = _counting(monkeypatch, achievability, "_exp2_sum")
+    assert header_conv_eps_bec(spec, 100, 1, 0.0) == 0.0
+    assert converse_eps_bec(spec, 0.0, 1.0) == 0.0
+    assert sums == []
+    assert header_conv_eps_bec(spec, 100, 1, 1e-6) > 0.0
+    assert len(sums) == 1
+    # a whole BEC bound run sums no hinge whose every term is dropped
+    results = []
+    real = achievability._exp2_sum
+
+    def summed(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(achievability, "_exp2_sum", summed)
+    classes = ["--class", "eps=1e-3,lambda=0.5"] + ["--class", "eps=1e-3,lambda=0.25"] * 2
+    argv = ["bound", "--channel", "bec", "--p", "0.5", "--n", "500", *classes]
+    assert cli.main(argv + ["--out", str(tmp_path / "bound.csv")]) == 0
+    assert results and 0.0 not in results
 
 
 # (search, public evaluator of its bound at a rate), each at a feasible class
