@@ -76,18 +76,19 @@ def _block_sum(spec: ChannelSpec, length: int, coeff: float, hinge: bool = False
 
 
 def _max_log2M(
-    spec: ChannelSpec, length: int, eps: float, coeff: Callable[[float], float],
-    log2M: Callable[[float], float], hinge: bool = False, fixed: float = 0.0,
+    spec: ChannelSpec, length: int, eps: float, coeff: Callable[[float], float] = float,
+    log2M: Callable[[float], float] = float, hinge: bool = False, fixed: float = 0.0,
     all_eps: Sequence[float] = (),
 ) -> Optional[float]:
     """Largest log2M with min(1, fixed + block sum at coeff(log2M)) <= eps.
 
-    `log2M` maps a coefficient back to its class size, and `fixed` is a
-    header term that does not depend on log2M. Returns None when one
-    codeword misses eps, or when the header term misses a class target in
-    `all_eps`. The closed-form inversion and the evaluator round
-    differently, so the guess can sit a few ulps past the crossing: it is
-    stepped down, by doubling steps, until the bound meets eps.
+    `log2M` maps a coefficient back to its class size (both maps default to
+    the identity), and `fixed` is a header term that does not depend on
+    log2M. Returns None when one codeword misses eps, or when the header
+    term misses a class target in `all_eps`. The closed-form inversion and
+    the evaluator round differently, so the guess can sit a few ulps past
+    the crossing: it is stepped down, by doubling steps, until the bound
+    meets eps.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
@@ -109,18 +110,30 @@ def _max_log2M(
 
 
 def _log2_lambda(lambda_i: float) -> float:
-    """log2(lambda_i), the shift of the DT class coefficient, for lambda_i in (0,1]."""
+    """log2(lambda_i) for a class weight lambda_i in (0,1]; the one lambda rule."""
     if not 0.0 < lambda_i <= 1.0:
         raise ValueError(f"lambda_i must be in (0,1], got {lambda_i}")
     return math.log2(lambda_i)
 
 
-def dt_class_bound(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
-    """Upper bound on the class error of a UMP code with M/lambda threshold.
+def class_rate(rate: Optional[float], lambda_i: float) -> Optional[float]:
+    """rate + log2(lambda_i): a class's log2M from its homogeneous (lambda = 1) rate.
 
-    The bound depends on M and lambda only through M/lambda, so it is exactly
-    invariant under (log2M, lambda) -> (log2M - log2 lambda, 1).
+    None when that is below 0 or `rate` is None. A class bound is monotone
+    in log2M - log2(lambda) and depends on nothing else, so the sum steps
+    down until shifting back does not exceed `rate`: then it meets eps exactly.
     """
+    log2_lambda = _log2_lambda(lambda_i)
+    if rate is None:
+        return None
+    shifted = rate + log2_lambda
+    while shifted - log2_lambda > rate:
+        shifted = math.nextafter(shifted, -math.inf)
+    return shifted if shifted >= 0.0 else None
+
+
+def dt_class_bound(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
+    """Upper bound on the class error of a UMP code with M/lambda threshold."""
     log2_lambda = _log2_lambda(lambda_i)
     if log2M < 0:
         raise ValueError(f"log2M must be >= 0, got {log2M}")
@@ -164,10 +177,7 @@ def max_log2M_dt(spec: ChannelSpec, eps_target: float, lambda_i: float) -> Optio
     Returns None when even a single codeword exceeds the target; rate sweeps
     hit that routinely at small n, so infeasibility is a value, not an error.
     """
-    log2_lambda = _log2_lambda(lambda_i)
-    return _max_log2M(
-        spec, spec.n, eps_target, lambda lm: lm - log2_lambda, lambda c: c + log2_lambda
-    )
+    return class_rate(_max_log2M(spec, spec.n, eps_target), lambda_i)
 
 
 def max_log2M_header_ach(

@@ -11,8 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from .achievability import _log2_lambda
 from .channel import ChannelSpec, channel_stats
-from .numerics import gaussian_Q_inv
+from .numerics import LN2, gaussian_Q_inv
 
 
 def normal_approx_log2M(spec: ChannelSpec, eps: float, lambda_i: float) -> float:
@@ -23,8 +24,6 @@ def normal_approx_log2M(spec: ChannelSpec, eps: float, lambda_i: float) -> float
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    if lambda_i <= 0.0:
-        raise ValueError(f"lambda_i must be > 0, got {lambda_i}")
     stats = channel_stats(spec)
     if stats.dispersion <= 0.0:
         raise ValueError(
@@ -33,7 +32,7 @@ def normal_approx_log2M(spec: ChannelSpec, eps: float, lambda_i: float) -> float
     return (
         spec.n * stats.capacity
         - math.sqrt(spec.n * stats.dispersion) * gaussian_Q_inv(eps)
-        - math.log2(1.0 / lambda_i)
+        + _log2_lambda(lambda_i)
     )
 
 
@@ -79,7 +78,7 @@ class ModDevPoint:
 
     exponent: float  # 1/(2V)
     speed: float  # n*(rho_n - penalty_n)^2
-    predicted_log2_error: Optional[float]
+    predicted_log2_error: Optional[float]  # log2 of the error exp(-speed * exponent)
     error_bounded_away: bool
 
 
@@ -101,4 +100,4 @@ def md_exponent_and_speed(
     speed = n * gap * gap
     if gap <= 0.0:
         return ModDevPoint(exponent, speed, None, True)
-    return ModDevPoint(exponent, speed, -speed * exponent, False)
+    return ModDevPoint(exponent, speed, -speed * exponent / LN2, False)

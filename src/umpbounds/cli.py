@@ -25,6 +25,7 @@ from . import __version__
 from .achievability import (
     SimplexWeights,
     best_over_splits,
+    class_rate,
     dt_class_bound,
     max_log2M_dt,
     max_log2M_header_ach,
@@ -114,7 +115,9 @@ def _parse_n(text: str) -> List[int]:
     try:
         if ":" in text:
             start, stop, step = (int(v) for v in text.split(":"))
-            values = list(range(start, stop + 1, step)) if step > 0 else []
+            if step < 1 or start > stop:
+                raise ConfigError(f"--n range needs step >= 1 and start <= stop, got {text!r}")
+            values = list(range(start, stop + 1, step))
         else:
             values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
@@ -309,41 +312,43 @@ BOUND_COLUMNS = [
 
 
 def bound_rows(cfg: SweepConfig) -> List[List[str]]:
+    """One row per (n, class). The searches run once per distinct (n, eps), at
+    lambda = 1; each class shifts its DT, converse and normal rates by log2 lambda
+    (`class_rate`: NA below 0; the normal approximation is clamped at 0)."""
     m = len(cfg.classes)
     all_eps = [c.eps for c in cfg.classes]
     n0 = None if cfg.n0 == "auto" else int(cfg.n0)  # None: best over the splits
     header_conv_at = functools.partial(header_conv_max_log2M, eps0_points=cfg.eps0_grid)
 
-    def rows_for_n(n: int) -> List[List[str]]:
+    @functools.cache
+    def rates(n: int, eps: float) -> Tuple[Optional[float], ...]:
         spec = ChannelSpec(cfg.channel, cfg.p, n)
         has_normal = channel_stats(spec).dispersion > 0.0
+        return (
+            max_log2M_dt(spec, eps, 1.0),
+            converse_max_log2M(spec, eps, 1.0),
+            *(best_over_splits(rate, spec, eps, m, all_eps, n0)
+              for rate in (max_log2M_header_ach, header_conv_at)),
+            normal_approx_log2M(spec, eps, 1.0) if has_normal else None,
+        )
 
-        @functools.cache  # header scans take no lambda: classes sharing eps share them
-        def header_rates(eps: float) -> Tuple[Optional[float], ...]:
-            return tuple(
-                best_over_splits(rate, spec, eps, m, all_eps, n0)
-                for rate in (max_log2M_header_ach, header_conv_at)
-            )
-
-        @functools.cache  # classes sharing (eps, lambda) share one computation
-        def cells(eps: float, lam: float) -> List[str]:
-            dt, conv = max_log2M_dt(spec, eps, lam), converse_max_log2M(spec, eps, lam)
-            normal = max(0.0, normal_approx_log2M(spec, eps, lam)) if has_normal else None
-            return [_fmt(x) for x in (lam, eps, dt, conv, *header_rates(eps), normal)]
-
-        return [[str(n), str(idx), *cells(c.eps, c.lam)] for idx, c in enumerate(cfg.classes)]
+    def row(n: int, idx: int) -> List[str]:
+        c = cfg.classes[idx]
+        dt, conv, header_ach, header_conv, normal = rates(n, c.eps)
+        if normal is not None:
+            normal = max(0.0, normal + math.log2(c.lam))
+        cells = (c.lam, c.eps, class_rate(dt, c.lam), class_rate(conv, c.lam),
+                 header_ach, header_conv, normal)
+        return [str(n), str(idx), *map(_fmt, cells)]
 
     if cfg.threads > 1:
         # imported here: single-thread runs never load concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
+        # each worker fills the cache for one n; the rows below only read it
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            groups = list(pool.map(rows_for_n, cfg.n_list))
-    else:
-        groups = [rows_for_n(n) for n in cfg.n_list]
-    rows = [row for group in groups for row in group]
-    rows.sort(key=lambda r: (int(r[0]), int(r[1])))
-    return rows
+            list(pool.map(lambda n: [rates(n, eps) for eps in all_eps], set(cfg.n_list)))
+    return [row(n, idx) for n, idx in sorted(itertools.product(cfg.n_list, range(m)))]
 
 
 # --------------------------------------------------------------------------

@@ -9,9 +9,9 @@ probability eps itself (`np_beta_bsc_miss`), which 1 - eps would round away;
 beta is assembled in the log domain because shell masses under the
 equiprobable law reach 2^-n.
 
-The lambda vector in these converses is existentially quantified, so every
-function here evaluates at a caller-chosen lambda; none of them claims a
-single lambda is binding.
+Every class converse depends on (log2 M, lambda) only through log2 M - log2
+lambda, so the searches here run at lambda = 1 and `achievability.class_rate`
+shifts each rate by log2 lambda, to None when the sum is below 0.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .achievability import _block_sum, _max_log2M
+from .achievability import _block_sum, _log2_lambda, _max_log2M, class_rate
 from .channel import ChannelKind, ChannelSpec, info_density_spectrum
 from .numerics import LN2, LogValue, log_sum_exp
 
@@ -113,30 +113,21 @@ def _reduced_bsc_p(spec: ChannelSpec) -> Optional[float]:
 def converse_max_log2M_bsc(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
     """Meta-converse rate limit for a BSC class: log2(lambda) - log2(beta).
 
-    None at p in {0, 1/2, 1}; p > 1/2 is reduced to 1 - p by symmetry.
+    None when not even one codeword fits, and at p in {0, 1/2, 1}; p > 1/2
+    is reduced to 1 - p by symmetry.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    if lambda_i <= 0.0:
-        raise ValueError(f"lambda_i must be > 0, got {lambda_i}")
     p = _reduced_bsc_p(spec)
-    if p is None:
-        return None
-    return math.log2(lambda_i) - np_beta_bsc_miss(spec.n, p, eps).log2_beta
-
-
-def _bec_log2_lambda(spec: ChannelSpec, lambda_i: float) -> float:
-    """log2(lambda_i), the shift of the BEC converse coefficient, on a BEC spec."""
-    if spec.kind is not ChannelKind.BEC:
-        raise ValueError("the BEC converses require a BEC spec")
-    if lambda_i <= 0.0:
-        raise ValueError(f"lambda_i must be > 0, got {lambda_i}")
-    return math.log2(lambda_i)
+    rate = None if p is None else -np_beta_bsc_miss(spec.n, p, eps).log2_beta
+    return class_rate(rate, lambda_i)
 
 
 def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
     """Meta-converse error floor for a BEC class at size M and split lambda."""
-    log2_lambda = _bec_log2_lambda(spec, lambda_i)
+    if spec.kind is not ChannelKind.BEC:
+        raise ValueError("the BEC converses require a BEC spec")
+    log2_lambda = _log2_lambda(lambda_i)
     if log2M < 0:
         raise ValueError(f"log2M must be >= 0, got {log2M}")
     return _block_sum(spec, spec.n, log2M - log2_lambda, hinge=True)
@@ -144,11 +135,9 @@ def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
 
 def converse_max_log2M_bec(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
     """Largest log2M whose BEC converse floor does not exceed eps."""
-    # the floor depends on log2M only through log2M - log2(lambda)
-    log2_lambda = _bec_log2_lambda(spec, lambda_i)
-    return _max_log2M(
-        spec, spec.n, eps, lambda lm: lm - log2_lambda, lambda c: c + log2_lambda, hinge=True
-    )
+    if spec.kind is not ChannelKind.BEC:
+        raise ValueError("the BEC converses require a BEC spec")
+    return class_rate(_max_log2M(spec, spec.n, eps, hinge=True), lambda_i)
 
 
 def header_conv_eps_bec(spec: ChannelSpec, n0: int, m: int, log2M: float) -> float:
@@ -241,10 +230,7 @@ def header_conv_max_log2M_bec(
     """Largest class size whose BEC header-converse floor meets eps_i."""
     # at log2M = 0 the payload sum vanishes, leaving the header part
     header_term = header_conv_eps_bec(spec, n0, m, 0.0)
-    return _max_log2M(
-        spec, spec.n - n0, eps_i, lambda lm: lm, lambda c: c,
-        hinge=True, fixed=header_term, all_eps=all_eps,
-    )
+    return _max_log2M(spec, spec.n - n0, eps_i, hinge=True, fixed=header_term, all_eps=all_eps)
 
 
 def converse_max_log2M(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
@@ -255,8 +241,7 @@ def converse_max_log2M(spec: ChannelSpec, eps: float, lambda_i: float) -> Option
     """
     if spec.kind is ChannelKind.BEC:
         return converse_max_log2M_bec(spec, eps, lambda_i)
-    value = converse_max_log2M_bsc(spec, eps, lambda_i)
-    return value if value is not None and value >= 0.0 else None
+    return converse_max_log2M_bsc(spec, eps, lambda_i)
 
 
 def header_conv_max_log2M(

@@ -141,7 +141,8 @@ class TestModerateDeviations:
         assert point.predicted_log2_error is None
 
     def test_reference_values(self):
-        # rho = n^(-1/3), penalty = log2(n)/n at n = 1e4, plugged by hand
+        # rho = n^(-1/3), penalty = log2(n)/n at n = 1e4, plugged by hand; the
+        # error is exp(-n gap^2 / (2V)), whose log2 carries a factor log2(e)
         n = 10_000
         point = md_exponent_and_speed(
             ChannelSpec(BSC, 0.11, 8), n ** (-1 / 3), math.log2(n) / n, n
@@ -150,7 +151,7 @@ class TestModerateDeviations:
         assert point.exponent == pytest.approx(1.0 / (2.0 * V_BSC11), abs=1e-12)
         assert point.speed == pytest.approx(n * gap * gap, rel=1e-12)
         assert point.predicted_log2_error == pytest.approx(
-            -n * gap * gap / (2.0 * V_BSC11), rel=1e-12
+            -n * gap * gap / (2.0 * V_BSC11) * math.log2(math.e), rel=1e-12
         )
 
     def test_zero_dispersion_rejected(self):

@@ -206,6 +206,8 @@ class TestInputChecks:
             ("simulate", ["--class", "k=2,lambda=0", "--class", "k=1,lambda=1"], "--class"),
             ("simulate", ["--class", "k=-1,lambda=1"], "--class"),
             ("bound", ["--n", "0:10:5", "--class", "eps=0.1,lambda=1"], "--n"),
+            ("bound", ["--n", "1:10:0", "--class", "eps=0.1,lambda=1"], "--n range"),
+            ("bound", ["--n", "10:1:1", "--class", "eps=0.1,lambda=1"], "--n range"),
             ("simulate", ["--class", "k=2,lambda=1", "--seed", "-1"], "--seed"),
             ("tradeoff", ["--p", "0.5", "--class", "eps=0.1,lambda=1", "--mu", "1"], "--p"),
             ("bound", ["--class", "eps=0.1,lambda=1", "--seed", "abc"], "--seed"),
@@ -391,15 +393,15 @@ class TestBoundCommand:
                 return _fn(*args)
 
             monkeypatch.setattr(cli, name, counted)
-        argv = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "200,100", "--n0", n0]
+        argv = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "200,100,200", "--n0", n0]
         for eps, lam in classes:
             argv += ["--class", f"eps={eps},lambda={lam}"]
-        assert len(cli.bound_rows(_cfg(*argv))) == 2 * len(classes)
+        assert len(cli.bound_rows(_cfg(*argv))) == 3 * len(classes)
+        # every search runs at lambda = 1, once per distinct (n, eps)
         expected = collections.Counter()
         for n in (200, 100):
-            for eps, lam in set(classes):
-                expected.update((name, n, eps, lam) for name in rates)
             for eps in {eps for eps, _ in classes}:
+                expected.update((name, n, eps, 1.0) for name in rates)
                 expected[("best_over_splits", n, eps)] = 2
         assert calls == expected
 

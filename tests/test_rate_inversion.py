@@ -10,16 +10,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umpbounds import achievability, cli, converse
 from umpbounds.achievability import (
     HeaderSplit,
+    class_rate,
     dt_class_bound,
     header_ach_bound,
     max_log2M_dt,
     max_log2M_header_ach,
     max_log2M_header_ach_best,
 )
+from umpbounds.asymptotics import normal_approx_log2M
 from umpbounds.channel import ChannelKind, ChannelSpec
 from umpbounds.converse import (
     _header_eps0_index,
@@ -236,6 +240,68 @@ SEARCHES = {
 def test_every_search_refuses_eps_outside_unit_interval(name, eps):
     with pytest.raises(ValueError, match=r"eps must be in \(0,1\)"):
         SEARCHES[name](eps)
+
+
+# each public function of a class weight, at a feasible class, as a function of lambda
+CLASS_FUNCTIONS = {
+    "class_rate": lambda lam: class_rate(10.0, lam),
+    "dt_class_bound": lambda lam: dt_class_bound(ChannelSpec(BSC, 0.11, 100), 10.0, lam),
+    "max_log2M_dt": lambda lam: max_log2M_dt(ChannelSpec(BSC, 0.11, 100), 1e-3, lam),
+    "converse_max_log2M": lambda lam: converse_max_log2M(ChannelSpec(BSC, 0.11, 100), 1e-3, lam),
+    "converse_max_log2M_bsc": lambda lam: converse_max_log2M_bsc(
+        ChannelSpec(BSC, 0.11, 100), 1e-3, lam
+    ),
+    "converse_eps_bec": lambda lam: converse_eps_bec(ChannelSpec(BEC, 0.5, 100), 10.0, lam),
+    "converse_max_log2M_bec": lambda lam: converse_max_log2M_bec(
+        ChannelSpec(BEC, 0.5, 100), 1e-3, lam
+    ),
+    "normal_approx_log2M": lambda lam: normal_approx_log2M(ChannelSpec(BSC, 0.11, 100), 1e-3, lam),
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, 1.5, math.nan])
+@pytest.mark.parametrize("name", sorted(CLASS_FUNCTIONS))
+def test_every_class_function_refuses_lambda_outside_unit_interval(name, lam):
+    with pytest.raises(ValueError, match=r"lambda_i must be in \(0,1\]"):
+        CLASS_FUNCTIONS[name](lam)
+
+
+VALIDITY_CHANNELS = [(BSC, p) for p in (0.0, 0.11, 0.3, 0.89, 1.0)] + [
+    (BEC, p) for p in (0.0, 0.2, 0.5, 1.0)
+]
+
+
+def _powers_of_ten(lo, hi):
+    """10^e for e drawn uniformly from [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _class_bound_met(search, spec, eps, lam, rate):
+    """Whether a class of weight lam and size 2^rate meets eps under the search's own bound."""
+    if search == "dt":
+        return dt_class_bound(spec, rate, lam) <= eps
+    if spec.kind is BEC:
+        return converse_eps_bec(spec, rate, lam) <= eps
+    # the BSC meta-converse: log2(M / lambda) at most the homogeneous limit -log2(beta)
+    return rate - math.log2(lam) <= converse_max_log2M_bsc(spec, eps, 1.0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    search=st.sampled_from(["dt", "converse"]),
+    channel=st.sampled_from(VALIDITY_CHANNELS),
+    n=st.one_of(st.sampled_from([1, 2, 3, 2000]), st.integers(1, 2000)),
+    eps=st.one_of(st.sampled_from([1e-15, 0.5]), _powers_of_ten(-15.0, math.log10(0.5))),
+    lam=st.one_of(st.sampled_from([1e-300, 1.0]), _powers_of_ten(-300.0, 0.0)),
+)
+# without the step-down, rate + log2(lambda) puts this DT class 2.3e-15 (relative) above eps
+@example(search="dt", channel=(BSC, 0.3), n=2000, eps=1e-6, lam=1e-10)
+def test_every_class_rate_is_the_homogeneous_rate_shifted_and_valid(search, channel, n, eps, lam):
+    spec = ChannelSpec(*channel, n)
+    rate_at = max_log2M_dt if search == "dt" else converse_max_log2M
+    rate, homogeneous = rate_at(spec, eps, lam), rate_at(spec, eps, 1.0)
+    assert (rate is None) == (homogeneous is None or homogeneous + math.log2(lam) < 0.0)
+    assert rate is None or _class_bound_met(search, spec, eps, lam, rate)
 
 
 @pytest.mark.parametrize("kind,p", [(BSC, 0.11), (BEC, 0.5)])
