@@ -10,10 +10,10 @@ failure.
 from __future__ import annotations
 
 import argparse
+import array
 import functools
 import itertools
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -44,6 +44,8 @@ EXIT_ACCEPTANCE = 4
 
 # tradeoff streams its rows, so this bounds the CSV's size and the sweep's run time
 MAX_TRADEOFF_ROWS = 1_000_000
+# tradeoff formats at most this many rows of one n at a time
+TRADEOFF_SLICE_ROWS = 1 << 14
 
 # dt_class_bound's rounding tolerance in simulate's pass check (an exact 1 reads 1 - 1e-14)
 DT_BOUND_SLACK = 1e-9
@@ -122,7 +124,9 @@ def _parse_n(text: str) -> List[int]:
             values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"--n must be a comma list or start:stop:step, got {text!r}") from exc
-    if not values or min(values) < 1:
+    if not values:
+        raise ConfigError(f"--n needs at least one blocklength, got {text!r}")
+    if min(values) < 1:
         raise ConfigError(f"--n values must be >= 1, got {text!r}")
     return values
 
@@ -424,15 +428,20 @@ def simulate_rows(cfg: SweepConfig) -> Tuple[List[List[str]], bool]:
 # --------------------------------------------------------------------------
 
 
-def _simplex_grid(m: int, steps: int):
-    """Compositions of `steps` into m parts as weight tuples, by stars and bars, in lex order.
+def _simplex_grid(m: int, steps: int) -> Iterator[Tuple[int, ...]]:
+    """Compositions of `steps` into m parts, in lex order; part c stands for the
+    weight c / steps.
 
-    The tuples share one float object per weight c / steps.
+    Stars and bars give the first m - 2 parts and what is left, r; the last
+    two parts run through (0, r), ..., (r, 0) as one C-level map per head.
     """
-    weights = [c / steps for c in range(steps + 1)]
-    for bars in itertools.combinations(range(steps + m - 1), m - 1):
-        edges = (-1, *bars, steps + m - 1)
-        yield tuple(weights[b - a - 1] for a, b in zip(edges, edges[1:]))
+    if m == 1:
+        yield (steps,)
+        return
+    for bars in itertools.combinations(range(steps + m - 2), m - 2):
+        edges = (-1, *bars, steps + m - 2)
+        *head, rest = (b - a - 1 for a, b in zip(edges, edges[1:]))
+        yield from map(tuple(head).__add__, zip(range(rest + 1), range(rest, -1, -1)))
 
 
 def tradeoff_columns(m: int) -> List[str]:
@@ -443,15 +452,17 @@ def tradeoff_columns(m: int) -> List[str]:
     ]
 
 
-def tradeoff_rows(cfg: SweepConfig) -> Iterator[Tuple[str, ...]]:
-    """Rows of the sweep, formatted lazily a slice of one blocklength at a time.
+def tradeoff_text(cfg: SweepConfig) -> Iterator[str]:
+    """The sweep's CSV rows as text, a slice of one blocklength at a time.
 
     Every number and every check (the row budget, the losses, each n's
     expected rates and argmax) is computed before this returns, so a failing
-    sweep fails before any output is opened. The iterator then formats each
-    n's rows in slices of at most 2^14 rows, a column at a time, and zips the
-    columns into rows, so the formatted strings alive at once stay bounded
-    however many points one n has.
+    sweep fails before any output is opened. Each point's lambda cells are
+    joined once into a prefix shared by every n. The iterator then formats
+    each n's rows in slices of at most TRADEOFF_SLICE_ROWS rows, one
+    %-format of a repeated row template per slice, so the text alive at once
+    stays bounded however many points one n has. The argmax row is a piece
+    of its own.
     """
     m = len(cfg.classes)
     mu = cfg.mu
@@ -462,15 +473,14 @@ def tradeoff_rows(cfg: SweepConfig) -> Iterator[Tuple[str, ...]]:
             f"{total_rows} tradeoff rows exceed budget {MAX_TRADEOFF_ROWS}; "
             "coarsen --grid or sweep fewer n"
         )
-    points = list(_simplex_grid(m, steps))
-    losses = [kl_divergence_bits(mu, lam) for lam in points]
-    # every weight on the grid is c / steps: format each once and share its
-    # string; itemgetter reads a column without one iterator per point
-    lam_cells = {c / steps: _fmt(c / steps) for c in range(steps + 1)}
-    lam_columns = [
-        list(map(lam_cells.__getitem__, map(operator.itemgetter(i), points))) for i in range(m)
-    ]
-    del points  # the largest of these lists; the rates below need only the losses
+    # every weight on the grid is c / steps: format each once, indexed by c
+    weights = [c / steps for c in range(steps + 1)]
+    cells = [f"{w:.12g}" for w in weights]
+    prefixes, losses = [], array.array("d")  # 8 bytes a loss, not a float object
+    for counts in _simplex_grid(m, steps):
+        prefixes.append(",".join(map(cells.__getitem__, counts)))
+        losses.append(kl_divergence_bits(mu, tuple(map(weights.__getitem__, counts))))
+    del weights, cells  # the rows need only the prefixes and the losses
     eps = [c.eps for c in cfg.classes]
     blocks = []
     for n in cfg.n_list:
@@ -480,24 +490,32 @@ def tradeoff_rows(cfg: SweepConfig) -> Iterator[Tuple[str, ...]]:
         top = max(rates)
         blocks.append((n, rates, rates.index(top) if top > -math.inf else None))
 
-    rows_per_slice = 1 << 14
+    def block_text(block) -> Iterator[str]:
+        n, rates, best = block
+        row = f"{n},%s,%.12g,%.12g,0\n"
 
-    def slice_rows(part):
-        (n, rates, best), a = part
-        b = min(a + rows_per_slice, len(rates))
-        flags = ["0"] * (b - a)
-        if best is not None and a <= best < b:
-            flags[best - a] = "1"
-        return zip(
-            itertools.repeat(str(n)),
-            *(column[a:b] for column in lam_columns),
-            [f"{x:.12g}" for x in rates[a:b]],
-            [f"{x / n:.12g}" for x in losses[a:b]],
-            flags,
-        )
+        def text(a: int, b: int) -> str:
+            args = [None] * (3 * (b - a))
+            args[0::3] = prefixes[a:b]
+            args[1::3] = rates[a:b]
+            args[2::3] = [x / n for x in losses[a:b]]
+            return row * (b - a) % tuple(args)
 
-    parts = ((block, a) for block in blocks for a in range(0, len(losses), rows_per_slice))
-    return itertools.chain.from_iterable(map(slice_rows, parts))
+        for a in range(0, len(rates), TRADEOFF_SLICE_ROWS):
+            b = min(a + TRADEOFF_SLICE_ROWS, len(rates))
+            if best is not None and a <= best < b:
+                yield text(a, best)
+                yield text(best, best + 1)[:-2] + "1\n"  # its is_argmax cell reads 1
+                yield text(best + 1, b)
+            else:
+                yield text(a, b)
+
+    return itertools.chain.from_iterable(map(block_text, blocks))
+
+
+def tradeoff_rows(cfg: SweepConfig) -> Iterator[List[str]]:
+    """The rows of `tradeoff_text`, split into cells."""
+    return (line.split(",") for piece in tradeoff_text(cfg) for line in piece.splitlines())
 
 
 # --------------------------------------------------------------------------
@@ -505,33 +523,33 @@ def tradeoff_rows(cfg: SweepConfig) -> Iterator[Tuple[str, ...]]:
 # --------------------------------------------------------------------------
 
 
-def write_csv(
-    cfg: SweepConfig, columns: List[str], rows: Iterable[Sequence[str]], stream
-) -> None:
+def write_csv(cfg: SweepConfig, columns: List[str], text: Iterable[str], stream) -> None:
+    """The comment header, the column line, then `text`: whole lines, in pieces."""
     stream.write(f"# umpbounds {__version__}\n")
     for key, value in cfg.echo_items():
         stream.write(f"# {key} = {value}\n")
     stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(row) + "\n")
+    stream.writelines(text)
 
 
 def run(cfg: SweepConfig) -> int:
     status = EXIT_OK
-    if cfg.command == "bound":
-        columns, rows = BOUND_COLUMNS, bound_rows(cfg)
-    elif cfg.command == "simulate":
-        rows, all_pass = simulate_rows(cfg)
-        columns = SIMULATE_COLUMNS
-        if not all_pass:
-            status = EXIT_ACCEPTANCE
+    if cfg.command == "tradeoff":
+        columns, text = tradeoff_columns(len(cfg.classes)), tradeoff_text(cfg)
     else:
-        columns, rows = tradeoff_columns(len(cfg.classes)), tradeoff_rows(cfg)
+        if cfg.command == "bound":
+            columns, rows = BOUND_COLUMNS, bound_rows(cfg)
+        else:
+            rows, all_pass = simulate_rows(cfg)
+            columns = SIMULATE_COLUMNS
+            if not all_pass:
+                status = EXIT_ACCEPTANCE
+        text = (",".join(row) + "\n" for row in rows)
     if cfg.out:
         with open(cfg.out, "w") as fh:
-            write_csv(cfg, columns, rows, fh)
+            write_csv(cfg, columns, text, fh)
     else:
-        write_csv(cfg, columns, rows, sys.stdout)
+        write_csv(cfg, columns, text, sys.stdout)
     return status
 
 

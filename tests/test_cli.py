@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import umpbounds
@@ -187,6 +187,13 @@ class TestInputChecks:
             "--class", "eps=0.1,lambda=0.5", "--class", "eps=0.1,lambda=nan", "--grid", "0.5",
         ]
         assert cli.main(argv) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("n", [",", " , ", ""])
+    def test_empty_n_list_refused(self, n, capsys):
+        argv = ["bound", "--channel", "bsc", "--p", "0.11", "--n", n, "--class", "eps=0.1,lambda=1"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--n needs at least one blocklength" in err and ">= 1" not in err
 
     def test_eps0_grid_needs_a_point(self, capsys):
         assert cli.main(self.BOUND + ["--eps0-grid", "0"]) == cli.EXIT_CONFIG
@@ -683,9 +690,7 @@ class TestTradeoffCommand:
         # every composition of steps into m parts, in lexicographic order
         for steps in range(1, 9):
             want = [
-                tuple(c / steps for c in comp)
-                for comp in itertools.product(range(steps + 1), repeat=m)
-                if sum(comp) == steps
+                comp for comp in itertools.product(range(steps + 1), repeat=m) if sum(comp) == steps
             ]
             assert list(cli._simplex_grid(m, steps)) == want
 
@@ -792,6 +797,73 @@ class TestTradeoffCommand:
         body = out.read_text().split("is_argmax\n", 1)[1]
         assert rates.index(max(rates)) == steps // 2
         assert body == want
+
+
+@st.composite
+def tradeoff_sweeps(draw):
+    """`tradeoff` arguments on both channels at positive dispersion: m = 1..4,
+    mu with zero entries, 1-3 blocklengths; with where the argmax row of the
+    first n should fall in its slice ("first", "last" or a drawn slice size)."""
+    m = draw(st.integers(1, 4))
+    steps = draw(st.sampled_from([1, 2, 3, 5, 10, 20, 50][: 8 - m]))
+    shares = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    channel = draw(st.sampled_from(["bsc", "bec"]))
+    p = draw(st.sampled_from([0.02, 0.11, 0.3, 0.89] if channel == "bsc" else [0.1, 0.5, 0.9]))
+    n_list = draw(st.lists(st.integers(1, 5000), min_size=1, max_size=3))
+    argv = ["tradeoff", "--channel", channel, "--p", repr(p), "--n", ",".join(map(str, n_list))]
+    for _ in range(m):
+        argv += ["--class", f"eps={draw(st.sampled_from([1e-6, 1e-3, 0.1, 0.5]))!r},lambda={1 / m!r}"]
+    argv += ["--mu", ",".join(repr(s / sum(shares)) for s in shares), "--grid", repr(1 / steps)]
+    return argv, draw(st.one_of(st.sampled_from(["first", "last"]), st.integers(1, 40)))
+
+
+def _tradeoff_oracle(cfg):
+    """The CSV of `cfg` built row by row from the library formulas, and the
+    argmax index of each n (None when every rate is -inf)."""
+    m, steps = len(cfg.mu), round(1 / cfg.grid)
+    lams = [
+        tuple(c / steps for c in (*head, steps - sum(head)))
+        for head in itertools.product(range(steps + 1), repeat=m - 1)
+        if sum(head) <= steps
+    ]
+    eps = [c.eps for c in cfg.classes]
+    text = [f"# umpbounds {umpbounds.__version__}\n"]
+    text += [f"# {key} = {value}\n" for key, value in cfg.echo_items()]
+    text.append(",".join(["n", *(f"lambda_{i + 1}" for i in range(m))]) + ",expected_rate,kl_loss,is_argmax\n")
+    bests = []
+    for n in cfg.n_list:
+        spec = ChannelSpec(cfg.channel, cfg.p, n)
+        losses = [kl_divergence_bits(cfg.mu, lam) for lam in lams]
+        rates = [expected_rate(spec, eps, cfg.mu, [loss])[0] for loss in losses]
+        best = rates.index(max(rates)) if max(rates) > -math.inf else None
+        bests.append(best)
+        for i, (lam, rate, loss) in enumerate(zip(lams, rates, losses)):
+            cells = [str(n), *(f"{v:.12g}" for v in lam), f"{rate:.12g}", f"{loss / n:.12g}"]
+            text.append(",".join(cells + ["1" if i == best else "0"]) + "\n")
+    return "".join(text), bests
+
+
+class TestTradeoffSweep:
+    @settings(
+        max_examples=60, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(sweep=tradeoff_sweeps())
+    @example(  # every point has a zero lambda_i at some mu_i > 0: no argmax
+        sweep=(["tradeoff", "--channel", "bsc", "--p", "0.11", "--n", "150,400",
+                "--class", "eps=0.001,lambda=0.5", "--class", "eps=0.1,lambda=0.5",
+                "--mu", "0.5,0.5", "--grid", "1.0"], "first"),
+    )
+    def test_csv_bytes_match_oracle(self, sweep, tmp_path):
+        argv, where = sweep
+        want, bests = _tradeoff_oracle(cli.build_config(argv))
+        # a slice size that puts the first n's argmax row first or last in its slice
+        size = {"first": bests[0] or 1, "last": (bests[0] or 0) + 1}.get(where, where)
+        out = tmp_path / "t.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "TRADEOFF_SLICE_ROWS", size)
+            assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == want
 
 
 def test_import_loads_no_scipy():
