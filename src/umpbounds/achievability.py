@@ -116,12 +116,18 @@ def _log2_lambda(lambda_i: float) -> float:
     return math.log2(lambda_i)
 
 
-def class_rate(rate: Optional[float], lambda_i: float) -> Optional[float]:
+def class_rate(
+    rate: Optional[float], lambda_i: float, fits_one: Callable[[], bool] = lambda: False
+) -> Optional[float]:
     """rate + log2(lambda_i): a class's log2M from its homogeneous (lambda = 1) rate.
 
-    None when that is below 0 or `rate` is None. A class bound is monotone
-    in log2M - log2(lambda) and depends on nothing else, so the sum steps
-    down until shifting back does not exceed `rate`: then it meets eps exactly.
+    None when `rate` is None, or when that is below 0 and `fits_one()`, the
+    class bound at log2M = 0 meeting eps, is false; 0 when it is true. A
+    searched rate can sit a few ulps below an exact crossing, so at a tie
+    only the bound itself tells whether one codeword fits. A class bound is
+    monotone in log2M - log2(lambda) and depends on nothing else, so the sum
+    steps down until shifting back does not exceed `rate`: then it meets eps
+    exactly.
     """
     log2_lambda = _log2_lambda(lambda_i)
     if rate is None:
@@ -129,7 +135,9 @@ def class_rate(rate: Optional[float], lambda_i: float) -> Optional[float]:
     shifted = rate + log2_lambda
     while shifted - log2_lambda > rate:
         shifted = math.nextafter(shifted, -math.inf)
-    return shifted if shifted >= 0.0 else None
+    if shifted >= 0.0:
+        return shifted
+    return 0.0 if fits_one() else None
 
 
 def dt_class_bound(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
@@ -177,7 +185,10 @@ def max_log2M_dt(spec: ChannelSpec, eps_target: float, lambda_i: float) -> Optio
     Returns None when even a single codeword exceeds the target; rate sweeps
     hit that routinely at small n, so infeasibility is a value, not an error.
     """
-    return class_rate(_max_log2M(spec, spec.n, eps_target), lambda_i)
+    return class_rate(
+        _max_log2M(spec, spec.n, eps_target), lambda_i,
+        lambda: dt_class_bound(spec, 0.0, lambda_i) <= eps_target,
+    )
 
 
 def max_log2M_header_ach(

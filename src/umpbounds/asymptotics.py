@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .achievability import _log2_lambda
 from .channel import ChannelSpec, channel_stats
@@ -38,20 +40,22 @@ def normal_approx_log2M(spec: ChannelSpec, eps: float, lambda_i: float) -> float
 
 def expected_rate(
     spec: ChannelSpec, eps: Sequence[float], mu: Sequence[float], losses: Sequence[float]
-) -> List[float]:
+) -> np.ndarray:
     """(1/n) sum_i mu_i (log2 M_i - log2 mu_i), with 0*log(1/0) = 0, per loss.
 
     M_i is the normal approximation at class target eps[i]. Since
     log2 M_i(lambda_i) = log2 M_i(1) + log2 lambda_i, the expected rate at
     lambda is the lambda-free sum_i mu_i log2 M_i(1) minus D(mu || lambda);
-    `losses` holds D(mu || lambda) in bits for each lambda of interest.
+    `losses` holds D(mu || lambda) in bits for each lambda of interest, as a
+    sequence or a float64 array. The rates are the float64 array
+    (base - losses) / n, each element the IEEE result of the scalar formula.
     """
     base = sum(
         mu_i * normal_approx_log2M(spec, eps_i, 1.0)
         for mu_i, eps_i in zip(mu, eps)
         if mu_i > 0.0
     )
-    return [(base - loss) / spec.n for loss in losses]
+    return (base - np.asarray(losses, dtype=float)) / spec.n
 
 
 def kl_divergence_bits(mu: Sequence[float], lam: Sequence[float]) -> float:

@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import array
 import functools
 import itertools
 import math
@@ -30,9 +29,9 @@ from .achievability import (
     max_log2M_dt,
     max_log2M_header_ach,
 )
-from .asymptotics import expected_rate, kl_divergence_bits, normal_approx_log2M
+from .asymptotics import expected_rate, normal_approx_log2M
 from .channel import ChannelKind, ChannelSpec, channel_stats
-from .converse import converse_max_log2M, header_conv_max_log2M
+from .converse import converse_fits_one, converse_max_log2M, header_conv_max_log2M
 from .cosets import ResourceBudgetError, build_coset_code, monte_carlo_error, save_codebook
 
 NA = "NA"
@@ -318,7 +317,8 @@ BOUND_COLUMNS = [
 def bound_rows(cfg: SweepConfig) -> List[List[str]]:
     """One row per (n, class). The searches run once per distinct (n, eps), at
     lambda = 1; each class shifts its DT, converse and normal rates by log2 lambda
-    (`class_rate`: NA below 0; the normal approximation is clamped at 0)."""
+    (`class_rate`: NA below 0 unless the bound at log2M = 0 meets eps; the
+    normal approximation is clamped at 0)."""
     m = len(cfg.classes)
     all_eps = [c.eps for c in cfg.classes]
     n0 = None if cfg.n0 == "auto" else int(cfg.n0)  # None: best over the splits
@@ -338,11 +338,13 @@ def bound_rows(cfg: SweepConfig) -> List[List[str]]:
 
     def row(n: int, idx: int) -> List[str]:
         c = cfg.classes[idx]
+        spec = ChannelSpec(cfg.channel, cfg.p, n)
         dt, conv, header_ach, header_conv, normal = rates(n, c.eps)
         if normal is not None:
             normal = max(0.0, normal + math.log2(c.lam))
-        cells = (c.lam, c.eps, class_rate(dt, c.lam), class_rate(conv, c.lam),
-                 header_ach, header_conv, normal)
+        dt = class_rate(dt, c.lam, lambda: dt_class_bound(spec, 0.0, c.lam) <= c.eps)
+        conv = class_rate(conv, c.lam, lambda: converse_fits_one(spec, c.eps, c.lam))
+        cells = (c.lam, c.eps, dt, conv, header_ach, header_conv, normal)
         return [str(n), str(idx), *map(_fmt, cells)]
 
     if cfg.threads > 1:
@@ -428,20 +430,58 @@ def simulate_rows(cfg: SweepConfig) -> Tuple[List[List[str]], bool]:
 # --------------------------------------------------------------------------
 
 
-def _simplex_grid(m: int, steps: int) -> Iterator[Tuple[int, ...]]:
-    """Compositions of `steps` into m parts, in lex order; part c stands for the
-    weight c / steps.
+def _split_last(heads: np.ndarray, ends: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Rows a..b-1 of the lex-ordered compositions made from `heads`, each head's
+    last part r split into (j, r - j) for j = 0..r; `ends` is the cumulative
+    count of rows, np.cumsum(heads[:, -1] + 1)."""
+    row = np.arange(a, b)
+    head = np.searchsorted(ends, row, side="right")
+    rest = heads[head, -1]
+    j = row - (ends[head] - rest - 1)
+    return np.column_stack((heads[head, :-1], j, rest - j))
 
-    Stars and bars give the first m - 2 parts and what is left, r; the last
-    two parts run through (0, r), ..., (r, 0) as one C-level map per head.
+
+def _compositions(m: int, steps: int) -> Iterator[np.ndarray]:
+    """Compositions of `steps` into m parts in lex order, as integer arrays of
+    at most TRADEOFF_SLICE_ROWS rows; part c stands for the weight c / steps.
+
+    The compositions into m - 1 parts are the heads: splitting the last part
+    of each head in turn gives the m-part compositions in order. The heads,
+    at most as many as the points, are built whole; the last split is made
+    one block at a time.
     """
+    heads = np.array([[steps]])
     if m == 1:
-        yield (steps,)
+        yield heads
         return
-    for bars in itertools.combinations(range(steps + m - 2), m - 2):
-        edges = (-1, *bars, steps + m - 2)
-        *head, rest = (b - a - 1 for a, b in zip(edges, edges[1:]))
-        yield from map(tuple(head).__add__, zip(range(rest + 1), range(rest, -1, -1)))
+    for _ in range(m - 2):
+        ends = np.cumsum(heads[:, -1] + 1)
+        heads = _split_last(heads, ends, 0, int(ends[-1]))
+    ends = np.cumsum(heads[:, -1] + 1)
+    points = int(ends[-1])
+    for a in range(0, points, TRADEOFF_SLICE_ROWS):
+        yield _split_last(heads, ends, a, min(a + TRADEOFF_SLICE_ROWS, points))
+
+
+def _simplex_points(mu: Sequence[float], steps: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Each block of `_compositions(len(mu), steps)` with its points' D(mu || lambda) in bits.
+
+    Each class with mu_i > 0 has one table T_i[c] = mu_i log2(mu_i / (c / steps)),
+    inf at c = 0: the terms of `kl_divergence_bits`, with its `math.log2`. A
+    point's loss adds them in class order, starting from 0.0, so it equals
+    kl_divergence_bits(mu, lambda) bit for bit (an inf term stays inf).
+    """
+    weights = np.arange(1, steps + 1) / steps
+    tables = [
+        (i, mu_i * np.array([math.inf, *map(math.log2, (mu_i / weights).tolist())]))
+        for i, mu_i in enumerate(mu)
+        if mu_i > 0.0
+    ]
+    for counts in _compositions(len(mu), steps):
+        losses = np.zeros(len(counts))
+        for i, table in tables:
+            losses += table[counts[:, i]]
+        yield counts, losses
 
 
 def tradeoff_columns(m: int) -> List[str]:
@@ -457,38 +497,43 @@ def tradeoff_text(cfg: SweepConfig) -> Iterator[str]:
 
     Every number and every check (the row budget, the losses, each n's
     expected rates and argmax) is computed before this returns, so a failing
-    sweep fails before any output is opened. Each point's lambda cells are
-    joined once into a prefix shared by every n. The iterator then formats
-    each n's rows in slices of at most TRADEOFF_SLICE_ROWS rows, one
-    %-format of a repeated row template per slice, so the text alive at once
-    stays bounded however many points one n has. The argmax row is a piece
-    of its own.
+    sweep fails before any output is opened. The simplex points come in
+    blocks of at most TRADEOFF_SLICE_ROWS (`_simplex_points`): each block
+    gives its losses, from one KL table per class, and its points' lambda
+    cells, one %-format of a repeated template per block, kept as one prefix
+    string per point and shared by every n. Each n's rates (base - loss) / n
+    and its first argmax are float64 array work. The iterator then formats
+    each n's rows in slices of at most TRADEOFF_SLICE_ROWS rows, one %-format
+    of a repeated row template per slice, so the text alive at once stays
+    bounded however many points one n has. The argmax row is a piece of its
+    own.
     """
     m = len(cfg.classes)
     mu = cfg.mu
     steps = round(1.0 / cfg.grid)
-    total_rows = math.comb(steps + m - 1, m - 1) * len(cfg.n_list)
+    points = math.comb(steps + m - 1, m - 1)
+    total_rows = points * len(cfg.n_list)
     if total_rows > MAX_TRADEOFF_ROWS:
         raise ResourceBudgetError(
             f"{total_rows} tradeoff rows exceed budget {MAX_TRADEOFF_ROWS}; "
             "coarsen --grid or sweep fewer n"
         )
     # every weight on the grid is c / steps: format each once, indexed by c
-    weights = [c / steps for c in range(steps + 1)]
-    cells = [f"{w:.12g}" for w in weights]
-    prefixes, losses = [], array.array("d")  # 8 bytes a loss, not a float object
-    for counts in _simplex_grid(m, steps):
-        prefixes.append(",".join(map(cells.__getitem__, counts)))
-        losses.append(kl_divergence_bits(mu, tuple(map(weights.__getitem__, counts))))
-    del weights, cells  # the rows need only the prefixes and the losses
+    cells = [f"{w:.12g}" for w in (np.arange(steps + 1) / steps).tolist()]
+    lam_row = ",".join(["%s"] * m) + "\n"
+    prefixes, losses = [], np.empty(points)
+    for counts, block_losses in _simplex_points(mu, steps):
+        losses[len(prefixes) : len(prefixes) + len(counts)] = block_losses
+        lam_cells = tuple(map(cells.__getitem__, counts.ravel().tolist()))
+        prefixes += (lam_row * len(counts) % lam_cells).splitlines()
+    del cells  # the rows need only the prefixes and the losses
     eps = [c.eps for c in cfg.classes]
     blocks = []
     for n in cfg.n_list:
-        spec = ChannelSpec(cfg.channel, cfg.p, n)
-        rates = expected_rate(spec, eps, mu, losses)
+        rates = expected_rate(ChannelSpec(cfg.channel, cfg.p, n), eps, mu, losses)
         # the first maximizer; none when every point has lambda_i = 0 at some mu_i > 0
-        top = max(rates)
-        blocks.append((n, rates, rates.index(top) if top > -math.inf else None))
+        best = int(np.argmax(rates))
+        blocks.append((n, rates, best if rates[best] > -math.inf else None))
 
     def block_text(block) -> Iterator[str]:
         n, rates, best = block
@@ -497,12 +542,12 @@ def tradeoff_text(cfg: SweepConfig) -> Iterator[str]:
         def text(a: int, b: int) -> str:
             args = [None] * (3 * (b - a))
             args[0::3] = prefixes[a:b]
-            args[1::3] = rates[a:b]
-            args[2::3] = [x / n for x in losses[a:b]]
+            args[1::3] = rates[a:b].tolist()
+            args[2::3] = (losses[a:b] / n).tolist()
             return row * (b - a) % tuple(args)
 
-        for a in range(0, len(rates), TRADEOFF_SLICE_ROWS):
-            b = min(a + TRADEOFF_SLICE_ROWS, len(rates))
+        for a in range(0, points, TRADEOFF_SLICE_ROWS):
+            b = min(a + TRADEOFF_SLICE_ROWS, points)
             if best is not None and a <= best < b:
                 yield text(a, best)
                 yield text(best, best + 1)[:-2] + "1\n"  # its is_argmax cell reads 1

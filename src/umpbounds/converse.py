@@ -11,7 +11,8 @@ equiprobable law reach 2^-n.
 
 Every class converse depends on (log2 M, lambda) only through log2 M - log2
 lambda, so the searches here run at lambda = 1 and `achievability.class_rate`
-shifts each rate by log2 lambda, to None when the sum is below 0.
+shifts each rate by log2 lambda, to None when the sum is below 0 and one
+codeword misses eps (`converse_fits_one`).
 """
 
 from __future__ import annotations
@@ -137,7 +138,24 @@ def converse_max_log2M_bec(spec: ChannelSpec, eps: float, lambda_i: float) -> Op
     """Largest log2M whose BEC converse floor does not exceed eps."""
     if spec.kind is not ChannelKind.BEC:
         raise ValueError("the BEC converses require a BEC spec")
-    return class_rate(_max_log2M(spec, spec.n, eps, hinge=True), lambda_i)
+    return class_rate(
+        _max_log2M(spec, spec.n, eps, hinge=True), lambda_i,
+        lambda: converse_fits_one(spec, eps, lambda_i),
+    )
+
+
+def converse_fits_one(spec: ChannelSpec, eps: float, lambda_i: float) -> bool:
+    """Whether one codeword of a class at lambda_i meets the meta-converse at eps.
+
+    On the BEC that is the error floor at log2M = 0, which a searched rate can
+    miss by a few ulps at a tie. On the BSC it is beta(1 - eps) <= lambda_i,
+    false at p in {0, 1/2, 1}; the BSC rate -log2(beta) is not searched, so
+    its shift already agrees with this.
+    """
+    if spec.kind is ChannelKind.BEC:
+        return converse_eps_bec(spec, 0.0, lambda_i) <= eps
+    p = _reduced_bsc_p(spec)
+    return p is not None and np_beta_bsc_miss(spec.n, p, eps).log2_beta <= _log2_lambda(lambda_i)
 
 
 def header_conv_eps_bec(spec: ChannelSpec, n0: int, m: int, log2M: float) -> float:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 import umpbounds
 from umpbounds import cli
-from umpbounds.achievability import max_log2M_dt, max_log2M_header_ach
+from umpbounds.achievability import dt_class_bound, max_log2M_dt, max_log2M_header_ach
 from umpbounds.asymptotics import expected_rate, kl_divergence_bits
 from umpbounds.channel import ChannelKind, ChannelSpec
+from umpbounds.converse import converse_eps_bec
 
 
 def _cfg(*argv):
@@ -267,7 +269,7 @@ class TestInputChecks:
         def no_enumeration(*args):
             raise AssertionError("the simplex grid was enumerated")
 
-        monkeypatch.setattr(cli, "_simplex_grid", no_enumeration)
+        monkeypatch.setattr(cli, "_compositions", no_enumeration)
         assert cli.main(self.TRADEOFF + ["--grid", "1e-4"]) == cli.EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
 
@@ -313,6 +315,32 @@ class TestBoundCommand:
         row = [l for l in out.read_text().splitlines() if not l.startswith("#")][1]
         cells = dict(zip(cli.BOUND_COLUMNS, row.split(",")))
         assert cells["log2M_dt"] == "NA"
+
+    @pytest.mark.parametrize(
+        "argv, column, one_codeword",
+        [
+            # the searched BEC(1) rate sits one ulp below -log2 0.9, the crossing
+            (
+                "--channel bec --p 1 --n 10 --class eps=0.1,lambda=0.9 --class eps=0.1,lambda=0.1",
+                "log2M_converse",
+                lambda spec: converse_eps_bec(spec, 0.0, 0.9),
+            ),
+            (
+                "--channel bsc --p 0 --n 3 --class eps=0.5,lambda=0.25 --class eps=0.5,lambda=0.75",
+                "log2M_dt",
+                lambda spec: dt_class_bound(spec, 0.0, 0.25),
+            ),
+        ],
+        ids=["bec-converse", "bsc-dt"],
+    )
+    def test_exact_tie_at_one_codeword_prints_zero(self, tmp_path, argv, column, one_codeword):
+        # class 0's bound at log2M = 0 meets eps (a tie up to rounding), so one codeword fits
+        out = tmp_path / "tie.csv"
+        assert cli.main(["bound", *argv.split(), "--out", str(out)]) == 0
+        cfg = cli.build_config(["bound", *argv.split()])
+        assert one_codeword(ChannelSpec(cfg.channel, cfg.p, cfg.n_list[0])) <= cfg.classes[0].eps
+        row = [l for l in out.read_text().splitlines() if not l.startswith("#")][1]
+        assert dict(zip(cli.BOUND_COLUMNS, row.split(",")))[column] == "0"
 
     def test_dt_never_exceeds_converse(self, tmp_path):
         out = tmp_path / "sw.csv"
@@ -686,13 +714,66 @@ class TestTradeoffCommand:
         assert float(best[0]["lambda_1"]) == 1.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_simplex_grid_order(self, m):
-        # every composition of steps into m parts, in lexicographic order
-        for steps in range(1, 9):
-            want = [
-                comp for comp in itertools.product(range(steps + 1), repeat=m) if sum(comp) == steps
-            ]
-            assert list(cli._simplex_grid(m, steps)) == want
+    def test_simplex_grid_order(self, m, monkeypatch):
+        # every composition of steps into m parts, in lexicographic order, in
+        # blocks of at most TRADEOFF_SLICE_ROWS rows, a block boundary anywhere
+        for size in (1, 3, 7, cli.TRADEOFF_SLICE_ROWS):
+            monkeypatch.setattr(cli, "TRADEOFF_SLICE_ROWS", size)
+            for steps in range(1, 9):
+                want = [
+                    list(comp)
+                    for comp in itertools.product(range(steps + 1), repeat=m)
+                    if sum(comp) == steps
+                ]
+                blocks = list(cli._compositions(m, steps))
+                assert all(0 < len(block) <= size for block in blocks)
+                assert [row for block in blocks for row in block.tolist()] == want
+
+    @pytest.mark.parametrize(
+        "mu, steps",
+        [
+            ((1.0,), 7),
+            ((0.3, 0.7), 40),
+            ((1.0, 0.0), 9),
+            ((0.0, 1.0), 9),
+            ((0.5, 0.25, 0.25), 30),
+            ((0.5, 0.0, 0.5), 25),
+            ((0.15, 0.35, 0.5), 60),
+            ((0.1, 0.2, 0.3, 0.4), 16),
+            ((0.0, 0.3, 0.0, 0.7), 12),
+            ((0.5, 0.25, 0.25), 1412),
+        ],
+    )
+    def test_losses_are_kl_divergence_bit_for_bit(self, mu, steps):
+        # each point's table sum against kl_divergence_bits, compared as float.hex so
+        # that one ulp, the sign of a zero and inf all count; an ulp can move which of
+        # two tied points is the first argmax. Every grid has points with lambda_i = 0.
+        got, want = [], []
+        for counts, losses in cli._simplex_points(mu, steps):
+            got += map(float.hex, losses.tolist())
+            want += (kl_divergence_bits(mu, [c / steps for c in point]).hex() for point in counts.tolist())
+        assert len(got) == math.comb(steps + len(mu) - 1, len(mu) - 1)
+        assert got == want
+
+    def test_sweep_memory_per_point(self, monkeypatch):
+        # one n of m = 3 on a 445-step grid, every piece dropped as it comes: the peak
+        # traced allocation stays within 1.2 x 145 bytes a point, the peak of the
+        # row-at-a-time loop this build replaced, measured the same way. Building the
+        # whole counts array and the whole lambda-prefix %-format at once takes 210.
+        # 2^10-row slices keep the per-slice text small next to what each point keeps.
+        monkeypatch.setattr(cli, "TRADEOFF_SLICE_ROWS", 1 << 10)
+        cfg = cli.build_config(
+            ["tradeoff", "--channel", "bsc", "--p", "0.11", "--n", "1000",
+             "--class", "eps=1e-3,lambda=0.5", "--class", "eps=1e-2,lambda=0.25",
+             "--class", "eps=1e-1,lambda=0.25", "--mu", "0.5,0.25,0.25", "--grid", repr(1 / 445)]
+        )
+        tracemalloc.start()
+        try:
+            collections.deque(cli.tradeoff_text(cfg), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 145 * math.comb(447, 2)
 
     def test_grid_point_count(self, tmp_path):
         out = tmp_path / "t3.csv"
@@ -795,7 +876,7 @@ class TestTradeoffCommand:
             for i, (lam, rate, loss) in enumerate(zip(lams, rates, losses))
         )
         body = out.read_text().split("is_argmax\n", 1)[1]
-        assert rates.index(max(rates)) == steps // 2
+        assert rates.tolist().index(max(rates)) == steps // 2
         assert body == want
 
 

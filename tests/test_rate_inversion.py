@@ -28,6 +28,7 @@ from umpbounds.channel import ChannelKind, ChannelSpec
 from umpbounds.converse import (
     _header_eps0_index,
     converse_eps_bec,
+    converse_fits_one,
     converse_max_log2M,
     converse_max_log2M_bec,
     converse_max_log2M_bsc,
@@ -296,12 +297,20 @@ def _class_bound_met(search, spec, eps, lam, rate):
 )
 # without the step-down, rate + log2(lambda) puts this DT class 2.3e-15 (relative) above eps
 @example(search="dt", channel=(BSC, 0.3), n=2000, eps=1e-6, lam=1e-10)
+# exact ties at one codeword: the homogeneous rate shifts to just below 0, the bound meets eps
+@example(search="converse", channel=(BEC, 1.0), n=10, eps=0.1, lam=0.9)
+@example(search="dt", channel=(BSC, 0.0), n=3, eps=0.5, lam=0.25)
 def test_every_class_rate_is_the_homogeneous_rate_shifted_and_valid(search, channel, n, eps, lam):
     spec = ChannelSpec(*channel, n)
     rate_at = max_log2M_dt if search == "dt" else converse_max_log2M
     rate, homogeneous = rate_at(spec, eps, lam), rate_at(spec, eps, 1.0)
-    assert (rate is None) == (homogeneous is None or homogeneous + math.log2(lam) < 0.0)
+    below_zero = homogeneous is not None and homogeneous + math.log2(lam) < 0.0
+    one_fits = below_zero and _class_bound_met(search, spec, eps, lam, 0.0)
+    assert (rate is None) == (homogeneous is None or (below_zero and not one_fits))
+    assert rate != 0.0 or not below_zero or one_fits
     assert rate is None or _class_bound_met(search, spec, eps, lam, rate)
+    if search == "converse":
+        assert converse_fits_one(spec, eps, lam) == (rate is not None)
 
 
 @pytest.mark.parametrize("kind,p", [(BSC, 0.11), (BEC, 0.5)])
