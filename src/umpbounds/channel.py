@@ -63,8 +63,28 @@ class InfoDensitySpectrum:
     density: np.ndarray
 
 
+# factor * t for t < size, size a power of two: a length-L spectrum reads the
+# first L + 1 entries of the tables for ln p, ln(1 - p) and its density's
+# slope in t. A run reads three factors per channel at sizes up to twice its
+# longest block, a few dozen tables; the cache bounds how many stay alive.
+@functools.lru_cache(maxsize=64)
+def _multiples(factor: float, size: int) -> np.ndarray:
+    table = np.arange(size) * factor
+    table.flags.writeable = False
+    return table
+
+
+def _multiples_upto(factor: float, n: int) -> np.ndarray:
+    """factor * t for t = 0..n, a read-only prefix of a shared table."""
+    return _multiples(factor, 1 << n.bit_length())[: n + 1]
+
+
 def binomial_log_pmf(n: int, p: float) -> np.ndarray:
-    """Natural-log Binomial(n, p) masses for t = 0..n."""
+    """Natural-log Binomial(n, p) masses for t = 0..n.
+
+    Entry t is ((ln n! - ln t!) - ln (n-t)!) + t ln p + (n-t) ln(1-p),
+    rounded in that order, with both products read from shared tables.
+    """
     if p == 0.0:
         out = np.full(n + 1, -np.inf)
         out[0] = 0.0
@@ -73,8 +93,10 @@ def binomial_log_pmf(n: int, p: float) -> np.ndarray:
         out = np.full(n + 1, -np.inf)
         out[n] = 0.0
         return out
-    t = np.arange(n + 1)
-    return log_binomial_row(n) + t * math.log(p) + (n - t) * math.log(1.0 - p)
+    out = log_binomial_row(n)
+    out += _multiples_upto(math.log(p), n)
+    out += _multiples_upto(math.log(1.0 - p), n)[::-1]
+    return out
 
 
 # an auto header scan reads lengths s and n - s at each split s it visits (its
@@ -86,20 +108,25 @@ def info_density_spectrum(kind: ChannelKind, length: int, p: float) -> InfoDensi
 
     BSC: density(t) = len*(1 + log2(1-p)) + t*(log2(p) - log2(1-p)), a
     constant plus a multiple of t, so every rounding step is monotone in t and
-    so is the float density, for every p; BEC: density(t) = len - t. The
+    so is the float density, for every p; BEC: density(t) = len - t. Every
+    multiple of t, in the masses too, is a slice of a table that `_multiples`
+    shares between lengths and channels, so a build allocates little more
+    than its two outputs, and it rounds the same products and sums in the
+    same order as forming each entry directly. Weights have zero mass only
+    at p in {0, 1}, and only there is their density masked to -inf. The
     arrays are shared by every caller and are read-only.
     """
     log_mass = binomial_log_pmf(length, p)
-    t = np.arange(length + 1)
     if kind is ChannelKind.BSC:
         # at p = 0 (p = 1) the weights that would need log2(0) have zero mass
         # and are masked below
         log2_p = math.log2(p) if p > 0.0 else 0.0
         log2_q = math.log2(1.0 - p) if p < 1.0 else 0.0
-        density = length * (1.0 + log2_q) + t * (log2_p - log2_q)
+        density = length * (1.0 + log2_q) + _multiples_upto(log2_p - log2_q, length)
     else:
-        density = (length - t).astype(float)
-    density[log_mass == -np.inf] = -np.inf
+        density = _multiples_upto(1.0, length)[::-1].copy()
+    if p in (0.0, 1.0):
+        density[log_mass == -np.inf] = -np.inf
     log_mass.flags.writeable = density.flags.writeable = False
     return InfoDensitySpectrum(log_mass, density)
 

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -178,34 +179,66 @@ def _eps0_grid(top: float, points: int) -> np.ndarray:
     return grid
 
 
+# relative error budget of the two header-test evaluations; see _header_eps0_min
+EPS0_REL_TOL = 1e-9
+
+
+def _header_eps0_min(p: float, n0: int, m: int) -> Tuple[float, float]:
+    """The least eps0 with beta_{n0}(1 - eps0) <= 1/m, and a margin around it.
+
+    eps0_min is the miss mass of the test with false alarm exactly 1/m: the
+    shells past the boundary shell L and the part of L it rejects. The
+    Neyman-Pearson test `np_beta_bsc_miss` rounds differently, so the eps0
+    at which it switches can sit beside eps0_min, but nearer than the margin.
+
+    Near the switch beta is linear in eps0 with slope -q_L/p_L, p_L and q_L
+    the boundary shell's masses under the channel and the equiprobable law.
+    Both evaluations read the same spectrum, whose masses carry a relative
+    error r (a few ulps of ln n0!), so beta = 1/m errs by r/m, which moves
+    the switch by r p_L/(m q_L); the sums that make eps0_min err by
+    r eps0_min plus that same term. A switch pushed into shell L - 1 follows
+    its slope, which is flatter, since p/q falls with the weight. So the
+    margin is EPS0_REL_TOL (eps0_min + p/(m q) at shell max(L - 1, 0)), plus
+    the least normal float for masses that underflow. Over p from 1e-300 to
+    1/2, m in {2, 3, 8} and n0 = 1..200 and up to 1e4, the switch sat at
+    most 1.1e-11 of that scale from eps0_min, so the margin has 90x slack.
+    """
+    spectrum = info_density_spectrum(ChannelKind.BSC, n0, p)
+    pmass = np.exp(spectrum.log_mass)
+    q = np.exp(spectrum.log_mass - spectrum.density * LN2)
+    L = int(np.searchsorted(np.cumsum(q), 1.0 / m, side="right"))
+    if L > n0:  # every shell fits in false alarm 1/m, so m = 1 and eps0 = 0 exactly
+        return 0.0, 0.0
+    rejected = (q[: L + 1].sum() - 1.0 / m) / q[L]
+    eps0_min = float(pmass[L + 1 :].sum() + rejected * pmass[L])
+    flat = max(L - 1, 0)
+    scale = eps0_min + float(pmass[flat] / (m * q[flat]))
+    return eps0_min, EPS0_REL_TOL * scale + sys.float_info.min
+
+
 def _header_eps0_index(p: float, n0: int, m: int, grid: np.ndarray) -> Optional[int]:
     """Smallest grid index whose eps0 lets m header codewords pass the converse.
 
     The header constraint is beta_{n0}(1 - eps0) <= 1/m, and beta is monotone
     in its detection level, so the feasible eps0 form an upper set whose least
-    element is the miss mass of the test with false alarm exactly 1/m. One
-    searchsorted puts that on the grid; the test at the index and at its
-    predecessor confirms it, or moves it to where the test switches.
+    element is eps0_min (`_header_eps0_min`); one searchsorted puts that on
+    the grid. Only when a grid neighbour of eps0_min lies within the margin,
+    where the Neyman-Pearson test may decide it the other way, do the tests
+    at the index and at its predecessor confirm it, or move it to where the
+    test switches.
     """
-    log2_m = math.log2(m)
-
-    def header_ok(eps0: float) -> bool:
-        return log2_m <= -np_beta_bsc_miss(n0, p, eps0).log2_beta
-
-    spectrum = info_density_spectrum(ChannelKind.BSC, n0, p)
-    pmass = np.exp(spectrum.log_mass)
-    q = np.exp(spectrum.log_mass - spectrum.density * LN2)
-    L = int(np.searchsorted(np.cumsum(q), 1.0 / m, side="right"))
-    if L > n0:
-        eps0_min = 0.0
-    else:
-        rejected = (q[: L + 1].sum() - 1.0 / m) / q[L]
-        eps0_min = pmass[L + 1 :].sum() + rejected * pmass[L]
+    eps0_min, margin = _header_eps0_min(p, n0, m)
     idx = int(np.searchsorted(grid, eps0_min, side="left"))
-    while idx < len(grid) and not header_ok(grid[idx]):
-        idx += 1
-    while idx > 0 and header_ok(grid[idx - 1]):
-        idx -= 1
+    if np.any(np.abs(grid[max(idx - 1, 0) : idx + 1] - eps0_min) < margin):
+        log2_m = math.log2(m)
+
+        def header_ok(eps0: float) -> bool:
+            return log2_m <= -np_beta_bsc_miss(n0, p, eps0).log2_beta
+
+        while idx < len(grid) and not header_ok(grid[idx]):
+            idx += 1
+        while idx > 0 and header_ok(grid[idx - 1]):
+            idx -= 1
     return idx if idx < len(grid) else None
 
 

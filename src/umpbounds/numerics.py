@@ -98,7 +98,9 @@ def invert_exp2_sum(log_w, shift, budget: float, hinge: bool = False) -> float:
     one searchsorted finds the segment, and the segment's equation is solved
     exactly. Returns +inf when S never exceeds budget. The result is exact up
     to rounding; `achievability._max_log2M` confirms it against the bound,
-    which _exp2_sum evaluates.
+    which _exp2_sum evaluates. The shifts need not be sorted: a stable sort
+    orders them. The prefix and suffix sums, the breakpoint values and their
+    running max are written with out= into one buffer allocated per call.
     """
     log_w = np.asarray(log_w, dtype=float)
     log_budget = math.log(budget) if budget > 0.0 else _NEG_INF
@@ -109,16 +111,22 @@ def invert_exp2_sum(log_w, shift, budget: float, hinge: bool = False) -> float:
     order = np.argsort(-s, kind="stable")
     log_w = log_w[keep][order]
     s = s[order] * LN2  # nats, descending
-    # index k: sums over the terms j < k, the active prefix left of breakpoint k
-    log_mass = np.concatenate(([_NEG_INF], np.logaddexp.accumulate(log_w)))
+    # index k: sums over the terms j < k, the active prefix left of breakpoint
+    # k; log_b[k] sums the B terms of segment k; the last breakpoint value is
+    # S(+inf), the total mass
+    log_mass, log_b, log_at_break = np.empty((3, len(s) + 1))
+    log_mass[0] = _NEG_INF
+    np.logaddexp.accumulate(log_w, out=log_mass[1:])
     if hinge:
-        log_b = np.concatenate(([_NEG_INF], np.logaddexp.accumulate(log_w - s)))
-        log_at_break = _log_sub(log_mass[:-1], log_b[:-1] + s)
+        log_b[0] = _NEG_INF
+        np.logaddexp.accumulate(log_w - s, out=log_b[1:])
+        log_at_break[:-1] = _log_sub(log_mass[:-1], log_b[:-1] + s)
     else:
-        log_b = np.concatenate((np.logaddexp.accumulate((log_w + s)[::-1])[::-1], [_NEG_INF]))
-        log_at_break = np.logaddexp(log_mass[:-1], log_b[:-1] - s)
-    # the last entry is S(+inf), the total mass
-    log_at_break = np.maximum.accumulate(np.append(log_at_break, log_mass[-1]))
+        log_b[-1] = _NEG_INF
+        np.logaddexp.accumulate((log_w + s)[::-1], out=log_b[-2::-1])
+        np.logaddexp(log_mass[:-1], log_b[:-1] - s, out=log_at_break[:-1])
+    log_at_break[-1] = log_mass[-1]
+    np.maximum.accumulate(log_at_break, out=log_at_break)
     k = int(np.searchsorted(log_at_break, log_budget, side="right"))
     if k == len(log_at_break):
         return math.inf

@@ -25,8 +25,27 @@ import mpmath
 import numpy as np
 
 from umpbounds.channel import ChannelKind, ChannelSpec, info_density_spectrum
+from umpbounds.numerics import log_binomial_row
 
 HALF = Fraction(1, 2)
+
+
+def direct_spectrum(kind: ChannelKind, length: int, p: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(log_mass, density) of a length-symbol block, every entry formed from t."""
+    t = np.arange(length + 1)
+    if p in (0.0, 1.0):
+        log_mass = np.full(length + 1, -np.inf)
+        log_mass[0 if p == 0.0 else length] = 0.0
+    else:
+        log_mass = log_binomial_row(length) + t * math.log(p) + (length - t) * math.log(1.0 - p)
+    if kind is ChannelKind.BSC:
+        log2_p = math.log2(p) if p > 0.0 else 0.0
+        log2_q = math.log2(1.0 - p) if p < 1.0 else 0.0
+        density = length * (1.0 + log2_q) + t * (log2_p - log2_q)
+    else:
+        density = (length - t).astype(float)
+    density[log_mass == -np.inf] = -np.inf
+    return log_mass, density
 
 
 def binom_weights(n: int, p: Fraction) -> List[Fraction]:

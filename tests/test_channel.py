@@ -3,8 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import direct_spectrum
 from scipy.special import logsumexp
 
+from umpbounds import channel
 from umpbounds.channel import (
     ChannelKind,
     ChannelSpec,
@@ -164,3 +166,34 @@ def test_binomial_log_pmf_degenerate():
     assert binomial_log_pmf(4, 0.0)[0] == 0.0
     assert binomial_log_pmf(4, 1.0)[4] == 0.0
     assert np.all(np.isneginf(binomial_log_pmf(4, 0.0)[1:]))
+
+
+# both degenerate ends, a tiny p, 1/2 and two ulps below it, where the BSC
+# density's slope in t is smallest, and p past 1/2
+SPECTRUM_P = (0.0, 1e-9, 0.11, 0.3, 0.5 - 2.0**-53, 0.5, 0.89, 1.0)
+SPECTRUM_LENGTHS = list(range(71)) + [500, 999, 1000, 2000, 10000]
+
+
+@pytest.mark.parametrize("lengths", [SPECTRUM_LENGTHS, SPECTRUM_LENGTHS[::-1]], ids=["up", "down"])
+def test_spectrum_tables_give_the_direct_bytes(lengths):
+    # built short-then-long each length needs a larger table than the last;
+    # long-then-short every length reads a table a longer one built
+    info_density_spectrum.cache_clear()
+    channel._multiples.cache_clear()
+    for kind in (BSC, BEC):
+        for p in SPECTRUM_P:
+            for n in lengths:
+                got = info_density_spectrum(kind, n, p)
+                log_mass, density = direct_spectrum(kind, n, p)
+                assert got.log_mass.tobytes() == log_mass.tobytes(), (kind, p, n)
+                assert got.density.tobytes() == density.tobytes(), (kind, p, n)
+
+
+def test_spectrum_table_cache_stays_bounded():
+    bound = channel._multiples.cache_info().maxsize
+    for p in np.linspace(0.001, 0.999, 100):
+        for kind in (BSC, BEC):
+            info_density_spectrum(kind, 600, float(p))
+            info_density_spectrum(kind, 20, float(p))
+        assert channel._multiples.cache_info().currsize <= bound
+    assert bound == 64

@@ -478,10 +478,14 @@ BOUND_RATES = cli.BOUND_COLUMNS[4:]
 
 @st.composite
 def bound_argv(draw):
-    """`bound` arguments over the accepted range: both channels, n <= 300,
-    m <= 3, eps in [1e-300, 1 - 1e-6], lambda down to 1e-300, every --n0 kind."""
-    n = draw(st.integers(1, 300))
-    m = draw(st.integers(1, 3))
+    """`bound` arguments over the accepted range: both channels, n <= 1e4,
+    m <= 4, eps in [1e-300, 1 - 1e-6], lambda down to 1e-300, every --n0 kind.
+    About one draw in fifty takes n above 300, so the sweep stays short."""
+    if draw(st.integers(0, 49)) == 25:
+        n = draw(st.sampled_from([1000, 2000, 5000, 10_000]))
+    else:
+        n = draw(st.integers(1, 300))
+    m = draw(st.integers(1, 4))
     eps = st.one_of(
         st.sampled_from([1e-300, 1e-16, 1e-3, 0.5, 1 - 1e-6]),
         st.floats(1e-300, 1 - 1e-6),
@@ -512,6 +516,17 @@ class TestBoundSweep:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(argv=bound_argv())
+    # the random draws of a large n fall on degenerate p, so two fixed inputs
+    # at n = 1e4 and m = 4 put the header scans on spectra past 2^13 entries
+    @example(argv=[
+        "bound", "--channel", "bsc", "--p", "0.11", "--n", "10000", "--n0", "auto",
+        *["--class", "eps=1e-3,lambda=0.25"] * 4,
+    ])
+    @example(argv=[
+        "bound", "--channel", "bec", "--p", "0.5", "--n", "10000", "--n0", "auto",
+        "--class", "eps=1e-15,lambda=0.4", "--class", "eps=1e-9,lambda=0.3",
+        "--class", "eps=1e-3,lambda=0.2", "--class", "eps=0.1,lambda=0.1",
+    ])
     def test_every_accepted_input_gives_a_bound_or_a_refusal(self, argv, capsys):
         code = cli.main(argv)
         out, err = capsys.readouterr()

@@ -141,21 +141,21 @@ def test_bec_header_converse_rate(p):
                 )
 
 
+def header_ok(p, n0, m, eps0):
+    """Whether m header codewords pass the converse at header miss eps0."""
+    return math.log2(m) <= -np_beta_bsc_miss(n0, p, eps0).log2_beta
+
+
 def reference_eps0_index(p, n0, m, grid):
     """Smallest grid index passing the header test, by bisection over the grid."""
-    log2_m = math.log2(m)
-
-    def header_ok(eps0):
-        return log2_m <= -np_beta_bsc_miss(n0, p, eps0).log2_beta
-
     lo, hi = 0, len(grid) - 1
-    if not header_ok(grid[hi]):
+    if not header_ok(p, n0, m, grid[hi]):
         return None
-    if header_ok(grid[lo]):
+    if header_ok(p, n0, m, grid[lo]):
         return lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if header_ok(grid[mid]):
+        if header_ok(p, n0, m, grid[mid]):
             hi = mid
         else:
             lo = mid
@@ -180,6 +180,34 @@ def test_bsc_header_eps0_index_matches_grid_bisection(n, eps0_points):
                     miss = min_eps - float(grid[want])
                     expected = 0.0 if miss <= 0.0 else -np_beta_bsc_miss(n - n0, p, miss).log2_beta
                     assert rate == expected
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-9, 0.01, 0.11, 0.3, 0.5 - 2.0**-53])
+def test_bsc_header_eps0_index_confirms_grid_points_beside_eps0_min(p, monkeypatch):
+    # a grid point at the closed-form eps0_min and one ulp on each side of it
+    # sit inside the margin, so the Neyman-Pearson tests decide the index.
+    # Within ulps the float test need not be monotone (at p = 0.3, n0 = 13,
+    # m = 8 it passes at eps0_min, fails one ulp above and passes again), so
+    # the reference tests every grid point, and bisection, which assumes a
+    # monotone test, is checked only where the test is monotone. Grid points
+    # two margins away are placed by the closed form alone, unless a point
+    # of the coarse grid happens to lie within the margin.
+    tests = _counting(monkeypatch, converse, "np_beta_bsc_miss")
+    for m in (2, 3, 8):
+        for n0 in range(201):
+            eps0_min, margin = converse._header_eps0_min(p, n0, m)
+            near = [np.nextafter(eps0_min, -1.0), eps0_min, np.nextafter(eps0_min, 2.0)]
+            beside = [eps0_min - 2.0 * margin, eps0_min + 2.0 * margin]
+            for points in (near, beside):
+                grid = np.unique(np.clip(np.concatenate((np.linspace(0.0, 1.0, 11), points)), 0.0, 1.0))
+                del tests[:]
+                got = _header_eps0_index(p, n0, m, grid)
+                assert tests or points is beside, (m, n0)
+                ok = [header_ok(p, n0, m, eps0) for eps0 in grid]
+                want = ok.index(True) if True in ok else None
+                assert got == want, (m, n0)
+                if want is None or all(ok[want:]):
+                    assert got == reference_eps0_index(p, n0, m, grid), (m, n0)
 
 
 def _capped_sum(log_w, shift, c):
@@ -348,6 +376,16 @@ def test_header_searches_sum_the_header_once(monkeypatch):
     assert max_log2M_header_ach(bsc, eps, 3, 100, [eps] * 3) is not None
     assert header_conv_max_log2M_bec(bec, eps, 3, 100, [eps] * 3) is not None
     assert (len(ach_calls), len(conv_calls)) == (1, 1)
+
+
+def test_bsc_bound_confirms_eps0_only_near_a_grid_point(monkeypatch, tmp_path):
+    # confirming every split's eps0 index took two Neyman-Pearson tests each:
+    # 62 tests in this run, 43 of them confirmations
+    tests = _counting(monkeypatch, converse, "_np_shell_test")
+    classes = ["--class", f"eps=1e-3,lambda={1 / 3!r}"] * 3
+    argv = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "500,1000", *classes]
+    assert cli.main(argv + ["--out", str(tmp_path / "bound.csv")]) == 0
+    assert len(tests) <= 20
 
 
 def test_hinge_sums_with_no_positive_term_are_skipped(monkeypatch, tmp_path):
