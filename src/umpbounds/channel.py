@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import log_binomial_row
+from .numerics import LN2, log_binomial_row
 
 
 class ChannelKind(Enum):
@@ -57,10 +57,37 @@ class InfoDensitySpectrum:
     and zero probability). log_mass[t] is the natural-log probability of
     weight t and density[t] the density of every output of that weight, in
     bits; both are -inf where the channel gives t probability zero.
+
+    log_q[t] is the natural-log mass of weight t under Q, the output law of
+    the uniform input (equiprobable on the BSC) drawn independently of the
+    input: the law the converses test the channel against, and that of an
+    independent competitor codeword. Where the channel gives t mass,
+    Q[t] = P[t] 2^-density[t].
     """
 
+    kind: ChannelKind
     log_mass: np.ndarray
     density: np.ndarray
+
+    @functools.cached_property
+    def log_q(self) -> np.ndarray:
+        """ln Q[t], built when first read; read-only like the other arrays.
+
+        BSC: ln C(n, t) - n ln 2, exact whatever p, with no n |ln p| terms to
+        cancel, and finite where the channel gives t no mass. BEC: the mass
+        of erasing t positions and agreeing on the rest is P[t] 2^-(n - t),
+        so log_mass - density ln 2, exact since the density is an integer,
+        and -inf where the mass is 0.
+        """
+        length = len(self.log_mass) - 1
+        if self.kind is ChannelKind.BSC:
+            log_q = log_binomial_row(length)
+            log_q -= length * LN2
+        else:
+            log_q = np.full(length + 1, -np.inf)
+            np.subtract(self.log_mass, self.density * LN2, out=log_q, where=self.log_mass > -np.inf)
+        log_q.flags.writeable = False
+        return log_q
 
 
 # factor * t for t < size, size a power of two: a length-L spectrum reads the
@@ -114,7 +141,8 @@ def info_density_spectrum(kind: ChannelKind, length: int, p: float) -> InfoDensi
     than its two outputs, and it rounds the same products and sums in the
     same order as forming each entry directly. Weights have zero mass only
     at p in {0, 1}, and only there is their density masked to -inf. The
-    arrays are shared by every caller and are read-only.
+    arrays are shared by every caller and are read-only; `log_q` is built
+    only by the callers that read it.
     """
     log_mass = binomial_log_pmf(length, p)
     if kind is ChannelKind.BSC:
@@ -128,7 +156,7 @@ def info_density_spectrum(kind: ChannelKind, length: int, p: float) -> InfoDensi
     if p in (0.0, 1.0):
         density[log_mass == -np.inf] = -np.inf
     log_mass.flags.writeable = density.flags.writeable = False
-    return InfoDensitySpectrum(log_mass, density)
+    return InfoDensitySpectrum(kind, log_mass, density)
 
 
 def channel_stats(spec: ChannelSpec) -> ChannelStats:

@@ -4,7 +4,8 @@ The BSC converse needs the optimal binary hypothesis test between the
 channel law W(.|x) and the equiprobable output distribution 2^-n. Its
 likelihood ratio is monotone in Hamming distance, so the optimal randomized
 test fills whole distance shells in order and randomizes on the boundary
-shell, read off `channel.info_density_spectrum`. The converses pass the miss
+shell, read off `channel.info_density_spectrum`: its log_mass under the
+channel and its log_q under the equiprobable law. The converses pass the miss
 probability eps itself (`np_beta_bsc_miss`), which 1 - eps would round away;
 beta is assembled in the log domain because shell masses under the
 equiprobable law reach 2^-n.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .achievability import _block_sum, _log2_lambda, _max_log2M, class_rate
 from .channel import ChannelKind, ChannelSpec, info_density_spectrum
-from .numerics import LN2, LogValue, log_sum_exp
+from .numerics import LogValue, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -54,17 +55,20 @@ def _np_shell_test(n: int, p: float, alpha: float, miss: float) -> NPBetaResult:
     One of alpha and miss was computed from the other, exactly when it lies in
     [1/2, 1], so L comes from detection prefix sums when alpha <= 1/2 and from
     miss suffix sums otherwise. Shell t weighs exp(log_mass[t]) under the
-    channel and 2^-density[t] times that under the equiprobable law.
+    channel and exp(log_q[t]) under the equiprobable law.
     """
-    if not 0.0 < p < 0.5:
-        raise ValueError(f"np_beta_bsc requires 0 < p < 0.5, got {p}")
+    if not 0.0 <= p <= 0.5:
+        raise ValueError(f"np_beta_bsc requires 0 <= p <= 0.5, got {p}")
     if n < 0 or not 0.0 <= alpha <= 1.0:
         raise ValueError(f"need n >= 0 and detection in [0,1], got n={n}, alpha={alpha}")
     if alpha == 0.0:
         return NPBetaResult(LogValue.zero(), 0, 0.0)
-    if miss == 0.0:
-        return NPBetaResult(LogValue(0.0), n, 1.0)
     spectrum = info_density_spectrum(ChannelKind.BSC, n, p)
+    if miss == 0.0:
+        # the test accepts the channel's whole support: every shell, or at
+        # p = 0 the reference word alone, of equiprobable mass 2^-n
+        L = n if p > 0.0 else 0
+        return NPBetaResult(LogValue(0.0 if L == n else float(spectrum.log_q[0])), L, 1.0)
     log_level = math.log(min(alpha, miss))
     # masses in units of e^shift: at most e^700 in all, and what underflows is far below level
     shift = max(log_level, -700.0)
@@ -82,7 +86,7 @@ def _np_shell_test(n: int, p: float, alpha: float, miss: float) -> NPBetaResult:
         L = n - k
         rho = (tail[k] - level) / mass[L]
     rho = min(1.0, float(rho))
-    log_q = spectrum.log_mass[: L + 1] - spectrum.density[: L + 1] * LN2
+    log_q = spectrum.log_q[: L + 1]
     log_beta = np.logaddexp(log_sum_exp(log_q[:L]), math.log(rho) + log_q[L])
     return NPBetaResult(LogValue(float(log_beta)), L, rho)
 
@@ -90,8 +94,9 @@ def _np_shell_test(n: int, p: float, alpha: float, miss: float) -> NPBetaResult:
 def np_beta_bsc(n: int, p: float, alpha: float) -> NPBetaResult:
     """Minimal false alarm vs the equiprobable law at detection alpha.
 
-    Requires 0 < p < 0.5 (reduce by symmetry at the caller); the likelihood
-    ordering then runs from distance 0 outward.
+    Requires 0 <= p <= 0.5 (reduce by symmetry at the caller); the likelihood
+    ordering then runs from distance 0 outward, with every shell tied at
+    p = 1/2, where beta = alpha.
     """
     return _np_shell_test(n, p, alpha, 1.0 - alpha)
 
@@ -101,28 +106,22 @@ def np_beta_bsc_miss(n: int, p: float, eps: float) -> NPBetaResult:
     return _np_shell_test(n, p, 1.0 - eps, eps)
 
 
-def _reduced_bsc_p(spec: ChannelSpec) -> Optional[float]:
-    """min(p, 1 - p), to which the BSC converses reduce by symmetry.
-
-    None at p in {0, 1/2, 1}, which have no Neyman-Pearson shell structure.
-    """
+def _reduced_bsc_p(spec: ChannelSpec) -> float:
+    """min(p, 1 - p), to which the BSC converses reduce by symmetry."""
     if spec.kind is not ChannelKind.BSC:
         raise ValueError("the BSC converses require a BSC spec")
-    p = min(spec.p, 1.0 - spec.p)
-    return p if 0.0 < p < 0.5 else None
+    return min(spec.p, 1.0 - spec.p)
 
 
 def converse_max_log2M_bsc(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
     """Meta-converse rate limit for a BSC class: log2(lambda) - log2(beta).
 
-    None when not even one codeword fits, and at p in {0, 1/2, 1}; p > 1/2
-    is reduced to 1 - p by symmetry.
+    None when not even one codeword fits; p > 1/2 is reduced to 1 - p by
+    symmetry.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    p = _reduced_bsc_p(spec)
-    rate = None if p is None else -np_beta_bsc_miss(spec.n, p, eps).log2_beta
-    return class_rate(rate, lambda_i)
+    return class_rate(-np_beta_bsc_miss(spec.n, _reduced_bsc_p(spec), eps).log2_beta, lambda_i)
 
 
 def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
@@ -149,14 +148,14 @@ def converse_fits_one(spec: ChannelSpec, eps: float, lambda_i: float) -> bool:
     """Whether one codeword of a class at lambda_i meets the meta-converse at eps.
 
     On the BEC that is the error floor at log2M = 0, which a searched rate can
-    miss by a few ulps at a tie. On the BSC it is beta(1 - eps) <= lambda_i,
-    false at p in {0, 1/2, 1}; the BSC rate -log2(beta) is not searched, so
-    its shift already agrees with this.
+    miss by a few ulps at a tie. On the BSC it is beta(1 - eps) <= lambda_i;
+    the BSC rate -log2(beta) is not searched, so its shift already agrees
+    with this.
     """
     if spec.kind is ChannelKind.BEC:
         return converse_eps_bec(spec, 0.0, lambda_i) <= eps
-    p = _reduced_bsc_p(spec)
-    return p is not None and np_beta_bsc_miss(spec.n, p, eps).log2_beta <= _log2_lambda(lambda_i)
+    beta = np_beta_bsc_miss(spec.n, _reduced_bsc_p(spec), eps)
+    return beta.log2_beta <= _log2_lambda(lambda_i)
 
 
 def header_conv_eps_bec(spec: ChannelSpec, n0: int, m: int, log2M: float) -> float:
@@ -205,7 +204,7 @@ def _header_eps0_min(p: float, n0: int, m: int) -> Tuple[float, float]:
     """
     spectrum = info_density_spectrum(ChannelKind.BSC, n0, p)
     pmass = np.exp(spectrum.log_mass)
-    q = np.exp(spectrum.log_mass - spectrum.density * LN2)
+    q = np.exp(spectrum.log_q)
     L = int(np.searchsorted(np.cumsum(q), 1.0 / m, side="right"))
     if L > n0:  # every shell fits in false alarm 1/m, so m = 1 and eps0 = 0 exactly
         return 0.0, 0.0
@@ -224,8 +223,10 @@ def _header_eps0_index(p: float, n0: int, m: int, grid: np.ndarray) -> Optional[
     element is eps0_min (`_header_eps0_min`); one searchsorted puts that on
     the grid. Only when a grid neighbour of eps0_min lies within the margin,
     where the Neyman-Pearson test may decide it the other way, do the tests
-    at the index and at its predecessor confirm it, or move it to where the
-    test switches.
+    at the predecessor and at the index confirm it, or move it to where the
+    test switches. Within ulps the float test need not be monotone, so a
+    passing predecessor is taken before stepping up past failing points:
+    of two passing points around a failing one, the lower is returned.
     """
     eps0_min, margin = _header_eps0_min(p, n0, m)
     idx = int(np.searchsorted(grid, eps0_min, side="left"))
@@ -235,10 +236,10 @@ def _header_eps0_index(p: float, n0: int, m: int, grid: np.ndarray) -> Optional[
         def header_ok(eps0: float) -> bool:
             return log2_m <= -np_beta_bsc_miss(n0, p, eps0).log2_beta
 
-        while idx < len(grid) and not header_ok(grid[idx]):
-            idx += 1
         while idx > 0 and header_ok(grid[idx - 1]):
             idx -= 1
+        while idx < len(grid) and not header_ok(grid[idx]):
+            idx += 1
     return idx if idx < len(grid) else None
 
 
@@ -255,16 +256,14 @@ def header_conv_max_log2M_bsc(
     The header error allocation eps0 is optimized over a uniform grid on
     [0, min_j eps_j]: the m-codeword header constraint relaxes as eps0 grows
     while the payload limit tightens, so the best grid point is the smallest
-    feasible one. None when no grid point admits the header, and at p in
-    {0, 1/2, 1}; p > 1/2 is reduced to 1 - p by symmetry.
+    feasible one. None when no grid point admits the header; p > 1/2 is
+    reduced to 1 - p by symmetry.
     """
     if not 0.0 < eps_i < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps_i}")
     p = _reduced_bsc_p(spec)
     if not 0 <= n0 <= spec.n:
         raise ValueError(f"n0 must be in [0, n], got {n0}")
-    if p is None:
-        return None
     grid = _eps0_grid(min(all_eps), eps0_points)
     idx = _header_eps0_index(p, n0, m, grid)
     if idx is None:
@@ -287,8 +286,7 @@ def header_conv_max_log2M_bec(
 def converse_max_log2M(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
     """Meta-converse class-size limit on either channel.
 
-    None when not even one codeword fits (log2M < 0) and, for BSC, at p in
-    {0, 1/2, 1}.
+    None when not even one codeword fits (log2M < 0).
     """
     if spec.kind is ChannelKind.BEC:
         return converse_max_log2M_bec(spec, eps, lambda_i)

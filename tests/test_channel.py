@@ -14,6 +14,7 @@ from umpbounds.channel import (
     channel_stats,
     info_density_spectrum,
 )
+from umpbounds.numerics import log_binomial_row
 
 BSC, BEC = ChannelKind.BSC, ChannelKind.BEC
 
@@ -160,6 +161,22 @@ class TestWeightSpectrum:
         spec = info_density_spectrum(BSC, 8, 0.11)
         with pytest.raises(ValueError):
             spec.density[0] = 0.0
+
+    @pytest.mark.parametrize("p", [0.0, 1e-9, 0.11, 0.5, 0.89, 1.0])
+    def test_equiprobable_log_q(self, p):
+        # Q[t] = P[t] 2^-density[t] where the channel gives t mass; the BSC's
+        # Q is Binomial(n, 1/2) whatever p, and the BEC's outputs that agree
+        # with the input off the erasures hold ((1 + p)/2)^n of it
+        n = 40
+        bsc, bec = info_density_spectrum(BSC, n, p), info_density_spectrum(BEC, n, p)
+        assert np.array_equal(bsc.log_q, log_binomial_row(n) - n * math.log(2.0))
+        for spec in (bsc, bec):
+            has_mass = spec.log_mass > -np.inf
+            derived = spec.log_mass[has_mass] - spec.density[has_mass] * math.log(2.0)
+            assert spec.log_q[has_mass] == pytest.approx(derived, rel=1e-12)
+            assert not spec.log_q.flags.writeable
+        assert np.all(np.isneginf(bec.log_q[bec.log_mass == -np.inf]))
+        assert logsumexp(bec.log_q) == pytest.approx(n * math.log((1.0 + p) / 2.0), abs=1e-12)
 
 
 def test_binomial_log_pmf_degenerate():

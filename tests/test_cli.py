@@ -316,6 +316,18 @@ class TestBoundCommand:
         cells = dict(zip(cli.BOUND_COLUMNS, row.split(",")))
         assert cells["log2M_dt"] == "NA"
 
+    @pytest.mark.parametrize("p, n_bits", [("0", 64), ("0.5", 0), ("1", 64)])
+    def test_bsc_converses_at_degenerate_p(self, tmp_path, p, n_bits):
+        # the channel carries n bits at p in {0, 1} and none at p = 1/2, so at
+        # m = 1 both converse cells are n_bits - log2(1 - eps) for every split
+        out = tmp_path / "degenerate.csv"
+        argv = ["bound", "--channel", "bsc", "--p", p, "--n", "64", "--class", "eps=0.1,lambda=1"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        row = [l for l in out.read_text().splitlines() if not l.startswith("#")][1]
+        cells = dict(zip(cli.BOUND_COLUMNS, row.split(",")))
+        for column in ("log2M_converse", "log2M_header_conv"):
+            assert float(cells[column]) == pytest.approx(n_bits - math.log2(0.9), rel=1e-11)
+
     @pytest.mark.parametrize(
         "argv, column, one_codeword",
         [

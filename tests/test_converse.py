@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 import oracles
+from umpbounds import converse
 from umpbounds.achievability import dt_class_bound, max_log2M_dt, max_log2M_header_ach
 from umpbounds.channel import ChannelKind, ChannelSpec
 from umpbounds.converse import (
@@ -114,11 +115,28 @@ class TestNpBeta:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            np_beta_bsc(4, 0.5, 0.3)
-        with pytest.raises(ValueError):
-            np_beta_bsc(4, 0.0, 0.3)
-        with pytest.raises(ValueError):
             np_beta_bsc(4, 0.11, 1.5)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_degenerate_p_lp_cross_check(self, p):
+        # the channel law is a point mass at p = 0, and at p = 1/2 every
+        # output ties in likelihood ratio
+        for n in range(1, 7):
+            for alpha in (0.1, 0.5, 0.9, 1.0):
+                got = np_beta_bsc(n, p, alpha).log_beta.to_linear()
+                assert got == pytest.approx(_np_beta_lp(n, p, alpha), rel=1e-9), (n, alpha)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 1000])
+    def test_degenerate_p_closed_forms(self, n):
+        # beta = alpha 2^-n at p = 0, where the test accepts the reference
+        # word with probability alpha, and beta = alpha at p = 1/2. There
+        # beta sums float shell masses, each good to a few ulps of ln n!
+        # (about 1e-12 relative at n = 1000; 4e-12 measured in beta)
+        for alpha in (1e-300, 1e-9, 0.3, 0.5, 0.9, 1.0 - 1e-15, 1.0):
+            at_zero = np_beta_bsc(n, 0.0, alpha).log_beta.log_magnitude
+            assert at_zero == pytest.approx(math.log(alpha) - n * math.log(2.0), rel=1e-12)
+            at_half = np_beta_bsc(n, 0.5, alpha).log_beta.log_magnitude
+            assert at_half == pytest.approx(math.log(alpha), rel=0.0, abs=1e-11)
 
 
 class TestConverseBsc:
@@ -157,17 +175,33 @@ class TestConverseBsc:
                 assert want is not None
                 assert fn(mirror, 1e-2, 2, n0, [1e-2, 0.1], 50) == want
 
-    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-    def test_degenerate_p_has_no_converse(self, p):
+    @pytest.mark.parametrize("p, want", [(0.0, 32.0), (0.5, 0.0), (1.0, 32.0)])
+    def test_degenerate_p_converse_closed_form(self, p, want):
+        # -log2 beta(1 - eps) is n - log2(1 - eps) at p in {0, 1}, -log2(1 - eps) at p = 1/2
         spec = ChannelSpec(BSC, p, 32)
-        assert converse_max_log2M_bsc(spec, 1e-2, 1.0) is None
-        assert converse_max_log2M(spec, 1e-2, 1.0) is None
-        assert header_conv_max_log2M_bsc(spec, 1e-2, 2, 8, [1e-2]) is None
-        assert header_conv_max_log2M(spec, 1e-2, 2, 8, [1e-2]) is None
+        for fn in (converse_max_log2M_bsc, converse_max_log2M):
+            assert fn(spec, 1e-2, 1.0) == pytest.approx(want - math.log2(0.99), rel=1e-12)
+        for fn in (header_conv_max_log2M_bsc, header_conv_max_log2M):
+            got = fn(spec, 1e-2, 2, 8, [1e-2])
+            if p == 0.5:  # two header codewords need eps0 >= 1/2 > eps
+                assert got is None
+            else:  # eps0 = 0 admits them, leaving the payload all of eps
+                assert got == pytest.approx(want - 8.0 - math.log2(0.99), rel=1e-12)
 
 
 class TestSmallEpsMpmath:
     """Rates against 60-digit references down to eps = 1e-15."""
+
+    def test_converse_at_a_tiny_rate(self):
+        # n = 1, p = 1e-9, eps = 1e-15: beta = 1 - 5e-7, so -log2 beta keeps
+        # beta's absolute rounding error, a few 1e-17, over 1 - beta, about
+        # 1e-10 relative. Forming the equiprobable shell masses as
+        # log_mass - density ln 2 erred 1.6e-9 relative; they are exact now,
+        # and the rate errs 6e-11.
+        n, p, eps = 1, 1e-9, 1e-15
+        want = -oracles.mp_log2_beta_miss(n, p, eps)
+        got = converse_max_log2M_bsc(ChannelSpec(BSC, p, n), eps, 1.0)
+        assert got == pytest.approx(want, rel=5e-10, abs=0.0)
 
     @pytest.mark.parametrize("n", [200, 1000, 5000])
     def test_converse(self, n):
@@ -279,6 +313,22 @@ class TestHeaderConverse:
         spec = ChannelSpec(BSC, 0.11, 64)
         got = header_conv_max_log2M_bsc(spec, 1e-2, 1, 0, [1e-2])
         assert got == converse_max_log2M_bsc(spec, 1e-2, 1.0)
+
+    @pytest.mark.parametrize(
+        "n0, m, eps", [(3, 3, 0.05), (0, 1, 0.05), (1, 3, 0.4), (0, 2, 0.6), (5, 1000, 0.99)]
+    )
+    def test_bsc_header_at_p0_closed_form(self, n0, m, eps):
+        # at p = 0 the header test admits m codewords iff eps0 >= max(0, 1 - 2^n0/m)
+        # (no grid point lies on it), and a payload of miss e has rate
+        # (n - n0) - log2(1 - e); at (3, 3, 0.05) that is 29 - log2(0.95)
+        n = 32
+        eps0_min = max(0.0, 1.0 - 2.0**n0 / m)
+        assert converse._header_eps0_min(0.0, n0, m)[0] == pytest.approx(eps0_min, rel=1e-12, abs=0.0)
+        grid = np.linspace(0.0, eps, 1000)
+        payload_miss = eps - float(grid[np.searchsorted(grid, eps0_min)])
+        want = (n - n0) - math.log2(1.0 - payload_miss)
+        got = header_conv_max_log2M_bsc(ChannelSpec(BSC, 0.0, n), eps, m, n0, [eps])
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_bsc_infeasible_header(self):
         # three headers over a single channel use cannot meet eps=1e-3
