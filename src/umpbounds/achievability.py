@@ -252,6 +252,12 @@ def best_over_splits(
          costs a full rate search, and cap(s) >= rate(s), so right after an
          improvement it almost never stops the scan; skipping it there
          delays the stop by at most one split.
+    With one class (m = 1) the header is empty and its term is 0, so split 0
+    puts the whole block on the payload and is the maximum in exact
+    arithmetic: when it is feasible the scan returns its rate at once. In
+    float a later split can rate above it by rounding alone, by at most
+    1.5e-11 bits in the cases checked (BSC(1/2), n = 10^4, where every split
+    rates the same and a scan would visit all n + 1 of them).
     Split n itself is never capped: there is no length-0 ChannelSpec, and a
     length-0 payload still carries log2(1 + 2 eps) bits in the DT bound, so a
     cap of 0 there would be wrong. At a first feasible split s0 and a stop
@@ -264,6 +270,8 @@ def best_over_splits(
         return rate(spec, eps, m, n0, all_eps) if n0 <= n else None
     # a fresh memo per call: nothing outlives the scan
     rate_at = functools.cache(lambda s: rate(spec, eps, m, s, all_eps))
+    if m == 1 and rate_at(0) is not None:
+        return rate_at(0)
     # after the gallop, lo is infeasible (or -1) and hi is feasible
     lo, hi = -1, 0
     while rate_at(hi) is None:

@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import ResourceBudgetError  # defined in the package: cli raises it too
 from .achievability import SimplexWeights
 from .channel import ChannelKind, ChannelSpec, info_density_spectrum
 
@@ -49,10 +50,6 @@ MC_CHUNK = 8192
 # with its candidates' word columns, and each block of (trial, candidate)
 # pairs, about 35 bytes a pair at one word
 DECODE_BLOCK_BYTES = 1 << 21
-
-
-class ResourceBudgetError(Exception):
-    """Raised when a requested codebook exceeds the codeword-table budget."""
 
 
 def _words(n: int) -> int:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import umpbounds
-from umpbounds import cli
+from umpbounds import cli, converse, cosets
 from umpbounds.achievability import dt_class_bound, max_log2M_dt, max_log2M_header_ach
 from umpbounds.asymptotics import expected_rate, kl_divergence_bits
 from umpbounds.channel import ChannelKind, ChannelSpec
@@ -178,7 +178,7 @@ class TestInputChecks:
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulate ran on a NaN lambda")
 
-        monkeypatch.setattr(cli, "monte_carlo_error", no_simulation)
+        monkeypatch.setattr(cosets, "monte_carlo_error", no_simulation)
         argv = [
             "simulate", "--channel", "bec", "--p", "0.5", "--n", "16",
             "--class", "k=2,lambda=nan", "--class", "k=1,lambda=0.5", "--trials", "100",
@@ -432,14 +432,16 @@ class TestBoundCommand:
         calls = collections.Counter()
         rates = ["max_log2M_dt", "converse_max_log2M", "normal_approx_log2M"]
         for name in rates + ["best_over_splits"]:
-            def counted(*args, _name=name, _fn=getattr(cli, name)):
+            module = converse if name == "converse_max_log2M" else cli
+
+            def counted(*args, _name=name, _fn=getattr(module, name)):
                 if _name in rates:  # (spec, eps, lam)
                     calls[(_name, args[0].n, args[1], args[2])] += 1
                 else:  # (rate, spec, eps, m, all_eps, n0)
                     calls[(_name, args[1].n, args[2])] += 1
                 return _fn(*args)
 
-            monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(module, name, counted)
         argv = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "200,100,200", "--n0", n0]
         for eps, lam in classes:
             argv += ["--class", f"eps={eps},lambda={lam}"]
@@ -451,6 +453,24 @@ class TestBoundCommand:
                 expected.update((name, n, eps, 1.0) for name in rates)
                 expected[("best_over_splits", n, eps)] = 2
         assert calls == expected
+
+    def test_one_class_header_scan_is_one_rate_search(self, monkeypatch):
+        # at BSC(1/2) every split rates the same: a scan of all 10^4 + 1 of them took 13 s
+        calls = collections.Counter()
+
+        def counting_scan(rate, *args, _scan=cli.best_over_splits):
+            def counted(*rate_args):
+                calls[rate] += 1
+                return rate(*rate_args)
+
+            return _scan(counted, *args)
+
+        monkeypatch.setattr(cli, "best_over_splits", counting_scan)
+        cfg = _cfg("bound", "--channel", "bsc", "--p", "0.5", "--n", "10000",
+                   "--class", "eps=1e-3,lambda=1")
+        (row,) = cli.bound_rows(cfg)
+        assert len(calls) == 2 and max(calls.values()) <= 3
+        assert cli.NA not in row[6:8]  # both header columns
 
     def test_repeated_n_rows_ordered_by_n_then_class(self):
         cfg = _cfg(
@@ -1006,3 +1026,68 @@ def test_single_thread_run_loads_no_thread_pool(tmp_path):
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "0 0 False"
+
+
+def test_package_names_resolve_on_first_access():
+    # in a fresh interpreter: the bare import loads no layer, then every layer resolves
+    src = str(Path(umpbounds.__file__).resolve().parents[1])
+    layers = ["achievability", "asymptotics", "channel", "cli", "converse", "cosets", "numerics"]
+    code = (
+        "import sys, umpbounds as ub; "
+        "print(sorted(m for m in sys.modules if m.startswith('umpbounds.'))); "
+        f"print([getattr(ub, layer).__name__ for layer in {layers!r}])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.splitlines() == ["[]", repr([f"umpbounds.{layer}" for layer in layers])]
+
+
+def test_package_names_are_their_layers_objects():
+    for name in umpbounds.__all__:
+        value = getattr(umpbounds, name)
+        if name != "__version__":
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    assert cosets.ResourceBudgetError is umpbounds.ResourceBudgetError
+    assert set(umpbounds.__all__) | {"cli", "converse", "cosets"} <= set(dir(umpbounds))
+    namespace = {}
+    exec("from umpbounds import *", namespace)
+    assert {name: namespace[name] for name in umpbounds.__all__} == {
+        name: getattr(umpbounds, name) for name in umpbounds.__all__
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["bound", "--channel", "bsc", "--p", "0.11", "--n", "100",
+          "--class", "eps=1e-3,lambda=1"], ["converse"]),
+        (["tradeoff", "--channel", "bsc", "--p", "0.11", "--n", "100",
+          "--class", "eps=1e-3,lambda=1", "--mu", "1"], []),
+        (["simulate", "--channel", "bec", "--p", "0.5", "--n", "16",
+          "--class", "k=4,lambda=1", "--trials", "100"], ["cosets"]),
+    ],
+    ids=["bound", "tradeoff", "simulate"],
+)
+def test_each_command_loads_only_its_own_layers(tmp_path, argv, loaded):
+    # set-up loads the command's layers; the run loads no further umpbounds module
+    src = str(Path(umpbounds.__file__).resolve().parents[1])
+    argv = argv + ["--out", str(tmp_path / "out.csv")]
+    code = (
+        "import sys, umpbounds.cli as cli\n"
+        "layers = lambda: sorted(m for m in sys.modules if m.startswith('umpbounds.'))\n"
+        f"cfg = cli.build_config({argv!r})\n"
+        "print(layers())\n"
+        "cli.run(cfg)\n"
+        "print(layers())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    want = sorted(f"umpbounds.{layer}" for layer in
+                  ["achievability", "asymptotics", "channel", "cli", "numerics", *loaded])
+    assert out.stdout.splitlines() == [repr(want)] * 2
