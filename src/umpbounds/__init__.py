@@ -28,7 +28,7 @@ _PUBLIC = {
     "converse": "NPBetaResult converse_eps_bec converse_max_log2M converse_max_log2M_bec "
     "converse_max_log2M_bsc header_conv_eps_bec header_conv_max_log2M "
     "header_conv_max_log2M_bsc np_beta_bsc",
-    "cosets": "CosetCodebook build_coset_code load_codebook monte_carlo_error save_codebook",
+    "cosets": "CosetCodebook build_coset_code monte_carlo_error",
     "numerics": "LogValue gaussian_Q gaussian_Q_inv",
 }
 _DEFINED_IN = {name: layer for layer, names in _PUBLIC.items() for name in names.split()}

@@ -79,7 +79,6 @@ class SweepConfig:
     grid: float = 0.01
     eps0_grid: int = 1000
     out: Optional[str] = None
-    codebook_out: Optional[str] = None
     threads: int = 1
 
     def echo_items(self) -> List[Tuple[str, str]]:
@@ -222,7 +221,6 @@ def _build_parser(strict: bool = False) -> argparse.ArgumentParser:
         sp.add_argument("--grid", type=_checked(float, "--grid", _divides_one, "in (0, 1] and divide 1"))
         sp.add_argument("--eps0-grid", type=_checked(int, "--eps0-grid", lambda v: v >= 1, ">= 1"))
         sp.add_argument("--out")
-        sp.add_argument("--codebook-out")
     return parser
 
 
@@ -387,7 +385,7 @@ SIMULATE_COLUMNS = [
 
 
 def simulate_rows(cfg: SweepConfig) -> Tuple[List[List[str]], bool]:
-    from .cosets import build_coset_code, monte_carlo_error, save_codebook
+    from .cosets import build_coset_code, monte_carlo_error
 
     if len(cfg.n_list) != 1:
         raise ConfigError(f"simulate takes a single blocklength --n, got {len(cfg.n_list)}")
@@ -402,9 +400,6 @@ def simulate_rows(cfg: SweepConfig) -> Tuple[List[List[str]], bool]:
             np.random.PCG64(np.random.SeedSequence([cfg.seed, s, 0]))
         )
         code = build_coset_code(spec, ks, lambdas, build_rng)
-        if cfg.codebook_out:
-            suffix = f"_{s}" if cfg.codebooks > 1 else ""
-            save_codebook(code, spec, f"{cfg.codebook_out}{suffix}")
         mc_seed = int(
             np.random.SeedSequence([cfg.seed, s, 1]).generate_state(1, dtype=np.uint64)[0]
         )

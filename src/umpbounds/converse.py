@@ -202,12 +202,12 @@ def _header_eps0_min(p: float, n0: int, m: int) -> Tuple[float, float]:
     1/2, m in {2, 3, 8} and n0 = 1..200 and up to 1e4, the switch sat at
     most 1.1e-11 of that scale from eps0_min, so the margin has 90x slack.
     """
+    if m == 1:  # beta <= 1 always: exactly 0, where float shell sums can exceed 1
+        return 0.0, 0.0
     spectrum = info_density_spectrum(ChannelKind.BSC, n0, p)
     pmass = np.exp(spectrum.log_mass)
     q = np.exp(spectrum.log_q)
     L = int(np.searchsorted(np.cumsum(q), 1.0 / m, side="right"))
-    if L > n0:  # every shell fits in false alarm 1/m, so m = 1 and eps0 = 0 exactly
-        return 0.0, 0.0
     rejected = (q[: L + 1].sum() - 1.0 / m) / q[L]
     eps0_min = float(pmass[L + 1 :].sum() + rejected * pmass[L])
     flat = max(L - 1, 0)

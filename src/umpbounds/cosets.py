@@ -26,7 +26,6 @@ guarantee is in expectation over codebooks, so validation averages over
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,17 +38,15 @@ from .channel import ChannelKind, ChannelSpec, info_density_spectrum
 MAX_CLASS_K = 20
 MAX_TOTAL_CODEWORDS = 1 << 22
 
-_MAGIC = b"UMPC"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<HBd I H")  # version, channel code, p, n, classes
-_CLASS = struct.Struct("<Hd")  # k_i, lambda_i, then ceil(n/8) bytes per shift and row
-
 MC_CHUNK = 8192
 # byte budget of a chunk's temporaries: each block of its noise draw, and in
 # the BSC error test each XOR block of a distance table, each group of keys
 # with its candidates' word columns, and each block of (trial, candidate)
 # pairs, about 35 bytes a pair at one word
 DECODE_BLOCK_BYTES = 1 << 21
+# bytes of the packed codeword tables plus one chunk of packed words: 2^22
+# codewords at n = 512
+MAX_TABLE_BYTES = (MAX_TOTAL_CODEWORDS + MC_CHUNK) * 64
 
 
 def _words(n: int) -> int:
@@ -131,38 +128,40 @@ class CosetCodebook:
         return table
 
 
-def _check_classes(k: Sequence[int], lambdas: Sequence[float]) -> None:
-    """The class rules of a coset code: one weight per class, every k_i in
-    0..MAX_CLASS_K, at most MAX_TOTAL_CODEWORDS codewords in all, and every
-    lambda_i > 0 (the decoding threshold divides by it)."""
-    if len(k) != len(lambdas):
-        raise ValueError(f"{len(k)} classes but {len(lambdas)} simplex weights")
+def build_coset_code(
+    spec: ChannelSpec, k: Sequence[int], lambdas: SimplexWeights, rng: np.random.Generator
+) -> CosetCodebook:
+    """Draw all generator and shift entries as i.i.d. fair bits.
+
+    Deterministic given the rng state. The class rules are checked before
+    any bit is drawn: one weight per class, every k_i in 0..MAX_CLASS_K, at
+    most MAX_TOTAL_CODEWORDS codewords in all, and every lambda_i > 0 (the
+    decoding threshold divides by it). The packed codeword tables that
+    Monte Carlo encoding and the BSC error test read, with one chunk of
+    packed words, must fit in MAX_TABLE_BYTES.
+    """
+    k = tuple(int(v) for v in k)
+    if len(k) != len(lambdas.weights):
+        raise ValueError(f"{len(k)} classes but {len(lambdas.weights)} simplex weights")
     if any(v < 0 for v in k):
         raise ValueError(f"class exponents must be >= 0: {k}")
     if any(v > MAX_CLASS_K for v in k):
         raise ResourceBudgetError(
             f"class exponent above decoding budget k <= {MAX_CLASS_K}: {k}"
         )
-    if sum(1 << v for v in k) > MAX_TOTAL_CODEWORDS:
+    codewords = sum(1 << v for v in k)
+    if codewords > MAX_TOTAL_CODEWORDS:
         raise ResourceBudgetError(
-            f"total codewords {sum(1 << v for v in k)} exceed budget {MAX_TOTAL_CODEWORDS}"
+            f"total codewords {codewords} exceed budget {MAX_TOTAL_CODEWORDS}"
         )
-    if any(lam <= 0.0 for lam in lambdas):
+    table_bytes = (codewords + MC_CHUNK) * _words(spec.n) * 8
+    if table_bytes > MAX_TABLE_BYTES:
+        raise ResourceBudgetError(
+            f"{codewords} codewords of n = {spec.n} need {table_bytes} table bytes, "
+            f"above budget {MAX_TABLE_BYTES}"
+        )
+    if any(lam <= 0.0 for lam in lambdas.weights):
         raise ValueError("every class in a coset code needs lambda_i > 0")
-
-
-def build_coset_code(
-    spec: ChannelSpec, k: Sequence[int], lambdas: SimplexWeights, rng: np.random.Generator
-) -> CosetCodebook:
-    """Draw all generator and shift entries as i.i.d. fair bits.
-
-    Deterministic given the rng state. Budget: every k_i <= 20 and the total
-    codeword count <= 2^22, so the packed codeword tables that Monte Carlo
-    encoding and the BSC error test read stay small (at most 32 MiB per 64
-    symbols of n).
-    """
-    k = tuple(int(v) for v in k)
-    _check_classes(k, lambdas.weights)
     generators, shifts = [], []
     for k_i in k:
         generators.append(rng.integers(0, 2, size=(k_i, spec.n), dtype=np.uint8))
@@ -491,79 +490,3 @@ def monte_carlo_error(
     for class_i, err in results:
         errors[class_i] += err
     return errors
-
-
-_KIND_CODE = {ChannelKind.BSC: 0, ChannelKind.BEC: 1}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
-
-
-def save_codebook(code: CosetCodebook, spec: ChannelSpec, path) -> None:
-    """Write the little-endian binary codebook format.
-
-    Classes are written in index order, which is also the decode order.
-    Bit vectors are packed bit 0 = symbol 0: the first ceil(n/8) bytes of
-    the class's packed shift and generator rows, in that order.
-    """
-    nbytes = (code.n + 7) // 8
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_HEADER.pack(_FORMAT_VERSION, _KIND_CODE[spec.kind], spec.p, spec.n, code.m))
-        for class_i, (gen, shift) in enumerate(code.packed):
-            fh.write(_CLASS.pack(code.k[class_i], code.lambdas[class_i]))
-            fh.write(np.vstack([shift, gen]).view(np.uint8)[:, :nbytes].tobytes())
-
-
-def load_codebook(path) -> Tuple[CosetCodebook, ChannelSpec]:
-    """Read a file that `save_codebook` wrote; every refusal names the path."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return _parse_codebook(data)
-    except (ValueError, ResourceBudgetError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-
-
-def _parse_codebook(data: bytes) -> Tuple[CosetCodebook, ChannelSpec]:
-    """The codebook and channel in a codebook file's bytes.
-
-    A file is input from outside the program, so it must hold exactly one
-    codebook of a known channel with every padding bit clear, so that saving
-    it gives the file back, and its classes must pass `_check_classes`, as
-    those of `build_coset_code` do, before any class is unpacked.
-    """
-    if data[:4] != _MAGIC:
-        raise ValueError("not a codebook file")
-    pos = 4
-
-    def take(size: int) -> bytes:
-        nonlocal pos
-        if pos + size > len(data):
-            raise ValueError(f"the file ends early, after {len(data)} of {pos + size} bytes")
-        pos += size
-        return data[pos - size : pos]
-
-    version, kind_code, p, n, m = _HEADER.unpack(take(_HEADER.size))
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported codebook version {version}")
-    if kind_code not in _CODE_KIND:
-        raise ValueError(f"unknown channel code {kind_code}")
-    spec = ChannelSpec(_CODE_KIND[kind_code], p, n)
-    nbytes = (n + 7) // 8
-    ks, lams, blocks = [], [], []
-    for class_i in range(m):
-        k_i, lam_i = _CLASS.unpack(take(_CLASS.size))
-        ks.append(k_i)
-        lams.append(lam_i)
-        # the shift, then the k_i generator rows
-        block = np.frombuffer(take((k_i + 1) * nbytes), np.uint8).reshape(k_i + 1, nbytes)
-        if n % 8 and (block[:, -1] >> n % 8).any():
-            raise ValueError(f"class {class_i} sets a padding bit past symbol {n - 1}")
-        blocks.append(block)
-    if pos != len(data):
-        raise ValueError(f"{len(data) - pos} bytes after the last class")
-    _check_classes(tuple(ks), lams)
-    bits = [np.unpackbits(b, axis=1, count=n, bitorder="little") for b in blocks]
-    code = CosetCodebook(
-        n, tuple(ks), SimplexWeights(lams), [b[1:] for b in bits], [b[0] for b in bits]
-    )
-    return code, spec

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -248,6 +248,8 @@ class TestSplitScan:
         cls=st.integers(0, 3),
         eps0_points=st.sampled_from([1, 10, 1000]),
     )
+    # a one-class header read a float eps0_min above 0 and found 20 splits infeasible
+    @example(kind=BSC, p=0.5, n=300, all_eps=[1e-13], cls=0, eps0_points=10)
     def test_matches_exhaustive_scan(self, kind, p, n, all_eps, cls, eps0_points):
         spec = ChannelSpec(kind, p, n)
         m, eps = len(all_eps), all_eps[cls % len(all_eps)]

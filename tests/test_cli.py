@@ -7,13 +7,19 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import umpbounds
 from umpbounds import cli, converse, cosets
-from umpbounds.achievability import dt_class_bound, max_log2M_dt, max_log2M_header_ach
+from umpbounds.achievability import (
+    SimplexWeights,
+    dt_class_bound,
+    max_log2M_dt,
+    max_log2M_header_ach,
+)
 from umpbounds.asymptotics import expected_rate, kl_divergence_bits
 from umpbounds.channel import ChannelKind, ChannelSpec
 from umpbounds.converse import converse_eps_bec
@@ -51,20 +57,23 @@ class TestConfig:
         assert cfg.seed == 7  # file fills the rest
         assert len(cfg.classes) == 2
 
-    def test_file_keys_are_flag_names(self, tmp_path):
+    @pytest.mark.parametrize("line", ["eps0_grid = 5", "eps0-grid = 5"])
+    def test_file_keys_are_flag_names(self, line, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text(
             "# a comment\nchannel = bec\np = 0.5\nn = 100:300:100\n"
             "class = eps=1e-3,lambda=0.5\nclass = eps=1e-2,lambda=0.5\n"
-            "eps0_grid = 5\ncodebook-out = cb\nmu = 0.5,0.5\n"
+            f"{line}\nmu = 0.5,0.5\n"
         )
         cfg = _cfg("tradeoff", "--config", str(conf), "--class", "eps=0.1,lambda=1", "--mu", "1")
         assert cfg.channel is ChannelKind.BEC and cfg.n_list == [100, 200, 300]
-        assert cfg.eps0_grid == 5 and cfg.codebook_out == "cb"
+        assert cfg.eps0_grid == 5
         assert [(c.eps, c.lam) for c in cfg.classes] == [(0.1, 1.0)]  # --class replaces the file's
         assert cfg.mu == [1.0]
 
-    @pytest.mark.parametrize("key", ["trails", "seeed", "tri", "eps0", "classes", "config", "help"])
+    @pytest.mark.parametrize(
+        "key", ["trails", "seeed", "tri", "eps0", "classes", "config", "help", "codebook-out"]
+    )
     def test_unknown_config_key_exits_2(self, key, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text(f"channel = bsc\np = 0.11\nn = 64\nclass = eps=0.1,lambda=1\n{key} = 5\n")
@@ -132,11 +141,28 @@ class TestExitCodes:
         assert cli.main(["bound", "--channel", "bsc"]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_budget_error_is_3(self, capsys, tmp_path):
+    def test_unknown_flag_is_2(self, capsys):
+        argv = [
+            "simulate", "--channel", "bec", "--p", "0.5", "--n", "16",
+            "--class", "k=2,lambda=1", "--trials", "100", "--codebook-out", "x",
+        ]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --codebook-out x" in capsys.readouterr().err
+
+    # k = 25 passes no class budget; at n = 100000 the 2^20-codeword table
+    # would take 13 GB, refused before any bit is drawn
+    @pytest.mark.parametrize("n, k", [(64, 25), (100_000, 20)], ids=["k-25", "n-100000-k-20"])
+    def test_budget_error_is_3(self, n, k, capsys, tmp_path, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate ran past the budget")
+
+        monkeypatch.setattr(cosets, "monte_carlo_error", no_simulation)
         code = cli.main(
             [
-                "simulate", "--channel", "bec", "--p", "0.5", "--n", "64",
-                "--class", "k=25,lambda=1", "--trials", "200",
+                "simulate", "--channel", "bec", "--p", "0.5", "--n", str(n),
+                "--class", f"k={k},lambda=1", "--trials", "200",
                 "--out", str(tmp_path / "x.csv"),
             ]
         )
@@ -708,21 +734,27 @@ class TestSimulateCommand:
         ]
         assert cli.main(argv) == cli.EXIT_OK
 
-    def test_codebook_persistence(self, tmp_path):
-        prefix = tmp_path / "book"
-        cli.main(
-            [
-                "simulate", "--channel", "bec", "--p", "0.5", "--n", "32",
-                "--class", "k=3,lambda=1", "--trials", "200",
-                "--codebooks", "2", "--codebook-out", str(prefix),
-                "--out", str(tmp_path / "o.csv"),
-            ]
-        )
-        from umpbounds.cosets import load_codebook
-
+    def test_codebooks_rebuild_from_seed_and_index(self, tmp_path):
+        # codebook s is drawn from SeedSequence([seed, s, 0]) and its Monte
+        # Carlo trials from a seed that SeedSequence([seed, s, 1]) gives, so
+        # the run's flags reproduce every count
+        out = tmp_path / "o.csv"
+        argv = [
+            "simulate", "--channel", "bec", "--p", "0.8", "--n", "32",
+            "--class", "k=3,lambda=0.5", "--class", "k=2,lambda=0.5", "--trials", "200",
+            "--codebooks", "2", "--seed", "7", "--out", str(out),
+        ]
+        assert cli.main(argv) == cli.EXIT_OK
+        spec = ChannelSpec(ChannelKind.BEC, 0.8, 32)
+        errors = np.zeros(2, dtype=np.int64)
         for s in range(2):
-            code, spec = load_codebook(f"{prefix}_{s}")
-            assert spec.n == 32 and code.k == (3,)
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([7, s, 0])))
+            code = cosets.build_coset_code(spec, [3, 2], SimplexWeights([0.5, 0.5]), rng)
+            seed = int(np.random.SeedSequence([7, s, 1]).generate_state(1, dtype=np.uint64)[0])
+            errors += cosets.monte_carlo_error(code, spec, 200, seed)
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        column = rows[0].index("errors")
+        assert [int(r[column]) for r in rows[1:]] == errors.tolist()
 
 
 class TestTradeoffCommand:

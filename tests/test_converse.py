@@ -330,6 +330,13 @@ class TestHeaderConverse:
         got = header_conv_max_log2M_bsc(ChannelSpec(BSC, 0.0, n), eps, m, n0, [eps])
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [0.0, 0.11, 0.49, 0.5])
+    def test_bsc_one_class_header_needs_no_eps0(self, p):
+        # beta <= 1 always, so eps0_min is exactly 0; float shell sums above
+        # 1 made it positive, up to 1.9e-13 at p = 1/2
+        for n0 in range(301):
+            assert converse._header_eps0_min(p, n0, 1) == (0.0, 0.0), n0
+
     def test_bsc_infeasible_header(self):
         # three headers over a single channel use cannot meet eps=1e-3
         spec = ChannelSpec(BSC, 0.11, 32)

@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -14,9 +13,7 @@ from umpbounds.cosets import (
     ResourceBudgetError,
     _pack_rows,
     build_coset_code,
-    load_codebook,
     monte_carlo_error,
-    save_codebook,
 )
 
 BSC, BEC = ChannelKind.BSC, ChannelKind.BEC
@@ -51,15 +48,34 @@ class TestBuild:
             assert np.array_equal(a.generators[i], b.generators[i])
             assert np.array_equal(a.shifts[i], b.shifts[i])
 
-    def test_budget_errors(self):
-        spec = ChannelSpec(BSC, 0.11, 8)
-        with pytest.raises(ResourceBudgetError):
-            build_coset_code(spec, [21], SimplexWeights([1.0]), _rng(0))
-        with pytest.raises(ResourceBudgetError):
-            build_coset_code(
-                spec, [20, 20, 20, 20, 20],
-                SimplexWeights([0.2] * 5), _rng(0)
-            )
+    @pytest.mark.parametrize(
+        "n, k, lambdas, error, match",
+        [
+            pytest.param(8, [21], [1.0], ResourceBudgetError, "decoding budget", id="k-21"),
+            pytest.param(
+                8, [20] * 5, [0.2] * 5, ResourceBudgetError, "total codewords", id="2^22+2^20"
+            ),
+            # the tables and one chunk of packed words: n = 512 is 8 words a codeword
+            pytest.param(
+                513, [20] * 4, [0.25] * 4, ResourceBudgetError, "table bytes", id="n-513"
+            ),
+            pytest.param(10**6, [0], [1.0], ResourceBudgetError, "table bytes", id="n-1e6-k-0"),
+            pytest.param(8, [0, 0], [0.0, 1.0], ValueError, "lambda_i > 0", id="lambda-0"),
+        ],
+    )
+    def test_refusals(self, n, k, lambdas, error, match):
+        # each refusal comes before any bit is drawn: the rng is left untouched
+        rng = _rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(error, match=match):
+            build_coset_code(ChannelSpec(BSC, 0.11, n), k, SimplexWeights(lambdas), rng)
+        assert rng.bit_generator.state == state
+
+    def test_byte_budget_admits_2_22_codewords_at_n_512(self):
+        code = build_coset_code(
+            ChannelSpec(BEC, 0.5, 512), [20] * 4, SimplexWeights([0.25] * 4), _rng(0)
+        )
+        assert code.generators[0].shape == (20, 512)
 
     def test_codebook_is_immutable(self):
         # packed rows are derived once and tables from them, so every write must raise
@@ -231,95 +247,3 @@ class TestMonteCarlo:
             rate = total[i] / (trials * books)
             se = math.sqrt(max(rate, 1e-12) * (1 - rate) / (trials * books))
             assert rate <= dt_class_bound(spec, float(k), 0.5) + 3 * se
-
-
-def _codebook_file(classes, kind_code=0, n=16, version=1):
-    """Codebook file bytes with all-zero shifts and rows; classes are (k, lambda)."""
-    blob = b"UMPC" + struct.pack("<HBd I H", version, kind_code, 0.11, n, len(classes))
-    for k, lam in classes:
-        blob += struct.pack("<Hd", k, lam) + bytes((k + 1) * ((n + 7) // 8))
-    return blob
-
-
-VALID_FILE = _codebook_file([(0, 1.0)])  # n = 16: a 2-byte shift, no rows
-
-
-class TestCodebookFile:
-    def test_round_trip(self, tmp_path):
-        spec = ChannelSpec(BEC, 0.5, 75)
-        code = build_coset_code(spec, [5, 2], SimplexWeights([0.25, 0.75]), _rng(26))
-        path = tmp_path / "code.umpc"
-        save_codebook(code, spec, path)
-        loaded, loaded_spec = load_codebook(path)
-        assert loaded_spec == spec
-        assert loaded.k == code.k
-        assert loaded.log2_thresholds == code.log2_thresholds
-        for i in range(2):
-            assert np.array_equal(loaded.generators[i], code.generators[i])
-            assert np.array_equal(loaded.shifts[i], code.shifts[i])
-
-    def test_binary_layout_golden(self, tmp_path):
-        # n=9 so the bit vectors occupy 2 bytes with bit 0 = symbol 0
-        n = 9
-        shift = np.array([1, 0, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8)
-        gen = np.array([[0, 1, 0, 0, 0, 0, 0, 0, 1]], dtype=np.uint8)
-        code = CosetCodebook(n, (1,), SimplexWeights([1.0]), [gen], [shift])
-        spec = ChannelSpec(ChannelKind.BSC, 0.25, n)
-        path = tmp_path / "tiny.umpc"
-        save_codebook(code, spec, path)
-        blob = path.read_bytes()
-        assert blob[:4] == b"UMPC"
-        header = blob[4:]
-        version, kind, p, nn, m = struct.unpack("<HBd I H", header[:17])
-        assert (version, kind, p, nn, m) == (1, 0, 0.25, 9, 1)
-        k_i, lam = struct.unpack("<Hd", header[17:27])
-        assert (k_i, lam) == (1, 1.0)
-        assert header[27:29] == bytes([0b00000001, 0b00000001])  # shift bits 0 and 8
-        assert header[29:31] == bytes([0b00000010, 0b00000001])  # row bits 1 and 8
-        assert len(blob) == 4 + 17 + 10 + 2 + 2
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(ValueError):
-            load_codebook(path)
-
-    @pytest.mark.parametrize(
-        "blob,error,match",
-        [
-            pytest.param(
-                _codebook_file([(0, 1.0)], kind_code=7), ValueError, "unknown channel code 7",
-                id="channel-code-7",
-            ),
-            pytest.param(VALID_FILE[:12], ValueError, "ends early", id="short-header"),
-            pytest.param(VALID_FILE[:-1], ValueError, "ends early", id="short-shift"),
-            pytest.param(
-                _codebook_file([(25, 1.0)]), ResourceBudgetError, "decoding budget", id="k-25"
-            ),
-            pytest.param(
-                _codebook_file([(0, 0.0), (0, 1.0)]), ValueError, "lambda_i > 0", id="lambda-0"
-            ),
-            pytest.param(
-                VALID_FILE + b"\x00", ValueError, "1 bytes after the last class",
-                id="trailing-bytes",
-            ),
-            pytest.param(
-                _codebook_file([(0, 1.0)], version=2), ValueError,
-                "unsupported codebook version 2", id="version-2",
-            ),
-            # n = 9: the shift's second byte holds symbol 8 and seven padding bits
-            pytest.param(
-                _codebook_file([(0, 1.0)], n=9)[:-1] + bytes([0b11111110]), ValueError,
-                "class 0 sets a padding bit past symbol 8", id="padding-bits",
-            ),
-        ],
-    )
-    def test_rejects_a_malformed_file(self, tmp_path, blob, error, match):
-        # each file breaks one rule that VALID_FILE keeps; the refusal names the file
-        ok, bad = tmp_path / "ok.umpc", tmp_path / "bad.umpc"
-        ok.write_bytes(VALID_FILE)
-        bad.write_bytes(blob)
-        assert load_codebook(ok)[0].k == (0,)
-        with pytest.raises(error, match=match) as info:
-            load_codebook(bad)
-        assert str(info.value).startswith(f"{bad}: ")
