@@ -88,7 +88,8 @@ def _np_shell_test(n: int, p: float, alpha: float, miss: float) -> NPBetaResult:
     rho = min(1.0, float(rho))
     log_q = spectrum.log_q[: L + 1]
     log_beta = np.logaddexp(log_sum_exp(log_q[:L]), math.log(rho) + log_q[L])
-    return NPBetaResult(LogValue(float(log_beta)), L, rho)
+    # beta <= 1 always, where float shell sums can come out above it
+    return NPBetaResult(LogValue(min(0.0, float(log_beta))), L, rho)
 
 
 def np_beta_bsc(n: int, p: float, alpha: float) -> NPBetaResult:
@@ -271,7 +272,8 @@ def header_conv_max_log2M_bsc(
     payload_miss = eps_i - float(grid[idx])
     if payload_miss <= 0.0:
         return 0.0
-    return -np_beta_bsc_miss(spec.n - n0, p, payload_miss).log2_beta
+    # 0.0 - log2(beta): +0, not -0, at beta = 1
+    return 0.0 - np_beta_bsc_miss(spec.n - n0, p, payload_miss).log2_beta
 
 
 def header_conv_max_log2M_bec(

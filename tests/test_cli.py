@@ -128,6 +128,10 @@ class TestConfig:
                 "--mu", "0.5,0.25,0.25",
             )
 
+    def test_flags_may_precede_the_command(self):
+        flags = ["--channel", "bsc", "--p", "0.11", "--n", "64", "--class", "eps=0.1,lambda=1"]
+        assert _cfg(*flags, "bound") == _cfg("bound", *flags)
+
     def test_class_requires_one_size_key(self):
         with pytest.raises(cli.ConfigError):
             _cfg(
@@ -141,15 +145,31 @@ class TestExitCodes:
         assert cli.main(["bound", "--channel", "bsc"]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_unknown_flag_is_2(self, capsys):
-        argv = [
-            "simulate", "--channel", "bec", "--p", "0.5", "--n", "16",
-            "--class", "k=2,lambda=1", "--trials", "100", "--codebook-out", "x",
-        ]
-        with pytest.raises(SystemExit) as info:
-            cli.main(argv)
-        assert info.value.code == cli.EXIT_CONFIG
-        assert "unrecognized arguments: --codebook-out x" in capsys.readouterr().err
+    SIMULATE = ["--channel", "bec", "--p", "0.5", "--n", "16", "--class", "k=4,lambda=1",
+                "--trials", "100"]
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["simulate", *SIMULATE, "--codebook-out", "x"], "codebook-out = x"),
+            (["simulat", *SIMULATE], None),
+            (SIMULATE, None),
+            (["simulate", *SIMULATE, "--seed"], "seed ="),
+            (["simulate", *SIMULATE, "--channel", "bsx"], "channel = bsx"),
+            (["simulate", *SIMULATE, "--trials", "many"], "trials = many"),
+        ],
+        ids=["unknown-flag", "unknown-command", "missing-command", "flag-without-value",
+             "bad-channel", "unparsable-trials"],
+    )
+    def test_bad_command_line_is_2(self, argv, line, tmp_path, capsys):
+        # argparse's refusals return 2 from cli.main, as every other config error does
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        if line is not None:  # the same mistake as a config-file line
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"channel = bec\np = 0.5\nn = 16\nclass = k=4,lambda=1\n{line}\n")
+            assert cli.main(["simulate", "--config", str(conf)]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(f"config error: {conf}: ")
 
     # k = 25 passes no class budget; at n = 100000 the 2^20-codeword table
     # would take 13 GB, refused before any bit is drawn
@@ -585,6 +605,11 @@ class TestBoundSweep:
         "--class", "eps=1e-15,lambda=0.4", "--class", "eps=1e-9,lambda=0.3",
         "--class", "eps=1e-3,lambda=0.2", "--class", "eps=0.1,lambda=0.1",
     ])
+    # float shell sums put beta above 1: -log2(beta) read -6.56e-13 in log2M_header_conv
+    @example(argv=[
+        "bound", "--channel", "bsc", "--p", "0.49", "--n", "2000", "--n0", "700",
+        "--class", "eps=1e-15,lambda=1",
+    ])
     def test_every_accepted_input_gives_a_bound_or_a_refusal(self, argv, capsys):
         code = cli.main(argv)
         out, err = capsys.readouterr()
@@ -593,9 +618,13 @@ class TestBoundSweep:
                 {cli.EXIT_CONFIG: "config error: ", cli.EXIT_BUDGET: "resource budget exceeded: "}[code]
             )
             return
+        bsc = argv[argv.index("--channel") + 1] == "bsc"
         for cells in _csv_cells(out):
             rates = {c: None if cells[c] == "NA" else float(cells[c]) for c in BOUND_RATES}
             assert all(r is None or math.isfinite(r) for r in rates.values())
+            if bsc:  # beta <= 1: no negative converse rate, and no -0
+                for column in ("log2M_converse", "log2M_header_conv"):
+                    assert not cells[column].startswith("-")
             dt, conv = rates["log2M_dt"], rates["log2M_converse"]
             if dt is not None and conv is not None:
                 assert dt <= conv + 1e-9

@@ -117,6 +117,12 @@ class TestNpBeta:
         with pytest.raises(ValueError):
             np_beta_bsc(4, 0.11, 1.5)
 
+    @pytest.mark.parametrize("n, p, eps", [(1300, 0.49, 1e-15), (64, 0.5, 1e-15)])
+    def test_beta_never_exceeds_one(self, n, p, eps):
+        # the float shell sums of beta(1 - eps) come out above 1 here: at
+        # (1300, 0.49) -log2(beta) read -6.56e-13
+        assert converse.np_beta_bsc_miss(n, p, eps).log_beta.log_magnitude <= 0.0
+
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_degenerate_p_lp_cross_check(self, p):
         # the channel law is a point mass at p = 0, and at p = 1/2 every
