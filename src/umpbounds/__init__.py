@@ -25,9 +25,8 @@ _PUBLIC = {
     "normal_approx_log2M",
     "channel": "ChannelKind ChannelSpec ChannelStats InfoDensitySpectrum channel_stats "
     "info_density_spectrum",
-    "converse": "NPBetaResult converse_eps_bec converse_max_log2M converse_max_log2M_bec "
-    "converse_max_log2M_bsc header_conv_eps_bec header_conv_max_log2M "
-    "header_conv_max_log2M_bsc np_beta_bsc",
+    "converse": "NPBetaResult converse_eps_bec converse_max_log2M converse_max_log2M_bsc "
+    "header_conv_eps_bec header_conv_max_log2M header_conv_max_log2M_bsc np_beta_bsc",
     "cosets": "CosetCodebook build_coset_code monte_carlo_error",
     "numerics": "LogValue gaussian_Q gaussian_Q_inv",
 }

@@ -86,6 +86,10 @@ def _np_shell_test(n: int, p: float, alpha: float, miss: float) -> NPBetaResult:
         L = n - k
         rho = (tail[k] - level) / mass[L]
     rho = min(1.0, float(rho))
+    if p == 0.5:
+        # every shell ties, so beta = alpha: ln alpha from its exact end
+        log_alpha = math.log(alpha) if alpha <= 0.5 else math.log1p(-miss)
+        return NPBetaResult(LogValue(log_alpha), L, rho)
     log_q = spectrum.log_q[: L + 1]
     log_beta = np.logaddexp(log_sum_exp(log_q[:L]), math.log(rho) + log_q[L])
     # beta <= 1 always, where float shell sums can come out above it
@@ -115,14 +119,9 @@ def _reduced_bsc_p(spec: ChannelSpec) -> float:
 
 
 def converse_max_log2M_bsc(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
-    """Meta-converse rate limit for a BSC class: log2(lambda) - log2(beta).
-
-    None when not even one codeword fits; p > 1/2 is reduced to 1 - p by
-    symmetry.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0,1), got {eps}")
-    return class_rate(-np_beta_bsc_miss(spec.n, _reduced_bsc_p(spec), eps).log2_beta, lambda_i)
+    """converse_max_log2M on a BSC spec: log2(lambda) - log2(beta(1 - eps))."""
+    _reduced_bsc_p(spec)
+    return converse_max_log2M(spec, eps, lambda_i)
 
 
 def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
@@ -135,23 +134,11 @@ def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
     return _block_sum(spec, spec.n, log2M - log2_lambda, hinge=True)
 
 
-def converse_max_log2M_bec(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
-    """Largest log2M whose BEC converse floor does not exceed eps."""
-    if spec.kind is not ChannelKind.BEC:
-        raise ValueError("the BEC converses require a BEC spec")
-    return class_rate(
-        _max_log2M(spec, spec.n, eps, hinge=True), lambda_i,
-        lambda: converse_fits_one(spec, eps, lambda_i),
-    )
-
-
 def converse_fits_one(spec: ChannelSpec, eps: float, lambda_i: float) -> bool:
     """Whether one codeword of a class at lambda_i meets the meta-converse at eps.
 
     On the BEC that is the error floor at log2M = 0, which a searched rate can
-    miss by a few ulps at a tie. On the BSC it is beta(1 - eps) <= lambda_i;
-    the BSC rate -log2(beta) is not searched, so its shift already agrees
-    with this.
+    miss by a few ulps at a tie. On the BSC it is beta(1 - eps) <= lambda_i.
     """
     if spec.kind is ChannelKind.BEC:
         return converse_eps_bec(spec, 0.0, lambda_i) <= eps
@@ -269,30 +256,22 @@ def header_conv_max_log2M_bsc(
     idx = _header_eps0_index(p, n0, m, grid)
     if idx is None:
         return None
-    payload_miss = eps_i - float(grid[idx])
-    if payload_miss <= 0.0:
-        return 0.0
     # 0.0 - log2(beta): +0, not -0, at beta = 1
-    return 0.0 - np_beta_bsc_miss(spec.n - n0, p, payload_miss).log2_beta
-
-
-def header_conv_max_log2M_bec(
-    spec: ChannelSpec, eps_i: float, m: int, n0: int, all_eps: Sequence[float]
-) -> Optional[float]:
-    """Largest class size whose BEC header-converse floor meets eps_i."""
-    # at log2M = 0 the payload sum vanishes, leaving the header part
-    header_term = header_conv_eps_bec(spec, n0, m, 0.0)
-    return _max_log2M(spec, spec.n - n0, eps_i, hinge=True, fixed=header_term, all_eps=all_eps)
+    return 0.0 - np_beta_bsc_miss(spec.n - n0, p, eps_i - float(grid[idx])).log2_beta
 
 
 def converse_max_log2M(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:
     """Meta-converse class-size limit on either channel.
 
+    A class converse is the header converse with one class and no header
+    (m = 1, n0 = 0): the empty header costs nothing (eps0 = 0 on the BSC, a
+    zero header term on the BEC), so the payload is the whole block at eps.
     None when not even one codeword fits (log2M < 0).
     """
-    if spec.kind is ChannelKind.BEC:
-        return converse_max_log2M_bec(spec, eps, lambda_i)
-    return converse_max_log2M_bsc(spec, eps, lambda_i)
+    return class_rate(
+        header_conv_max_log2M(spec, eps, 1, 0, [eps]), lambda_i,
+        lambda: converse_fits_one(spec, eps, lambda_i),
+    )
 
 
 def header_conv_max_log2M(
@@ -309,5 +288,7 @@ def header_conv_max_log2M(
     a closed-form header term and ignores it.
     """
     if spec.kind is ChannelKind.BEC:
-        return header_conv_max_log2M_bec(spec, eps_i, m, n0, all_eps)
+        # at log2M = 0 the payload sum vanishes, leaving the header part
+        header_term = header_conv_eps_bec(spec, n0, m, 0.0)
+        return _max_log2M(spec, spec.n - n0, eps_i, hinge=True, fixed=header_term, all_eps=all_eps)
     return header_conv_max_log2M_bsc(spec, eps_i, m, n0, all_eps, eps0_points)

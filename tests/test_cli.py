@@ -610,6 +610,16 @@ class TestBoundSweep:
         "bound", "--channel", "bsc", "--p", "0.49", "--n", "2000", "--n0", "700",
         "--class", "eps=1e-15,lambda=1",
     ])
+    # a converse tie at one codeword: beta(1/2) = 1/2 = lambda
+    @example(argv=[
+        "bound", "--channel", "bsc", "--p", "0.5", "--n", "1000",
+        "--class", "eps=0.5,lambda=0.5", "--class", "eps=0.5,lambda=0.5",
+    ])
+    # class 0's header takes all of its eps, leaving a noiseless payload of miss 0
+    @example(argv=[
+        "bound", "--channel", "bsc", "--p", "0", "--n", "10", "--n0", "0",
+        "--class", "eps=0.5,lambda=0.5", "--class", "eps=0.6,lambda=0.5",
+    ])
     def test_every_accepted_input_gives_a_bound_or_a_refusal(self, argv, capsys):
         code = cli.main(argv)
         out, err = capsys.readouterr()
@@ -636,6 +646,23 @@ class TestBoundSweep:
                     assert math.floor(2.0 ** (ach - 1e-9)) <= 2.0 ** (conv + 1e-9)
                 else:
                     assert ach <= conv + 1e-9
+
+    @pytest.mark.parametrize(
+        "p, n, n0, eps, column, want",
+        [
+            ("0.5", "1000", "auto", "0.5", "log2M_converse", ["0", "0"]),
+            ("0", "10", "0", "0.6", "log2M_header_conv", ["10", "10.1520030934"]),
+            ("1", "10", "0", "0.6", "log2M_header_conv", ["10", "10.1520030934"]),
+        ],
+        ids=["tie-at-half", "noiseless-payload-p0", "noiseless-payload-p1"],
+    )
+    def test_degenerate_converse_cells(self, p, n, n0, eps, column, want, capsys):
+        argv = [
+            "bound", "--channel", "bsc", "--p", p, "--n", n, "--n0", n0,
+            "--class", "eps=0.5,lambda=0.5", "--class", f"eps={eps},lambda=0.5",
+        ]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert [cells[column] for cells in _csv_cells(capsys.readouterr().out)] == want
 
     def test_header_cells_below_one_bit_can_cross(self, capsys):
         # both cells mean one codeword: ach is log2(1 + 2 eps), the DT bound's

@@ -14,11 +14,9 @@ from umpbounds.channel import ChannelKind, ChannelSpec
 from umpbounds.converse import (
     converse_eps_bec,
     converse_max_log2M,
-    converse_max_log2M_bec,
     converse_max_log2M_bsc,
     header_conv_eps_bec,
     header_conv_max_log2M,
-    header_conv_max_log2M_bec,
     header_conv_max_log2M_bsc,
     np_beta_bsc,
 )
@@ -135,14 +133,12 @@ class TestNpBeta:
     @pytest.mark.parametrize("n", [0, 1, 7, 64, 1000])
     def test_degenerate_p_closed_forms(self, n):
         # beta = alpha 2^-n at p = 0, where the test accepts the reference
-        # word with probability alpha, and beta = alpha at p = 1/2. There
-        # beta sums float shell masses, each good to a few ulps of ln n!
-        # (about 1e-12 relative at n = 1000; 4e-12 measured in beta)
+        # word with probability alpha, and beta = alpha at p = 1/2, where
+        # every shell ties: ln alpha exactly, not a sum of float shell masses
         for alpha in (1e-300, 1e-9, 0.3, 0.5, 0.9, 1.0 - 1e-15, 1.0):
             at_zero = np_beta_bsc(n, 0.0, alpha).log_beta.log_magnitude
             assert at_zero == pytest.approx(math.log(alpha) - n * math.log(2.0), rel=1e-12)
-            at_half = np_beta_bsc(n, 0.5, alpha).log_beta.log_magnitude
-            assert at_half == pytest.approx(math.log(alpha), rel=0.0, abs=1e-11)
+            assert np_beta_bsc(n, 0.5, alpha).log_beta.log_magnitude == math.log(alpha)
 
 
 class TestConverseBsc:
@@ -163,6 +159,11 @@ class TestConverseBsc:
         spec = ChannelSpec(BSC, 0.11, 200)
         got = converse_max_log2M_bsc(spec, 1e-3, 1 / 3)
         assert got == pytest.approx(64.96901436991039, abs=1e-6)
+
+    def test_tie_at_half_fits_one_codeword(self):
+        # beta(1/2) = 1/2 = lambda at p = 1/2: one codeword meets the converse
+        # exactly, where float shell sums put beta above 1/2 and the class NA
+        assert converse_max_log2M_bsc(ChannelSpec(BSC, 0.5, 1000), 0.5, 0.5) == 0.0
 
     def test_requires_bsc(self):
         with pytest.raises(ValueError):
@@ -243,7 +244,7 @@ class TestSmallEpsMpmath:
         if bound == "dt":
             rate_fn, mp_sum = max_log2M_dt, functools.partial(oracles.mp_dt_sum, kind.value)
         else:
-            rate_fn, mp_sum = converse_max_log2M_bec, oracles.mp_bec_conv_sum
+            rate_fn, mp_sum = converse_max_log2M, oracles.mp_bec_conv_sum
         for eps in (1e-9, 1e-15):
             got = rate_fn(spec, eps, lam)
             if got is None:
@@ -273,7 +274,7 @@ class TestSmallEpsMpmath:
                 at_rate = oracles.mp_dt_sum(kind.value, n0, p, math.log2(m - 1) - 1)
                 at_rate += oracles.mp_dt_sum(kind.value, n - n0, p, payload_coeff)
             else:
-                got = header_conv_max_log2M_bec(spec, eps, m, n0, [eps] * m)
+                got = header_conv_max_log2M(spec, eps, m, n0, [eps] * m)
                 at_rate = oracles.mp_bec_conv_sum(n0, p, math.log2(m))
                 at_rate += oracles.mp_bec_conv_sum(n - n0, p, got)
             assert float(at_rate) == pytest.approx(eps, rel=1e-12, abs=0.0), (eps, got)
@@ -307,7 +308,7 @@ class TestConverseBec:
     def test_rate_inversion_brackets(self):
         spec = ChannelSpec(BEC, 0.5, 128)
         eps = 1e-3
-        rate = converse_max_log2M_bec(spec, eps, 1 / 3)
+        rate = converse_max_log2M(spec, eps, 1 / 3)
         assert rate is not None
         assert converse_eps_bec(spec, rate, 1 / 3) <= eps
         assert converse_eps_bec(spec, rate + 1e-3, 1 / 3) > eps
@@ -335,6 +336,14 @@ class TestHeaderConverse:
         want = (n - n0) - math.log2(1.0 - payload_miss)
         got = header_conv_max_log2M_bsc(ChannelSpec(BSC, 0.0, n), eps, m, n0, [eps])
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_bsc_header_taking_all_of_eps_leaves_a_noiseless_payload(self, p):
+        # two codewords on an empty header need eps0 = 1/2, all of class 0's
+        # eps: its payload has miss 0, and a noiseless 10-symbol block still
+        # carries 10 bits (beta = Q(reference word) = 2^-10), not 0
+        spec = ChannelSpec(BSC, p, 10)
+        assert header_conv_max_log2M_bsc(spec, 0.5, 2, 0, [0.5, 0.6]) == 10.0
 
     @pytest.mark.parametrize("p", [0.0, 0.11, 0.49, 0.5])
     def test_bsc_one_class_header_needs_no_eps0(self, p):
@@ -373,7 +382,7 @@ class TestHeaderConverse:
     def test_bec_rate_inversion(self):
         spec = ChannelSpec(BEC, 0.5, 64)
         eps = 1e-2
-        rate = header_conv_max_log2M_bec(spec, eps, 3, 16, [eps] * 3)
+        rate = header_conv_max_log2M(spec, eps, 3, 16, [eps] * 3)
         assert rate is not None
         assert header_conv_eps_bec(spec, 16, 3, rate) <= eps
         assert header_conv_eps_bec(spec, 16, 3, rate + 1e-3) > eps

@@ -30,11 +30,9 @@ from umpbounds.converse import (
     converse_eps_bec,
     converse_fits_one,
     converse_max_log2M,
-    converse_max_log2M_bec,
     converse_max_log2M_bsc,
     header_conv_eps_bec,
     header_conv_max_log2M,
-    header_conv_max_log2M_bec,
     header_conv_max_log2M_bsc,
     np_beta_bsc_miss,
 )
@@ -120,7 +118,7 @@ def test_bec_converse_rate(p):
         for eps in EPSILONS:
             for lam in (1.0, 1 / 3):
                 check_against_reference(
-                    converse_max_log2M_bec(spec, eps, lam),
+                    converse_max_log2M(spec, eps, lam),
                     lambda lm: converse_eps_bec(spec, lm, lam),
                     eps,
                     _label(BEC, p, n, eps, f"lambda={lam}"),
@@ -134,7 +132,7 @@ def test_bec_header_converse_rate(p):
         for eps in EPSILONS:
             for n0, m in ((0, 1), (n // 2, 3), (n, 3)):
                 check_against_reference(
-                    header_conv_max_log2M_bec(spec, eps, m, n0, [eps]),
+                    header_conv_max_log2M(spec, eps, m, n0, [eps]),
                     lambda lm: header_conv_eps_bec(spec, n0, m, lm),
                     eps,
                     _label(BEC, p, n, eps, f"n0={n0} m={m}"),
@@ -178,7 +176,7 @@ def test_bsc_header_eps0_index_matches_grid_bisection(n, eps0_points):
                     assert rate is None
                 else:
                     miss = min_eps - float(grid[want])
-                    expected = 0.0 if miss <= 0.0 else -np_beta_bsc_miss(n - n0, p, miss).log2_beta
+                    expected = 0.0 - np_beta_bsc_miss(n - n0, p, miss).log2_beta
                     assert rate == expected
 
 
@@ -252,13 +250,13 @@ SEARCHES = {
     "converse_max_log2M_bsc": lambda eps: converse_max_log2M_bsc(
         ChannelSpec(BSC, 0.11, 100), eps, 1 / 3
     ),
-    "converse_max_log2M_bec": lambda eps: converse_max_log2M_bec(
+    "converse_max_log2M_on_bec": lambda eps: converse_max_log2M(
         ChannelSpec(BEC, 0.5, 100), eps, 1 / 3
     ),
     "header_conv_max_log2M_bsc": lambda eps: header_conv_max_log2M_bsc(
         ChannelSpec(BSC, 0.11, 100), eps, 2, 10, [eps, eps]
     ),
-    "header_conv_max_log2M_bec": lambda eps: header_conv_max_log2M_bec(
+    "header_conv_max_log2M_on_bec": lambda eps: header_conv_max_log2M(
         ChannelSpec(BEC, 0.5, 100), eps, 1, 0, [eps]
     ),
 }
@@ -281,7 +279,7 @@ CLASS_FUNCTIONS = {
         ChannelSpec(BSC, 0.11, 100), 1e-3, lam
     ),
     "converse_eps_bec": lambda lam: converse_eps_bec(ChannelSpec(BEC, 0.5, 100), 10.0, lam),
-    "converse_max_log2M_bec": lambda lam: converse_max_log2M_bec(
+    "converse_max_log2M_on_bec": lambda lam: converse_max_log2M(
         ChannelSpec(BEC, 0.5, 100), 1e-3, lam
     ),
     "normal_approx_log2M": lambda lam: normal_approx_log2M(ChannelSpec(BSC, 0.11, 100), 1e-3, lam),
@@ -374,7 +372,7 @@ def test_header_searches_sum_the_header_once(monkeypatch):
     ach_calls = _counting(monkeypatch, achievability, "header_ach_bound")
     conv_calls = _counting(monkeypatch, converse, "header_conv_eps_bec")
     assert max_log2M_header_ach(bsc, eps, 3, 100, [eps] * 3) is not None
-    assert header_conv_max_log2M_bec(bec, eps, 3, 100, [eps] * 3) is not None
+    assert header_conv_max_log2M(bec, eps, 3, 100, [eps] * 3) is not None
     assert (len(ach_calls), len(conv_calls)) == (1, 1)
 
 
@@ -425,11 +423,11 @@ STEP_DOWN_CASES = {
         lambda r: header_ach_bound(ChannelSpec(BSC, 0.11, 1000), HeaderSplit(100), 3, r),
     ),
     "bec_converse": (
-        lambda: converse_max_log2M_bec(ChannelSpec(BEC, 0.5, 1000), 1e-3, 1 / 3),
+        lambda: converse_max_log2M(ChannelSpec(BEC, 0.5, 1000), 1e-3, 1 / 3),
         lambda r: converse_eps_bec(ChannelSpec(BEC, 0.5, 1000), r, 1 / 3),
     ),
     "bec_header_converse": (
-        lambda: header_conv_max_log2M_bec(ChannelSpec(BEC, 0.5, 1000), 1e-3, 3, 100, [1e-3] * 3),
+        lambda: header_conv_max_log2M(ChannelSpec(BEC, 0.5, 1000), 1e-3, 3, 100, [1e-3] * 3),
         lambda r: header_conv_eps_bec(ChannelSpec(BEC, 0.5, 1000), 100, 3, r),
     ),
 }
