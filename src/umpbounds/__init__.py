@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 class ResourceBudgetError(Exception):
     """Raised when a request exceeds a resource budget: a codebook's table or
-    decoding work, or a tradeoff sweep's rows."""
+    decoding work, a bound sweep's spectrum cache, or a tradeoff sweep's rows."""
 
 
 _LAYERS = ("achievability", "asymptotics", "channel", "cli", "converse", "cosets", "numerics")

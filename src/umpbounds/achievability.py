@@ -45,9 +45,6 @@ class SimplexWeights:
             raise ValueError(f"simplex weights must sum to 1, got {sum(w)!r}")
         object.__setattr__(self, "weights", w)
 
-    def __getitem__(self, i):
-        return self.weights[i]
-
 
 @dataclass(frozen=True)
 class HeaderSplit:

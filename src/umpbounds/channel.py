@@ -128,8 +128,15 @@ def binomial_log_pmf(n: int, p: float) -> np.ndarray:
 
 # an auto header scan reads lengths s and n - s at each split s it visits (its
 # cap reads n - s too) and stops after tens of splits, so this short cache lets
-# the converse scan reuse the achievability scan's builds; memory stays flat.
-@functools.lru_cache(maxsize=256)
+# the converse scan reuse the achievability scan's builds. A spectrum of a
+# length-L block holds up to three float64 arrays of L + 1 weights (log_mass,
+# density, log_q), so at blocklength n the cache can hold
+# SPECTRUM_CACHE_SIZE * 24 * (n + 1) bytes, 1 GiB at n = 174,761: `cli.bound_rows`
+# refuses a sweep with a longer block.
+SPECTRUM_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def info_density_spectrum(kind: ChannelKind, length: int, p: float) -> InfoDensitySpectrum:
     """Spectrum of a length-symbol block, length = 0 included.
 

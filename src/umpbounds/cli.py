@@ -31,7 +31,7 @@ from .achievability import (
     max_log2M_header_ach,
 )
 from .asymptotics import expected_rate, normal_approx_log2M
-from .channel import ChannelKind, ChannelSpec, channel_stats
+from .channel import SPECTRUM_CACHE_SIZE, ChannelKind, ChannelSpec, channel_stats
 
 # the layer each command runs besides those imported above: build_config
 # loads it, so set-up imports only the command's own layers and a run none
@@ -46,6 +46,8 @@ EXIT_ACCEPTANCE = 4
 
 # tradeoff streams its rows, so this bounds the CSV's size and the sweep's run time
 MAX_TRADEOFF_ROWS = 1_000_000
+# bound's spectrum cache may hold at most this many bytes at its longest blocklength
+MAX_SPECTRUM_CACHE_BYTES = 1 << 30
 # tradeoff formats at most this many rows of one n at a time
 TRADEOFF_SLICE_ROWS = 1 << 14
 
@@ -105,13 +107,11 @@ class SweepConfig:
         return items
 
 
-def _fmt(x) -> str:
+def _fmt(x: Optional[float]) -> str:
     """Floating-point cells carry 12 significant digits."""
     if x is None:
         return NA
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}"
 
 
 def _parse_n(text: str) -> List[int]:
@@ -316,6 +316,13 @@ def bound_rows(cfg: SweepConfig) -> List[List[str]]:
     normal approximation is clamped at 0)."""
     from .converse import converse_fits_one, converse_max_log2M, header_conv_max_log2M
 
+    # a cached spectrum holds up to three float64 arrays of n + 1 weights
+    cache_bytes = SPECTRUM_CACHE_SIZE * 3 * 8 * (max(cfg.n_list) + 1)
+    if cache_bytes > MAX_SPECTRUM_CACHE_BYTES:
+        raise ResourceBudgetError(
+            f"{cache_bytes} spectrum cache bytes at n = {max(cfg.n_list)} exceed budget "
+            f"{MAX_SPECTRUM_CACHE_BYTES}; sweep shorter blocklengths"
+        )
     m = len(cfg.classes)
     all_eps = [c.eps for c in cfg.classes]
     n0 = None if cfg.n0 == "auto" else int(cfg.n0)  # None: best over the splits

@@ -125,13 +125,11 @@ def converse_max_log2M_bsc(spec: ChannelSpec, eps: float, lambda_i: float) -> Op
 
 
 def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
-    """Meta-converse error floor for a BEC class at size M and split lambda."""
-    if spec.kind is not ChannelKind.BEC:
-        raise ValueError("the BEC converses require a BEC spec")
-    log2_lambda = _log2_lambda(lambda_i)
+    """Meta-converse error floor for a BEC class at size M and split lambda:
+    the header floor with one class and no header (n0 = 0, m = 1)."""
     if log2M < 0:
         raise ValueError(f"log2M must be >= 0, got {log2M}")
-    return _block_sum(spec, spec.n, log2M - log2_lambda, hinge=True)
+    return header_conv_eps_bec(spec, 0, 1, log2M - _log2_lambda(lambda_i))
 
 
 def converse_fits_one(spec: ChannelSpec, eps: float, lambda_i: float) -> bool:
@@ -244,20 +242,24 @@ def header_conv_max_log2M_bsc(
     The header error allocation eps0 is optimized over a uniform grid on
     [0, min_j eps_j]: the m-codeword header constraint relaxes as eps0 grows
     while the payload limit tightens, so the best grid point is the smallest
-    feasible one. None when no grid point admits the header; p > 1/2 is
-    reduced to 1 - p by symmetry.
+    feasible one. One class needs no header, so at m = 1 eps0 = 0, the
+    grid's first point, with no grid built or searched. None when no grid
+    point admits the header; p > 1/2 is reduced to 1 - p by symmetry.
     """
     if not 0.0 < eps_i < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps_i}")
     p = _reduced_bsc_p(spec)
     if not 0 <= n0 <= spec.n:
         raise ValueError(f"n0 must be in [0, n], got {n0}")
-    grid = _eps0_grid(min(all_eps), eps0_points)
-    idx = _header_eps0_index(p, n0, m, grid)
-    if idx is None:
-        return None
+    eps0 = 0.0
+    if m != 1:
+        grid = _eps0_grid(min(all_eps), eps0_points)
+        idx = _header_eps0_index(p, n0, m, grid)
+        if idx is None:
+            return None
+        eps0 = float(grid[idx])
     # 0.0 - log2(beta): +0, not -0, at beta = 1
-    return 0.0 - np_beta_bsc_miss(spec.n - n0, p, eps_i - float(grid[idx])).log2_beta
+    return 0.0 - np_beta_bsc_miss(spec.n - n0, p, eps_i - eps0).log2_beta
 
 
 def converse_max_log2M(spec: ChannelSpec, eps: float, lambda_i: float) -> Optional[float]:

@@ -65,15 +65,13 @@ def _log_sub(a, b):
 
 
 def _exp2_sum(log_w, shift, c: float, hinge: bool = False) -> float:
-    """min(1, S(c)) for the sums that invert_exp2_sum inverts; 0 at c = -inf.
+    """min(1, S(c)) for the sums that invert_exp2_sum inverts, at c > -inf.
 
     Every term is formed in the log domain before accumulation: the DT min is
     taken per summand, never by clamping an overflowed sum, and the hinge
     factor 1 - 2^e, e = -(c + s) < 0, is -expm1(e ln 2), which keeps its
     relative accuracy as e -> 0.
     """
-    if c == _NEG_INF:
-        return 0.0
     exponent = c + shift
     if hinge:
         exponent = -exponent

@@ -15,6 +15,7 @@ import conftest
 import oracles
 from umpbounds import cli
 from umpbounds.achievability import (
+    best_over_splits,
     dt_class_bound,
     header_ach_bound,
     HeaderSplit,
@@ -26,6 +27,7 @@ from umpbounds.converse import (
     converse_eps_bec,
     converse_max_log2M_bsc,
     header_conv_eps_bec,
+    header_conv_max_log2M,
     header_conv_max_log2M_bsc,
     np_beta_bsc,
 )
@@ -238,6 +240,17 @@ def test_criterion_4_header_dominance():
             for n, (ump, header) in rates.items():
                 assert ump is not None and header is not None, (kind, n)
                 assert ump > header, (kind, n, ump, header)
+
+
+def test_bec_ump_rate_beats_every_header_code():
+    # the UMP DT rate exceeds the best header *converse* by 2.976, 3.528 and
+    # 3.823 bits at n = 500, 1000 and 2000: no header code reaches it
+    for n in DOMINANCE_NS:
+        spec = ChannelSpec(BEC, 0.5, n)
+        ump = max_log2M_dt(spec, EPS_FIG, LAM_FIG)
+        header = best_over_splits(header_conv_max_log2M, spec, EPS_FIG, 3, [EPS_FIG] * 3)
+        assert ump is not None and header is not None, n
+        assert ump - header > 2.9, (n, ump, header)
 
 
 def _fig_cfg(channel, p):

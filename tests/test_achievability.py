@@ -39,6 +39,22 @@ class TestSimplexWeights:
                 SimplexWeights(weights)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: HeaderSplit(-1), "n0 must be >= 0", id="header-split-negative"),
+        pytest.param(lambda: _log2_count_minus_one(-0.5), "count must be >= 1", id="count-below-1"),
+        pytest.param(
+            lambda: header_ach_bound(ChannelSpec(BSC, 0.11, 8), HeaderSplit(2), 3, -1.0),
+            "log2M must be >= 0", id="header-ach-log2M-negative",
+        ),
+    ],
+)
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestDtClassBound:
     def test_single_use_noiseless(self):
         # only the t=0 term survives: min(1, 2^-1) = 0.5

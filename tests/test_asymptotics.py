@@ -18,6 +18,23 @@ C_BSC11 = 0.5000840418354720
 V_BSC11 = 0.8907017013975560
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(
+            lambda: normal_approx_log2M(ChannelSpec(BSC, 0.11, 100), 1.0, 1.0),
+            r"eps must be in \(0,1\)", id="normal-eps-1",
+        ),
+        pytest.param(
+            lambda: kl_divergence_bits([0.5, 0.5], [1.0]), "length mismatch", id="kl-lengths"
+        ),
+    ],
+)
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestNormalApprox:
     def test_median_error_drops_dispersion_term(self):
         spec = ChannelSpec(BSC, 0.11, 500)

@@ -189,6 +189,25 @@ class TestExitCodes:
         assert code == cli.EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
 
+    def test_bound_spectrum_cache_budget_is_3(self, capsys, tmp_path, monkeypatch):
+        # 256 cached spectra of three float64 arrays of n + 1 weights pass
+        # 2^30 bytes past n = 174,761: refused before any search or file
+        class Searched(Exception):
+            pass
+
+        def searched(*args):
+            raise Searched
+
+        monkeypatch.setattr(cli, "max_log2M_dt", searched)
+        out = tmp_path / "x.csv"
+        argv = ["bound", "--channel", "bsc", "--p", "0.11", "--class", "eps=1e-3,lambda=1",
+                "--out", str(out)]
+        assert cli.main(argv + ["--n", "100,174762"]) == cli.EXIT_BUDGET
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(Searched):
+            cli.main(argv + ["--n", "174761"])
+
     def test_acceptance_failure_is_4(self, tmp_path, monkeypatch):
         # force the pass criterion to fail by zeroing the analytic bound
         monkeypatch.setattr(cli, "dt_class_bound", lambda *a, **k: 0.0)

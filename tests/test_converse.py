@@ -29,6 +29,37 @@ SMALL_EPS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-15)
 MP_TOL_BITS = 1e-8
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: np_beta_bsc(4, 0.6, 0.5), r"0 <= p <= 0.5", id="np-beta-p-above-half"),
+        pytest.param(
+            lambda: converse_eps_bec(ChannelSpec(BSC, 0.11, 8), 1.0, 1.0), "BEC spec",
+            id="class-floor-on-bsc",
+        ),
+        pytest.param(
+            lambda: converse_eps_bec(ChannelSpec(BEC, 0.5, 8), -1.0, 1.0), "log2M must be >= 0",
+            id="class-floor-log2M-negative",
+        ),
+        pytest.param(
+            lambda: header_conv_eps_bec(ChannelSpec(BSC, 0.11, 8), 2, 3, 1.0), "BEC spec",
+            id="header-floor-on-bsc",
+        ),
+        pytest.param(
+            lambda: header_conv_eps_bec(ChannelSpec(BEC, 0.5, 8), 2, 0, 1.0), "m must be >= 1",
+            id="header-floor-m-0",
+        ),
+        pytest.param(
+            lambda: header_conv_max_log2M_bsc(ChannelSpec(BSC, 0.11, 8), 1e-3, 3, 9, [1e-3]),
+            r"n0 must be in \[0, n\]", id="bsc-header-n0-past-n",
+        ),
+    ],
+)
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def _np_beta_lp(n: int, p: float, alpha: float) -> float:
     """Independent LP check: minimize sum q_y z_y s.t. sum p_y z_y >= alpha."""
     d = np.array([bin(y).count("1") for y in range(2**n)])
@@ -168,6 +199,19 @@ class TestConverseBsc:
     def test_requires_bsc(self):
         with pytest.raises(ValueError):
             converse_max_log2M_bsc(ChannelSpec(BEC, 0.5, 8), 0.1, 1.0)
+
+    @pytest.mark.parametrize("p", [0.0, 0.11, 0.5, 0.89, 1.0])
+    def test_one_class_builds_no_eps0_grid(self, p, monkeypatch):
+        # one class has no header, so eps0 = 0 is read off no grid
+        def no_grid(*args):
+            raise AssertionError("a one-class converse searched the eps0 grid")
+
+        monkeypatch.setattr(converse, "_eps0_grid", no_grid)
+        monkeypatch.setattr(converse, "_header_eps0_index", no_grid)
+        spec = ChannelSpec(BSC, p, 200)
+        want = 0.0 - converse.np_beta_bsc_miss(200, min(p, 1.0 - p), 1e-3).log2_beta
+        assert converse_max_log2M(spec, 1e-3, 1.0) == want
+        assert header_conv_max_log2M(spec, 1e-3, 1, 50, [1e-3]) is not None
 
     # dyadic p, so that 1 - (1 - p) == p and the two sides compute alike
     @pytest.mark.parametrize("p", [0.125, 0.25])

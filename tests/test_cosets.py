@@ -61,6 +61,8 @@ class TestBuild:
             ),
             pytest.param(10**6, [0], [1.0], ResourceBudgetError, "table bytes", id="n-1e6-k-0"),
             pytest.param(8, [0, 0], [0.0, 1.0], ValueError, "lambda_i > 0", id="lambda-0"),
+            pytest.param(8, [3, 2], [1.0], ValueError, "simplex weights", id="2-k-1-lambda"),
+            pytest.param(8, [-1], [1.0], ValueError, "must be >= 0", id="k-negative"),
         ],
     )
     def test_refusals(self, n, k, lambdas, error, match):

@@ -386,6 +386,25 @@ def test_bsc_bound_confirms_eps0_only_near_a_grid_point(monkeypatch, tmp_path):
     assert len(tests) <= 20
 
 
+@pytest.mark.parametrize(
+    "eps, searches",
+    [((1e-3, 1e-3, 1e-3), 26), ((1e-3, 1e-2, 1e-1), 63)],
+    ids=["equal-eps", "three-eps"],
+)
+def test_bsc_bound_searches_eps0_grids_only_for_headers(monkeypatch, tmp_path, eps, searches):
+    # the class converses and the one-class caps of the header scan take
+    # eps0 = 0 with no grid, so the m = 3 header scans share one grid on [0, min eps]
+    converse._eps0_grid.cache_clear()
+    lookups = _counting(monkeypatch, converse, "_eps0_grid")
+    index_searches = _counting(monkeypatch, converse, "_header_eps0_index")
+    classes = [arg for e in eps for arg in ("--class", f"eps={e!r},lambda={1 / 3!r}")]
+    argv = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "500,1000", *classes]
+    assert cli.main(argv + ["--out", str(tmp_path / "bound.csv")]) == 0
+    assert (len(lookups), len(index_searches)) == (searches, searches)
+    monkeypatch.undo()
+    assert converse._eps0_grid.cache_info().currsize == 1
+
+
 def test_hinge_sums_with_no_positive_term_are_skipped(monkeypatch, tmp_path):
     # the BEC density falls to 0 at t = length, so at coefficient 0 every
     # hinge term is dropped: the header converse's header at m = 1 and its
