@@ -12,9 +12,12 @@ integer code takes floor(2^log2M).
 Every search over such a sum, the BEC converses' hinge sums in `converse`
 included, is `_max_log2M`: the sum is piecewise A + B 2^coeff between the
 breakpoints coeff = -shift, so one pass over the terms solves it exactly
-(`numerics.invert_exp2_sum`). The search steps that rate down until the
-evaluator meets the target, since the two round differently. Every rate is
-a Python float.
+(`numerics.invert_exp2_sum`). The closed form and the evaluator round
+differently, so a search steps that rate down until the evaluator meets the
+target. A header-split scan
+takes the closed-form rate, which is never below the stepped one, and steps
+down only the splits that can win (`best_over_splits`). Every rate is a
+Python float.
 """
 
 from __future__ import annotations
@@ -22,12 +25,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .channel import ChannelSpec, info_density_spectrum
+from .channel import ChannelKind, ChannelSpec, info_density_spectrum
 from .numerics import LN2, _exp2_sum, invert_exp2_sum
+
+
+# a feasible search with lazy=True: (upper, confirm), where upper is never
+# below the rate and confirm() returns the rate
+LazyRate = Tuple[float, Callable[[], float]]
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,8 @@ def _block_sum(spec: ChannelSpec, length: int, coeff: float, hinge: bool = False
 def _max_log2M(
     spec: ChannelSpec, length: int, eps: float, coeff: Callable[[float], float] = float,
     log2M: Callable[[float], float] = float, hinge: bool = False, fixed: float = 0.0,
-    all_eps: Sequence[float] = (),
-) -> Optional[float]:
+    all_eps: Sequence[float] = (), lazy: bool = False,
+) -> Union[None, float, LazyRate]:
     """Largest log2M with min(1, fixed + block sum at coeff(log2M)) <= eps.
 
     `log2M` maps a coefficient back to its class size (both maps default to
@@ -85,7 +93,9 @@ def _max_log2M(
     term misses a class target in `all_eps`. The closed-form inversion and
     the evaluator round differently, so the guess can sit a few ulps past
     the crossing: it is stepped down, by doubling steps, until the bound
-    meets eps.
+    meets eps. With lazy=True the step-down is left to the caller: a
+    feasible search returns (upper, confirm), where upper is the guess
+    clamped at 0, never below the rate, and confirm() steps down to the rate.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
@@ -97,6 +107,13 @@ def _max_log2M(
         return None
     spectrum = info_density_spectrum(spec.kind, length, spec.p)
     guess = log2M(invert_exp2_sum(spectrum.log_mass, -spectrum.density, eps - fixed, hinge))
+    confirm = functools.partial(_step_down, bound, eps, guess)
+    return (max(guess, 0.0), confirm) if lazy else confirm()
+
+
+def _step_down(bound: Callable[[float], float], eps: float, guess: float) -> float:
+    """The first x of guess, guess - u, guess - 2u, guess - 4u, ... with
+    bound(x) <= eps, or 0 when none above 0 does; u is an ulp of guess."""
     if guess == math.inf:
         return math.inf
     x, step = guess, math.ulp(max(abs(guess), 1.0))
@@ -171,9 +188,26 @@ def header_ach_bound(spec: ChannelSpec, split: HeaderSplit, m: int, log2M: float
         raise ValueError("a zero-length header cannot distinguish m > 1 classes")
     if log2M < 0:
         raise ValueError(f"log2M must be >= 0, got {log2M}")
-    header = _block_sum(spec, split.n0, (math.log2(m - 1) - 1.0) if m > 1 else -math.inf)
+    header = _header_ach_sum(spec.kind, spec.p, split.n0, m)
     payload = _block_sum(spec, spec.n - split.n0, _log2_count_minus_one(log2M) - 1.0)
     return min(1.0, header + payload)
+
+
+# each scan reads tens of splits, and a capacity-0 channel up to n + 1 of them;
+# an entry holds a float (or None) and a short key
+SPLIT_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
+def _header_ach_sum(kind: ChannelKind, p: float, n0: int, m: int) -> float:
+    """The DT sum of m codewords over the n0-symbol header (0 for one class).
+
+    It depends on the split alone, not on the blocklength, so a process sums
+    each header once: a sweep's longer blocks reuse its shorter ones' sums.
+    """
+    if m == 1:
+        return 0.0
+    return _block_sum(ChannelSpec(kind, p, n0), n0, math.log2(m - 1) - 1.0)
 
 
 def max_log2M_dt(spec: ChannelSpec, eps_target: float, lambda_i: float) -> Optional[float]:
@@ -189,15 +223,17 @@ def max_log2M_dt(spec: ChannelSpec, eps_target: float, lambda_i: float) -> Optio
 
 
 def max_log2M_header_ach(
-    spec: ChannelSpec, eps_target: float, m: int, n0: int, all_eps: Sequence[float]
-) -> Optional[float]:
+    spec: ChannelSpec, eps_target: float, m: int, n0: int, all_eps: Sequence[float],
+    lazy: bool = False,
+) -> Union[None, float, LazyRate]:
     """Largest payload size meeting eps_target for a fixed header split.
 
     The split is admissible when it supports at least one codeword in every
     class, i.e. the bound at M=1 meets every class's target. The header term
     does not depend on the class, so that reduces to a single comparison
     against the strictest target. Returns None for an inadmissible split,
-    including a zero-length header with m > 1 classes.
+    including a zero-length header with m > 1 classes. lazy=True returns
+    (upper, confirm) for a feasible split (`_max_log2M`).
     """
     # at log2M = 0 the payload sum vanishes, leaving the header term; a
     # zero-length header tells m > 1 classes apart with no guarantee at all
@@ -206,6 +242,7 @@ def max_log2M_header_ach(
     return _max_log2M(
         spec, spec.n - n0, eps_target, lambda lm: _log2_count_minus_one(lm) - 1.0,
         lambda c: float(np.logaddexp2(0.0, c + 1.0)), fixed=header_term, all_eps=all_eps,
+        lazy=lazy,
     )
 
 
@@ -214,7 +251,7 @@ SPLIT_PRUNE_SLACK_BITS = 1e-9
 
 
 def best_over_splits(
-    rate: Callable[..., Optional[float]],
+    rate: Callable[..., Union[None, float, LazyRate]],
     spec: ChannelSpec,
     eps: float,
     m: int,
@@ -227,10 +264,13 @@ def best_over_splits(
     feasible, which includes a fixed n0 beyond the blocklength.
 
     The auto scan returns exactly the all-splits maximum, at a cost that
-    grows with the winning header length rather than with n. Header terms
-    are >= 0 and only shrink as the header grows, every rate is
-    nondecreasing in its budget, and each payload bound only gets better as
-    its block gets longer:
+    grows with the winning header length rather than with n. It asks `rate`
+    for lazy values (lazy=True): at split s an upper value u(s), the
+    closed-form guess, never below the rate r(s) and None exactly when r(s)
+    is, and a confirm() that steps the guess down to r(s) without inverting
+    again (on the BSC converse u(s) = r(s)). Header terms are >= 0 and only
+    shrink as the header grows, every rate is nondecreasing in its budget,
+    and each payload bound only gets better as its block gets longer:
       - the DT sum E[min(1, 2^(c - i_L))] is nonincreasing in L (Jensen:
         E_P[2^-i_1] <= 1 and min(1, a z) is concave in z);
       - the Neyman-Pearson beta_L(alpha) is nonincreasing in L, since a test
@@ -238,17 +278,21 @@ def best_over_splits(
       - the BEC converse sum is nonincreasing in L, term by term.
     So the feasible splits form a suffix of 0..n, and no split s' >= s rates
     above cap(s) = rate(length n - s, eps, 1, 0, [eps]), which spends the
-    whole budget on the payload. The scan runs in three steps:
+    whole budget on the payload. The scan runs in four steps:
       1. It gallops over splits 0, 1, 3, 7, ..., n to a feasible one, then
          bisects back to the first feasible split.
-      2. It visits splits from there upward. Each rate is computed once: a
-         memo made for the call keeps the gallop's probes for the visit.
-      3. After a split that did not raise the best rate, it checks the cap
-         of the next split s < n and stops once the best rate so far is at
-         least cap(s) + SPLIT_PRUNE_SLACK_BITS, or cap(s) is None. A cap
-         costs a full rate search, and cap(s) >= rate(s), so right after an
-         improvement it almost never stops the scan; skipping it there
-         delays the stop by at most one split.
+      2. It visits splits from there upward, asking each split once: a memo
+         made for the call keeps the gallop's probes for the visit. The top
+         is the visited split of largest upper value.
+      3. After a split that did not raise u(top), it checks the cap of the
+         next split s < n and stops once r(top), confirmed when first
+         needed, is at least u(cap(s)) + SPLIT_PRUNE_SLACK_BITS, or cap(s)
+         is None. Since u(cap(s)) >= r(s), a cap right after an improvement
+         almost never stops the scan; skipping it there delays the stop by
+         at most one split.
+      4. It confirms the splits asked in decreasing upper value until the
+         next upper value is at most the best rate confirmed: no split
+         rates above its upper value.
     With one class (m = 1) the header is empty and its term is 0, so split 0
     puts the whole block on the payload and is the maximum in exact
     arithmetic: when it is feasible the scan returns its rate at once. In
@@ -258,39 +302,51 @@ def best_over_splits(
     Split n itself is never capped: there is no length-0 ChannelSpec, and a
     length-0 payload still carries log2(1 + 2 eps) bits in the DT bound, so a
     cap of 0 there would be wrong. At a first feasible split s0 and a stop
-    at split S, the scan makes about 2 log2(s0 + 1) + (S - s0) rate calls
-    plus one per cap checked: 34 and 15 for the two header columns at
-    BSC(0.11), eps = 1e-3, m = 3, n = 1000.
+    at split S, the scan asks about 2 log2(s0 + 1) + (S - s0) splits plus
+    one cap per split that did not improve, and confirms a few of them: 34
+    and 15 rate calls, caps included, and 3 and 2 confirmations for the two
+    header columns at BSC(0.11), eps = 1e-3, m = 3, n = 1000.
     """
     n = spec.n
     if n0 is not None:
         return rate(spec, eps, m, n0, all_eps) if n0 <= n else None
-    # a fresh memo per call: nothing outlives the scan
-    rate_at = functools.cache(lambda s: rate(spec, eps, m, s, all_eps))
-    if m == 1 and rate_at(0) is not None:
-        return rate_at(0)
+    # fresh memos per call: nothing outlives the scan
+    asked: Dict[int, Optional[LazyRate]] = {}
+
+    def upper(s: int) -> Optional[float]:
+        if s not in asked:
+            asked[s] = rate(spec, eps, m, s, all_eps, lazy=True)
+        return None if asked[s] is None else asked[s][0]
+
+    confirmed = functools.cache(lambda s: asked[s][1]())
+    if m == 1 and upper(0) is not None:
+        return confirmed(0)
     # after the gallop, lo is infeasible (or -1) and hi is feasible
     lo, hi = -1, 0
-    while rate_at(hi) is None:
+    while upper(hi) is None:
         if hi == n:
             return None
         lo, hi = hi, min(2 * hi + 1, n)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if rate_at(mid) is None:
+        if upper(mid) is None:
             lo = mid
         else:
             hi = mid
-    best, improved = rate_at(hi), True
+    top, improved = hi, True
     for s in range(hi + 1, n + 1):
         if not improved and s < n:
-            cap = rate(ChannelSpec(spec.kind, spec.p, n - s), eps, 1, 0, [eps])
-            if cap is None or best >= cap + SPLIT_PRUNE_SLACK_BITS:
+            cap = rate(ChannelSpec(spec.kind, spec.p, n - s), eps, 1, 0, [eps], lazy=True)
+            if cap is None or confirmed(top) >= cap[0] + SPLIT_PRUNE_SLACK_BITS:
                 break
-        r = rate_at(s)
-        improved = r is not None and r > best
+        improved = upper(s) is not None and upper(s) > upper(top)
         if improved:
-            best = r
+            top = s
+    best = confirmed(top)
+    for s in sorted((s for s in asked if asked[s] is not None), key=upper, reverse=True):
+        if upper(s) <= best:
+            break
+        best = max(best, confirmed(s))
     return best
 
 

@@ -22,11 +22,18 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .achievability import _block_sum, _log2_lambda, _max_log2M, class_rate
+from .achievability import (
+    SPLIT_CACHE_SIZE,
+    LazyRate,
+    _block_sum,
+    _log2_lambda,
+    _max_log2M,
+    class_rate,
+)
 from .channel import ChannelKind, ChannelSpec, info_density_spectrum
 from .numerics import LogValue, log_sum_exp
 
@@ -171,6 +178,7 @@ EPS0_REL_TOL = 1e-9
 def _header_eps0_min(p: float, n0: int, m: int) -> Tuple[float, float]:
     """The least eps0 with beta_{n0}(1 - eps0) <= 1/m, and a margin around it.
 
+    Only headers of m >= 2 classes need it: one class takes eps0 = 0.
     eps0_min is the miss mass of the test with false alarm exactly 1/m: the
     shells past the boundary shell L and the part of L it rejects. The
     Neyman-Pearson test `np_beta_bsc_miss` rounds differently, so the eps0
@@ -188,8 +196,6 @@ def _header_eps0_min(p: float, n0: int, m: int) -> Tuple[float, float]:
     1/2, m in {2, 3, 8} and n0 = 1..200 and up to 1e4, the switch sat at
     most 1.1e-11 of that scale from eps0_min, so the margin has 90x slack.
     """
-    if m == 1:  # beta <= 1 always: exactly 0, where float shell sums can exceed 1
-        return 0.0, 0.0
     spectrum = info_density_spectrum(ChannelKind.BSC, n0, p)
     pmass = np.exp(spectrum.log_mass)
     q = np.exp(spectrum.log_q)
@@ -229,6 +235,19 @@ def _header_eps0_index(p: float, n0: int, m: int, grid: np.ndarray) -> Optional[
     return idx if idx < len(grid) else None
 
 
+@functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
+def _header_eps0(p: float, n0: int, m: int, top: float, points: int) -> Optional[float]:
+    """The least eps0 of the grid on [0, top] that admits m header codewords.
+
+    None when no grid point does. It depends on the split alone, not on the
+    blocklength, so a process searches each (split, grid) once: a sweep's
+    longer blocks reuse its shorter ones' searches.
+    """
+    grid = _eps0_grid(top, points)
+    idx = _header_eps0_index(p, n0, m, grid)
+    return None if idx is None else float(grid[idx])
+
+
 def header_conv_max_log2M_bsc(
     spec: ChannelSpec,
     eps_i: float,
@@ -251,13 +270,9 @@ def header_conv_max_log2M_bsc(
     p = _reduced_bsc_p(spec)
     if not 0 <= n0 <= spec.n:
         raise ValueError(f"n0 must be in [0, n], got {n0}")
-    eps0 = 0.0
-    if m != 1:
-        grid = _eps0_grid(min(all_eps), eps0_points)
-        idx = _header_eps0_index(p, n0, m, grid)
-        if idx is None:
-            return None
-        eps0 = float(grid[idx])
+    eps0 = 0.0 if m == 1 else _header_eps0(p, n0, m, min(all_eps), eps0_points)
+    if eps0 is None:
+        return None
     # 0.0 - log2(beta): +0, not -0, at beta = 1
     return 0.0 - np_beta_bsc_miss(spec.n - n0, p, eps_i - eps0).log2_beta
 
@@ -283,14 +298,20 @@ def header_conv_max_log2M(
     n0: int,
     all_eps: Sequence[float],
     eps0_points: int = 1000,
-) -> Optional[float]:
+    lazy: bool = False,
+) -> Union[None, float, LazyRate]:
     """Header-converse class-size limit at split n0 on either channel.
 
     eps0_points sets the BSC header error-allocation grid; the BEC bound has
-    a closed-form header term and ignores it.
+    a closed-form header term and ignores it. lazy=True returns (upper,
+    confirm) for a feasible split (`achievability._max_log2M`); the BSC
+    converse is computed exactly, so there upper is the rate itself.
     """
     if spec.kind is ChannelKind.BEC:
         # at log2M = 0 the payload sum vanishes, leaving the header part
         header_term = header_conv_eps_bec(spec, n0, m, 0.0)
-        return _max_log2M(spec, spec.n - n0, eps_i, hinge=True, fixed=header_term, all_eps=all_eps)
-    return header_conv_max_log2M_bsc(spec, eps_i, m, n0, all_eps, eps0_points)
+        return _max_log2M(
+            spec, spec.n - n0, eps_i, hinge=True, fixed=header_term, all_eps=all_eps, lazy=lazy
+        )
+    rate = header_conv_max_log2M_bsc(spec, eps_i, m, n0, all_eps, eps0_points)
+    return (rate, lambda: rate) if lazy and rate is not None else rate

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from umpbounds import achievability
 from umpbounds.achievability import (
     HeaderSplit,
     SimplexWeights,
@@ -250,20 +251,24 @@ def _check_scan(rate, spec, eps, m, all_eps):
     return got
 
 
+# header-scan inputs: both channels, degenerate and useless p included
+SPLIT_SCANS = dict(
+    kind=st.sampled_from([BSC, BEC]),
+    p=st.sampled_from([0.0, 1e-300, 0.01, 0.11, 0.5, 0.89, 1.0]),
+    n=st.sampled_from([1, 2, 17, 64, 300]),
+    all_eps=st.lists(
+        st.floats(-15.0, math.log10(0.9)).map(lambda e: 10.0**e), min_size=1, max_size=4
+    ),
+    cls=st.integers(0, 3),
+    eps0_points=st.sampled_from([1, 10, 1000]),
+)
+
+
 class TestSplitScan:
     """The --n0 auto scan returns exactly the all-splits maximum."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        kind=st.sampled_from([BSC, BEC]),
-        p=st.sampled_from([0.0, 1e-300, 0.01, 0.11, 0.5, 0.89, 1.0]),
-        n=st.sampled_from([1, 2, 17, 64, 300]),
-        all_eps=st.lists(
-            st.floats(-15.0, math.log10(0.9)).map(lambda e: 10.0**e), min_size=1, max_size=4
-        ),
-        cls=st.integers(0, 3),
-        eps0_points=st.sampled_from([1, 10, 1000]),
-    )
+    @given(**SPLIT_SCANS)
     # a one-class header read a float eps0_min above 0 and found 20 splits infeasible
     @example(kind=BSC, p=0.5, n=300, all_eps=[1e-13], cls=0, eps0_points=10)
     def test_matches_exhaustive_scan(self, kind, p, n, all_eps, cls, eps0_points):
@@ -273,6 +278,51 @@ class TestSplitScan:
         assert max_log2M_header_ach_best(spec, eps, m, all_eps) == ach
         conv_at = functools.partial(header_conv_max_log2M, eps0_points=eps0_points)
         _check_scan(conv_at, spec, eps, m, all_eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SPLIT_SCANS)
+    def test_upper_values_bound_the_rates(self, kind, p, n, all_eps, cls, eps0_points):
+        # the scan prunes and stops on upper values, so at every split the
+        # unconfirmed value must be at least the confirmed rate, and None or
+        # inf exactly when the rate is; confirming it must give the rate
+        spec = ChannelSpec(kind, p, n)
+        m, eps = len(all_eps), all_eps[cls % len(all_eps)]
+        conv_at = functools.partial(header_conv_max_log2M, eps0_points=eps0_points)
+        for rate in (max_log2M_header_ach, conv_at):
+            for n0 in range(n + 1):
+                want = rate(spec, eps, m, n0, all_eps)
+                got = rate(spec, eps, m, n0, all_eps, lazy=True)
+                assert (got is None) == (want is None), n0
+                if got is not None:
+                    upper, confirm = got
+                    assert upper >= want and (upper == math.inf) == (want == math.inf), n0
+                    assert confirm() == want, n0
+
+    @pytest.mark.parametrize(
+        "splits, cap, want",
+        [
+            # split 1 has the largest upper value but steps down below split 2's rate
+            ([None, (5.0, 4.0), (4.5, 4.4), (1.0, 1.0)], 10.0, 4.4),
+            # split 1's upper value clears split 3's cap but its rate does not,
+            # so the scan must not stop before split 3
+            ([None, (5.0, 3.0), (1.0, 1.0), (3.9, 3.9), (0.5, 0.5)], 4.0, 3.9),
+        ],
+        ids=["confirm-past-top", "prune-on-rates"],
+    )
+    def test_scan_decides_on_rates_not_upper_values(self, splits, cap, want):
+        # (upper value, rate) per split, None where infeasible; each cap is `cap`
+        spec = ChannelSpec(BSC, 0.11, len(splits) - 1)
+
+        def rate(s, eps, m, n0, all_eps, lazy=False):
+            if s != spec:
+                return (cap, lambda: cap) if lazy else cap
+            if splits[n0] is None:
+                return None
+            upper, r = splits[n0]
+            return (upper, lambda: r) if lazy else r
+
+        assert oracles.exhaustive_best_over_splits(rate, spec, 1e-3, 2, [1e-3]) == want
+        assert best_over_splits(rate, spec, 1e-3, 2, [1e-3]) == want
 
     @pytest.mark.parametrize("kind, p", [(BSC, 0.11), (BEC, 0.5)], ids=["bsc", "bec"])
     @pytest.mark.parametrize("n", [1000, 2000])
@@ -292,13 +342,31 @@ class TestSplitScan:
         ],
         ids=["ach-n1000", "conv-n1000", "ach-n2000-small-eps"],
     )
-    def test_rate_calls_per_scan(self, n, all_eps, rate, limit):
+    def test_rate_calls_per_scan(self, n, all_eps, rate, limit, monkeypatch):
         # a scan's cost in rate calls, caps included, at BSC(0.11), m = 3, class 0
-        calls = []
+        calls, inversions = [], []
+        invert = achievability.invert_exp2_sum
+        monkeypatch.setattr(
+            achievability, "invert_exp2_sum", lambda *a: inversions.append(a) or invert(*a)
+        )
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return rate(*args)
+            before = len(inversions)
+            got = rate(*args, **kwargs)
+            assert len(inversions) - before <= 1
+            if got is None:
+                return None
+            upper, confirm = got
+
+            def confirmed():
+                # a confirmation steps the split's own guess down: no split is inverted twice
+                before = len(inversions)
+                r = confirm()
+                assert len(inversions) == before and r <= upper
+                return r
+
+            return upper, confirmed
 
         spec = ChannelSpec(BSC, 0.11, n)
         assert best_over_splits(counted, spec, all_eps[0], 3, all_eps) is not None

@@ -524,9 +524,9 @@ class TestBoundCommand:
         calls = collections.Counter()
 
         def counting_scan(rate, *args, _scan=cli.best_over_splits):
-            def counted(*rate_args):
+            def counted(*rate_args, **kwargs):
                 calls[rate] += 1
-                return rate(*rate_args)
+                return rate(*rate_args, **kwargs)
 
             return _scan(counted, *args)
 
@@ -567,6 +567,51 @@ class TestBoundCommand:
     def test_twelve_significant_digits(self):
         assert cli._fmt(1 / 3) == "0.333333333333"
         assert cli._fmt(1234567.0) == "1234567"
+
+
+# data rows of both bound benchmark workloads and of a capacity-0 channel,
+# where every header split rates the same, as the header scans print them;
+# a change that moves one of these cells must re-pin it and say why
+PINNED_BOUND_ROWS = {
+    "bound-bsc": (
+        ("--channel", "bsc", "--p", "0.11", "--n", "500,1000",
+         *["--class", f"eps=1e-3,lambda={1 / 3!r}"] * 3),
+        [
+            "500,0,0.333333333333,0.001,178.479696054,191.693530728,152.084003831,184.832955299,183.242843322",
+            "500,1,0.333333333333,0.001,178.479696054,191.693530728,152.084003831,184.832955299,183.242843322",
+            "500,2,0.333333333333,0.001,178.479696054,191.693530728,152.084003831,184.832955299,183.242843322",
+            "1000,0,0.333333333333,0.001,401.471688012,415.250871083,372.630722712,408.050982039,406.272251888",
+            "1000,1,0.333333333333,0.001,401.471688012,415.250871083,372.630722712,408.050982039,406.272251888",
+            "1000,2,0.333333333333,0.001,401.471688012,415.250871083,372.630722712,408.050982039,406.272251888",
+        ],
+    ),
+    "bound-bec-ump": (
+        ("--channel", "bec", "--p", "0.5", "--n", "500",
+         "--class", "eps=1e-3,lambda=0.5", *["--class", "eps=1e-3,lambda=0.25"] * 2),
+        [
+            "500,0,0.5,0.001,212.682967954,215.682309631,200.428294975,209.121624594,214.450152486",
+            "500,1,0.25,0.001,211.682967954,214.682309631,200.428294975,209.121624594,213.450152486",
+            "500,2,0.25,0.001,211.682967954,214.682309631,200.428294975,209.121624594,213.450152486",
+        ],
+    ),
+    "bsc-capacity-0": (
+        ("--channel", "bsc", "--p", "0.5", "--n", "2000",
+         "--class", "eps=0.999,lambda=0.5", "--class", "eps=0.999999,lambda=0.5"),
+        [
+            "2000,0,0.5,0.999,NA,8.96578428466,0.998556583132,0.997117491467,NA",
+            "2000,1,0.5,0.999999,NA,18.9315685693,0.999998557306,0.999997114613,NA",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BOUND_ROWS))
+def test_bound_prints_pinned_rows(name, tmp_path):
+    argv, want = PINNED_BOUND_ROWS[name]
+    out = tmp_path / "bound.csv"
+    assert cli.main(["bound", *argv, "--out", str(out)]) == cli.EXIT_OK
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert lines[1:] == want
 
 
 SWEEP_P = [0.0, 1e-300, 1e-9, 0.11, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.89, 1.0]

@@ -206,8 +206,8 @@ class TestConverseBsc:
         def no_grid(*args):
             raise AssertionError("a one-class converse searched the eps0 grid")
 
-        monkeypatch.setattr(converse, "_eps0_grid", no_grid)
-        monkeypatch.setattr(converse, "_header_eps0_index", no_grid)
+        for name in ("_eps0_grid", "_header_eps0_index", "_header_eps0"):
+            monkeypatch.setattr(converse, name, no_grid)
         spec = ChannelSpec(BSC, p, 200)
         want = 0.0 - converse.np_beta_bsc_miss(200, min(p, 1.0 - p), 1e-3).log2_beta
         assert converse_max_log2M(spec, 1e-3, 1.0) == want
@@ -374,7 +374,8 @@ class TestHeaderConverse:
         # (n - n0) - log2(1 - e); at (3, 3, 0.05) that is 29 - log2(0.95)
         n = 32
         eps0_min = max(0.0, 1.0 - 2.0**n0 / m)
-        assert converse._header_eps0_min(0.0, n0, m)[0] == pytest.approx(eps0_min, rel=1e-12, abs=0.0)
+        if m > 1:  # one class takes eps0 = 0 with no header test
+            assert converse._header_eps0_min(0.0, n0, m)[0] == pytest.approx(eps0_min, rel=1e-12, abs=0.0)
         grid = np.linspace(0.0, eps, 1000)
         payload_miss = eps - float(grid[np.searchsorted(grid, eps0_min)])
         want = (n - n0) - math.log2(1.0 - payload_miss)
@@ -391,10 +392,13 @@ class TestHeaderConverse:
 
     @pytest.mark.parametrize("p", [0.0, 0.11, 0.49, 0.5])
     def test_bsc_one_class_header_needs_no_eps0(self, p):
-        # beta <= 1 always, so eps0_min is exactly 0; float shell sums above
-        # 1 made it positive, up to 1.9e-13 at p = 1/2
+        # beta <= 1 always, so eps0 is exactly 0 and the payload takes all of
+        # eps; float shell sums above 1 once made eps0_min positive, up to
+        # 1.9e-13 at p = 1/2
+        spec = ChannelSpec(BSC, p, 300)
         for n0 in range(301):
-            assert converse._header_eps0_min(p, n0, 1) == (0.0, 0.0), n0
+            want = 0.0 - converse.np_beta_bsc_miss(300 - n0, p, 1e-3).log2_beta
+            assert header_conv_max_log2M_bsc(spec, 1e-3, 1, n0, [1e-3]) == want, n0
 
     def test_bsc_infeasible_header(self):
         # three headers over a single channel use cannot meet eps=1e-3

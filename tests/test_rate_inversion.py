@@ -167,7 +167,7 @@ def test_bsc_header_eps0_index_matches_grid_bisection(n, eps0_points):
     spec = ChannelSpec(BSC, p, n)
     for min_eps in (1e-3, 0.1):
         grid = np.linspace(0.0, min_eps, eps0_points)
-        for m in (1, 2, 3, 8):
+        for m in (2, 3, 8):
             for n0 in range(n + 1):
                 want = reference_eps0_index(p, n0, m, grid)
                 assert _header_eps0_index(p, n0, m, grid) == want, (min_eps, m, n0)
@@ -367,18 +367,33 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _clear_split_caches():
+    """Empty the per-process memos of split-only header terms, for a cold count."""
+    achievability._header_ach_sum.cache_clear()
+    converse._header_eps0.cache_clear()
+
+
 def test_header_searches_sum_the_header_once(monkeypatch):
-    bsc, bec, eps = ChannelSpec(BSC, 0.11, 500), ChannelSpec(BEC, 0.5, 500), 1e-3
+    # each search evaluates its header term once; the achievability header
+    # sum depends on (channel, p, n0, m) alone, so a second blocklength reuses it
+    _clear_split_caches()
+    eps = 1e-3
     ach_calls = _counting(monkeypatch, achievability, "header_ach_bound")
     conv_calls = _counting(monkeypatch, converse, "header_conv_eps_bec")
-    assert max_log2M_header_ach(bsc, eps, 3, 100, [eps] * 3) is not None
-    assert header_conv_max_log2M(bec, eps, 3, 100, [eps] * 3) is not None
-    assert (len(ach_calls), len(conv_calls)) == (1, 1)
+    block_sums = _counting(monkeypatch, achievability, "_block_sum")
+    for n in (500, 1000):
+        bsc, bec = ChannelSpec(BSC, 0.11, n), ChannelSpec(BEC, 0.5, n)
+        assert max_log2M_header_ach(bsc, eps, 3, 100, [eps] * 3) is not None
+        assert header_conv_max_log2M(bec, eps, 3, 100, [eps] * 3) is not None
+    assert (len(ach_calls), len(conv_calls)) == (2, 2)
+    header_sums = [args for args in block_sums if args[0].kind is BSC and args[1] == 100]
+    assert len(header_sums) == 1
 
 
 def test_bsc_bound_confirms_eps0_only_near_a_grid_point(monkeypatch, tmp_path):
     # confirming every split's eps0 index took two Neyman-Pearson tests each:
     # 62 tests in this run, 43 of them confirmations
+    _clear_split_caches()
     tests = _counting(monkeypatch, converse, "_np_shell_test")
     classes = ["--class", f"eps=1e-3,lambda={1 / 3!r}"] * 3
     argv = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "500,1000", *classes]
@@ -388,21 +403,39 @@ def test_bsc_bound_confirms_eps0_only_near_a_grid_point(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize(
     "eps, searches",
-    [((1e-3, 1e-3, 1e-3), 26), ((1e-3, 1e-2, 1e-1), 63)],
+    [((1e-3, 1e-3, 1e-3), 13), ((1e-3, 1e-2, 1e-1), 13)],
     ids=["equal-eps", "three-eps"],
 )
 def test_bsc_bound_searches_eps0_grids_only_for_headers(monkeypatch, tmp_path, eps, searches):
     # the class converses and the one-class caps of the header scan take
-    # eps0 = 0 with no grid, so the m = 3 header scans share one grid on [0, min eps]
+    # eps0 = 0 with no grid, so the m = 3 header scans share one grid on [0, min eps];
+    # a split's eps0 depends on (p, n0, m) and that grid alone, so it is searched
+    # once for every class and both blocklengths (26 and 63 searches when it was not)
     converse._eps0_grid.cache_clear()
+    _clear_split_caches()
     lookups = _counting(monkeypatch, converse, "_eps0_grid")
     index_searches = _counting(monkeypatch, converse, "_header_eps0_index")
     classes = [arg for e in eps for arg in ("--class", f"eps={e!r},lambda={1 / 3!r}")]
     argv = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "500,1000", *classes]
     assert cli.main(argv + ["--out", str(tmp_path / "bound.csv")]) == 0
     assert (len(lookups), len(index_searches)) == (searches, searches)
+    headers = {(n0, m) for _, n0, m, _ in index_searches}
+    assert len(headers) == searches
     monkeypatch.undo()
     assert converse._eps0_grid.cache_info().currsize == 1
+
+
+def test_bsc_bound_sums_only_where_a_split_can_win(monkeypatch, tmp_path):
+    # the header scans step a closed-form guess down to its rate only at
+    # splits that can win, and each guess is inverted once: this run made
+    # 129 tail sums for 52 inversions when every split asked was confirmed
+    _clear_split_caches()
+    sums = _counting(monkeypatch, achievability, "_exp2_sum")
+    inversions = _counting(monkeypatch, achievability, "invert_exp2_sum")
+    classes = ["--class", f"eps=1e-3,lambda={1 / 3!r}"] * 3
+    argv = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "500,1000", *classes]
+    assert cli.main(argv + ["--out", str(tmp_path / "bound.csv")]) == 0
+    assert len(sums) <= 45 and len(inversions) <= 52
 
 
 def test_hinge_sums_with_no_positive_term_are_skipped(monkeypatch, tmp_path):
