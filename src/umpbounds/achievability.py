@@ -14,10 +14,9 @@ included, is `_max_log2M`: the sum is piecewise A + B 2^coeff between the
 breakpoints coeff = -shift, so one pass over the terms solves it exactly
 (`numerics.invert_exp2_sum`). The closed form and the evaluator round
 differently, so a search steps that rate down until the evaluator meets the
-target. A header-split scan
-takes the closed-form rate, which is never below the stepped one, and steps
-down only the splits that can win (`best_over_splits`). Every rate is a
-Python float.
+target. A header-split scan takes the closed-form rate, which is never
+below the stepped one, and steps down only the splits that can win
+(`best_over_splits`). Every rate is a Python float.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class HeaderSplit:
             raise ValueError(f"n0 must be >= 0, got {self.n0}")
 
 
-def _block_sum(spec: ChannelSpec, length: int, coeff: float, hinge: bool = False) -> float:
+def _block_sum(kind: ChannelKind, p: float, length: int, coeff: float, hinge: bool = False) -> float:
     """min(1, S(coeff)), S the capped (or hinge) sum over the length-symbol spectrum.
 
     A -inf coefficient (one codeword) adds nothing: build no spectrum for it.
@@ -74,7 +73,7 @@ def _block_sum(spec: ChannelSpec, length: int, coeff: float, hinge: bool = False
     """
     if coeff == -math.inf:
         return 0.0
-    spectrum = info_density_spectrum(spec.kind, length, spec.p)
+    spectrum = info_density_spectrum(kind, length, p)
     if hinge and coeff <= min(spectrum.density[0], spectrum.density[-1]):
         return 0.0
     return _exp2_sum(spectrum.log_mass, -spectrum.density, coeff, hinge)
@@ -101,7 +100,7 @@ def _max_log2M(
         raise ValueError(f"eps must be in (0,1), got {eps}")
 
     def bound(lm):
-        return min(1.0, fixed + _block_sum(spec, length, coeff(lm), hinge))
+        return min(1.0, fixed + _block_sum(spec.kind, spec.p, length, coeff(lm), hinge))
 
     if fixed > min(all_eps, default=fixed) or bound(0.0) > eps:
         return None
@@ -159,7 +158,7 @@ def dt_class_bound(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
     log2_lambda = _log2_lambda(lambda_i)
     if log2M < 0:
         raise ValueError(f"log2M must be >= 0, got {log2M}")
-    return _block_sum(spec, spec.n, log2M - log2_lambda)
+    return _block_sum(spec.kind, spec.p, spec.n, log2M - log2_lambda)
 
 
 def _log2_count_minus_one(log2_count: float) -> float:
@@ -188,9 +187,8 @@ def header_ach_bound(spec: ChannelSpec, split: HeaderSplit, m: int, log2M: float
         raise ValueError("a zero-length header cannot distinguish m > 1 classes")
     if log2M < 0:
         raise ValueError(f"log2M must be >= 0, got {log2M}")
-    header = _header_ach_sum(spec.kind, spec.p, split.n0, m)
-    payload = _block_sum(spec, spec.n - split.n0, _log2_count_minus_one(log2M) - 1.0)
-    return min(1.0, header + payload)
+    payload = _block_sum(spec.kind, spec.p, spec.n - split.n0, _log2_count_minus_one(log2M) - 1.0)
+    return min(1.0, _header_sum(spec.kind, spec.p, split.n0, m, False) + payload)
 
 
 # each scan reads tens of splits, and a capacity-0 channel up to n + 1 of them;
@@ -199,15 +197,16 @@ SPLIT_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
-def _header_ach_sum(kind: ChannelKind, p: float, n0: int, m: int) -> float:
-    """The DT sum of m codewords over the n0-symbol header (0 for one class).
+def _header_sum(kind: ChannelKind, p: float, n0: int, m: int, hinge: bool) -> float:
+    """h(n0): the DT sum of m header codewords (0 for one class), or with
+    hinge=True the BEC converse's header floor (1 - 1/m at n0 = 0).
 
-    It depends on the split alone, not on the blocklength, so a process sums
-    each header once: a sweep's longer blocks reuse its shorter ones' sums.
+    Either depends on the split alone, not on n or eps, so a process sums
+    each header once and every target and longer block reuses it.
     """
-    if m == 1:
-        return 0.0
-    return _block_sum(ChannelSpec(kind, p, n0), n0, math.log2(m - 1) - 1.0)
+    if hinge:
+        return _block_sum(kind, p, n0, math.log2(m), hinge=True)
+    return _block_sum(kind, p, n0, math.log2(m - 1) - 1.0) if m > 1 else 0.0
 
 
 def max_log2M_dt(spec: ChannelSpec, eps_target: float, lambda_i: float) -> Optional[float]:
@@ -235,14 +234,15 @@ def max_log2M_header_ach(
     including a zero-length header with m > 1 classes. lazy=True returns
     (upper, confirm) for a feasible split (`_max_log2M`).
     """
+    if not 0 <= n0 <= spec.n:
+        raise ValueError(f"n0 must be in [0, n], got {n0}")
     # at log2M = 0 the payload sum vanishes, leaving the header term; a
     # zero-length header tells m > 1 classes apart with no guarantee at all
-    header_term = 1.0 if n0 == 0 and m > 1 else header_ach_bound(spec, HeaderSplit(n0), m, 0.0)
+    header = 1.0 if n0 == 0 and m > 1 else _header_sum(spec.kind, spec.p, n0, m, False)
     # the payload coefficient log2(2^x - 1) - 1 inverts to x = log2(1 + 2^(coeff + 1))
     return _max_log2M(
         spec, spec.n - n0, eps_target, lambda lm: _log2_count_minus_one(lm) - 1.0,
-        lambda c: float(np.logaddexp2(0.0, c + 1.0)), fixed=header_term, all_eps=all_eps,
-        lazy=lazy,
+        lambda c: float(np.logaddexp2(0.0, c + 1.0)), fixed=header, all_eps=all_eps, lazy=lazy,
     )
 
 
@@ -261,7 +261,11 @@ def best_over_splits(
     """Largest rate(spec, eps, m, split, all_eps) over the header splits, or at n0 alone.
 
     Infeasible splits (None) are skipped. Returns None when no split is
-    feasible, which includes a fixed n0 beyond the blocklength.
+    feasible, which includes a fixed n0 beyond the blocklength. A header
+    column rates split s by a payload search at budget eps - h(s), h(s) a
+    split-only memo: the DT header sum (`_header_sum`) for achievability, eps0
+    (`converse._header_eps0`) and the header floor (`_header_sum`, hinge=True)
+    for the BSC and BEC converses.
 
     The auto scan returns exactly the all-splits maximum, at a cost that
     grows with the winning header length rather than with n. It asks `rate`

@@ -290,6 +290,11 @@ def build_config(argv: Sequence[str]) -> SweepConfig:
             raise ConfigError(
                 f"{len(cfg.mu)} mu entries for {len(cfg.classes)} classes"
             )
+    # an output that cannot be opened is refused here, not after the sweep
+    if cfg.out and os.path.isdir(cfg.out):
+        raise ConfigError(f"--out {cfg.out} is a directory")
+    if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        raise ConfigError(f"--out {cfg.out}: no directory {os.path.dirname(cfg.out)}")
     return cfg
 
 
@@ -606,7 +611,11 @@ def _run(cfg: SweepConfig) -> int:
                 status = EXIT_ACCEPTANCE
         text = (",".join(row) + "\n" for row in rows)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
+        try:
+            fh = open(cfg.out, "w")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}") from exc
+        with fh:
             write_csv(cfg, columns, text, fh)
     else:
         write_csv(cfg, columns, text, sys.stdout)

@@ -30,6 +30,7 @@ from .achievability import (
     SPLIT_CACHE_SIZE,
     LazyRate,
     _block_sum,
+    _header_sum,
     _log2_lambda,
     _max_log2M,
     class_rate,
@@ -159,16 +160,8 @@ def header_conv_eps_bec(spec: ChannelSpec, n0: int, m: int, log2M: float) -> flo
         raise ValueError(f"n0 must be in [0, n], got {n0}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    header = _block_sum(spec, n0, math.log2(m), hinge=True)
-    return min(1.0, header + _block_sum(spec, spec.n - n0, log2M, hinge=True))
-
-
-@functools.lru_cache(maxsize=16)
-def _eps0_grid(top: float, points: int) -> np.ndarray:
-    """Uniform header error-allocation grid on [0, top], shared and read-only."""
-    grid = np.linspace(0.0, top, points)
-    grid.flags.writeable = False
-    return grid
+    payload = _block_sum(spec.kind, spec.p, spec.n - n0, log2M, hinge=True)
+    return min(1.0, _header_sum(spec.kind, spec.p, n0, m, True) + payload)
 
 
 # relative error budget of the two header-test evaluations; see _header_eps0_min
@@ -237,13 +230,13 @@ def _header_eps0_index(p: float, n0: int, m: int, grid: np.ndarray) -> Optional[
 
 @functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
 def _header_eps0(p: float, n0: int, m: int, top: float, points: int) -> Optional[float]:
-    """The least eps0 of the grid on [0, top] that admits m header codewords.
+    """The least eps0 of the uniform grid on [0, top] that admits m header codewords.
 
     None when no grid point does. It depends on the split alone, not on the
-    blocklength, so a process searches each (split, grid) once: a sweep's
-    longer blocks reuse its shorter ones' searches.
+    blocklength, so a process builds and searches each (split, grid) once: a
+    sweep's longer blocks reuse its shorter ones' searches.
     """
-    grid = _eps0_grid(top, points)
+    grid = np.linspace(0.0, top, points)
     idx = _header_eps0_index(p, n0, m, grid)
     return None if idx is None else float(grid[idx])
 
@@ -307,11 +300,13 @@ def header_conv_max_log2M(
     confirm) for a feasible split (`achievability._max_log2M`); the BSC
     converse is computed exactly, so there upper is the rate itself.
     """
+    if not 0 <= n0 <= spec.n:
+        raise ValueError(f"n0 must be in [0, n], got {n0}")
     if spec.kind is ChannelKind.BEC:
-        # at log2M = 0 the payload sum vanishes, leaving the header part
-        header_term = header_conv_eps_bec(spec, n0, m, 0.0)
+        # at log2M = 0 the payload sum vanishes, leaving the header floor
+        header = _header_sum(spec.kind, spec.p, n0, m, True)
         return _max_log2M(
-            spec, spec.n - n0, eps_i, hinge=True, fixed=header_term, all_eps=all_eps, lazy=lazy
+            spec, spec.n - n0, eps_i, hinge=True, fixed=header, all_eps=all_eps, lazy=lazy
         )
     rate = header_conv_max_log2M_bsc(spec, eps_i, m, n0, all_eps, eps0_points)
     return (rate, lambda: rate) if lazy and rate is not None else rate

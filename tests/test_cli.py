@@ -208,6 +208,35 @@ class TestExitCodes:
         with pytest.raises(Searched):
             cli.main(argv + ["--n", "174761"])
 
+    OUT_COMMANDS = {
+        "bound": ["bound", "--channel", "bsc", "--p", "0.11", "--n", "100",
+                  "--class", "eps=1e-3,lambda=1"],
+        "simulate": ["simulate", *SIMULATE],
+        "tradeoff": ["tradeoff", "--channel", "bsc", "--p", "0.11", "--n", "100",
+                     "--class", "eps=1e-3,lambda=0.5", "--class", "eps=0.1,lambda=0.5",
+                     "--mu", "0.5,0.5", "--grid", "0.1"],
+    }
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_unwritable_out_is_2_before_any_work(self, command, out, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        for name in ("bound_rows", "simulate_rows", "tradeoff_text"):
+            monkeypatch.setattr(cli, name, no_work)
+        argv = self.OUT_COMMANDS[command] + ["--out", str(tmp_path / out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --out ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_open_error_is_2(self, tmp_path, capsys):
+        # a name past the file system's limit passes the directory checks and fails to open
+        out = tmp_path / ("x" * 300 + ".csv")
+        assert cli.main(self.OUT_COMMANDS["bound"] + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot write --out: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_acceptance_failure_is_4(self, tmp_path, monkeypatch):
         # force the pass criterion to fail by zeroing the analytic bound
         monkeypatch.setattr(cli, "dt_class_bound", lambda *a, **k: 0.0)
@@ -569,7 +598,7 @@ class TestBoundCommand:
         assert cli._fmt(1234567.0) == "1234567"
 
 
-# data rows of both bound benchmark workloads and of a capacity-0 channel,
+# data rows of both bound benchmark workloads and of two capacity-0 channels,
 # where every header split rates the same, as the header scans print them;
 # a change that moves one of these cells must re-pin it and say why
 PINNED_BOUND_ROWS = {
@@ -600,6 +629,17 @@ PINNED_BOUND_ROWS = {
         [
             "2000,0,0.5,0.999,NA,8.96578428466,0.998556583132,0.997117491467,NA",
             "2000,1,0.5,0.999999,NA,18.9315685693,0.999998557306,0.999997114613,NA",
+        ],
+    ),
+    "bec-capacity-0": (
+        ("--channel", "bec", "--p", "1", "--n", "300",
+         *[arg for e in ("0.8", "0.9", "0.99", "0.999999")
+           for arg in ("--class", f"eps={e},lambda=0.25")]),
+        [
+            "300,0,0.25,0.8,NA,0.321928094887,NA,0.0740005814438,NA",
+            "300,1,0.25,0.9,NA,1.32192809489,NA,0.234465253637,NA",
+            "300,2,0.25,0.99,NA,4.64385618977,NA,0.395928676331,NA",
+            "300,3,0.25,0.999999,NA,17.9315685693,NA,0.415035575687,NA",
         ],
     ),
 }

@@ -53,6 +53,10 @@ MP_TOL_BITS = 1e-8
             lambda: header_conv_max_log2M_bsc(ChannelSpec(BSC, 0.11, 8), 1e-3, 3, 9, [1e-3]),
             r"n0 must be in \[0, n\]", id="bsc-header-n0-past-n",
         ),
+        pytest.param(
+            lambda: header_conv_max_log2M(ChannelSpec(BEC, 0.0, 8), 1e-3, 3, 9, [1e-3]),
+            r"n0 must be in \[0, n\]", id="bec-header-n0-past-n",
+        ),
     ],
 )
 def test_refusals(call, match):
@@ -206,7 +210,7 @@ class TestConverseBsc:
         def no_grid(*args):
             raise AssertionError("a one-class converse searched the eps0 grid")
 
-        for name in ("_eps0_grid", "_header_eps0_index", "_header_eps0"):
+        for name in ("_header_eps0_index", "_header_eps0"):
             monkeypatch.setattr(converse, name, no_grid)
         spec = ChannelSpec(BSC, p, 200)
         want = 0.0 - converse.np_beta_bsc_miss(200, min(p, 1.0 - p), 1e-3).log2_beta

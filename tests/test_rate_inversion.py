@@ -39,6 +39,8 @@ from umpbounds.converse import (
 from umpbounds.numerics import invert_exp2_sum
 
 BSC, BEC = ChannelKind.BSC, ChannelKind.BEC
+# the targets of a capacity-0 BEC(1) run with m = 4, where every split is admissible
+BEC_CAPACITY_0_EPS = (0.8, 0.9, 0.99, 0.999999)
 
 REF_TOL_BITS = 1e-9
 ABOVE_REF_BITS = 1e-6
@@ -369,25 +371,49 @@ def _counting(monkeypatch, module, name):
 
 def _clear_split_caches():
     """Empty the per-process memos of split-only header terms, for a cold count."""
-    achievability._header_ach_sum.cache_clear()
+    achievability._header_sum.cache_clear()
     converse._header_eps0.cache_clear()
 
 
+def _refused(*args):
+    raise AssertionError("a header search evaluated a whole header bound")
+
+
 def test_header_searches_sum_the_header_once(monkeypatch):
-    # each search evaluates its header term once; the achievability header
-    # sum depends on (channel, p, n0, m) alone, so a second blocklength reuses it
+    # each search reads its header term off the split-only memo, never off a
+    # whole header bound; the DT header sum and the BEC header floor depend on
+    # (channel, p, n0, m) alone, so a second blocklength reuses them
     _clear_split_caches()
     eps = 1e-3
-    ach_calls = _counting(monkeypatch, achievability, "header_ach_bound")
-    conv_calls = _counting(monkeypatch, converse, "header_conv_eps_bec")
+    monkeypatch.setattr(achievability, "header_ach_bound", _refused)
+    monkeypatch.setattr(converse, "header_conv_eps_bec", _refused)
     block_sums = _counting(monkeypatch, achievability, "_block_sum")
     for n in (500, 1000):
         bsc, bec = ChannelSpec(BSC, 0.11, n), ChannelSpec(BEC, 0.5, n)
         assert max_log2M_header_ach(bsc, eps, 3, 100, [eps] * 3) is not None
         assert header_conv_max_log2M(bec, eps, 3, 100, [eps] * 3) is not None
-    assert (len(ach_calls), len(conv_calls)) == (2, 2)
-    header_sums = [args for args in block_sums if args[0].kind is BSC and args[1] == 100]
-    assert len(header_sums) == 1
+    header_sums = [args[:3] for args in block_sums if args[2] == 100]
+    assert len(header_sums) == 2 and set(header_sums) == {(BSC, 0.11, 100), (BEC, 0.5, 100)}
+
+
+def test_capacity_0_bec_sums_each_header_floor_once(monkeypatch, tmp_path):
+    # at BEC(1) every split is admissible and rates the same, so the converse
+    # scans ask all 301 splits for each of the four targets: 1204 header
+    # floors when each ask summed its own, at most one per split from the memo
+    _clear_split_caches()
+    floors = []
+    real = achievability._exp2_sum
+
+    def counted(log_w, shift, c, hinge=False):
+        if hinge and c == 2.0:  # the header floor's coefficient log2 m at m = 4
+            floors.append(len(log_w))
+        return real(log_w, shift, c, hinge)
+
+    monkeypatch.setattr(achievability, "_exp2_sum", counted)
+    classes = [arg for e in BEC_CAPACITY_0_EPS for arg in ("--class", f"eps={e},lambda=0.25")]
+    argv = ["bound", "--channel", "bec", "--p", "1", "--n", "300", *classes]
+    assert cli.main(argv + ["--out", str(tmp_path / "bound.csv")]) == 0
+    assert 0 < len(floors) <= 301
 
 
 def test_bsc_bound_confirms_eps0_only_near_a_grid_point(monkeypatch, tmp_path):
@@ -408,21 +434,19 @@ def test_bsc_bound_confirms_eps0_only_near_a_grid_point(monkeypatch, tmp_path):
 )
 def test_bsc_bound_searches_eps0_grids_only_for_headers(monkeypatch, tmp_path, eps, searches):
     # the class converses and the one-class caps of the header scan take
-    # eps0 = 0 with no grid, so the m = 3 header scans share one grid on [0, min eps];
+    # eps0 = 0 with no grid, so the m = 3 header scans search one grid on [0, min eps];
     # a split's eps0 depends on (p, n0, m) and that grid alone, so it is searched
     # once for every class and both blocklengths (26 and 63 searches when it was not)
-    converse._eps0_grid.cache_clear()
     _clear_split_caches()
-    lookups = _counting(monkeypatch, converse, "_eps0_grid")
     index_searches = _counting(monkeypatch, converse, "_header_eps0_index")
     classes = [arg for e in eps for arg in ("--class", f"eps={e!r},lambda={1 / 3!r}")]
     argv = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "500,1000", *classes]
     assert cli.main(argv + ["--out", str(tmp_path / "bound.csv")]) == 0
-    assert (len(lookups), len(index_searches)) == (searches, searches)
+    assert len(index_searches) == searches
     headers = {(n0, m) for _, n0, m, _ in index_searches}
     assert len(headers) == searches
-    monkeypatch.undo()
-    assert converse._eps0_grid.cache_info().currsize == 1
+    grid = np.linspace(0.0, min(eps), 1000)
+    assert all(np.array_equal(args[3], grid) for args in index_searches)
 
 
 def test_bsc_bound_sums_only_where_a_split_can_win(monkeypatch, tmp_path):
