@@ -39,8 +39,6 @@ from umpbounds.converse import (
 from umpbounds.numerics import invert_exp2_sum
 
 BSC, BEC = ChannelKind.BSC, ChannelKind.BEC
-# the targets of a capacity-0 BEC(1) run with m = 4, where every split is admissible
-BEC_CAPACITY_0_EPS = (0.8, 0.9, 0.99, 0.999999)
 
 REF_TOL_BITS = 1e-9
 ABOVE_REF_BITS = 1e-6
@@ -406,11 +404,12 @@ def test_capacity_0_bec_sums_each_header_floor_once(monkeypatch, tmp_path):
 
     def counted(log_w, shift, c, hinge=False):
         if hinge and c == 2.0:  # the header floor's coefficient log2 m at m = 4
-            floors.append(len(log_w))
+            floors.append(c)
         return real(log_w, shift, c, hinge)
 
     monkeypatch.setattr(achievability, "_exp2_sum", counted)
-    classes = [arg for e in BEC_CAPACITY_0_EPS for arg in ("--class", f"eps={e},lambda=0.25")]
+    eps = (0.8, 0.9, 0.99, 0.999999)
+    classes = [arg for e in eps for arg in ("--class", f"eps={e},lambda=0.25")]
     argv = ["bound", "--channel", "bec", "--p", "1", "--n", "300", *classes]
     assert cli.main(argv + ["--out", str(tmp_path / "bound.csv")]) == 0
     assert 0 < len(floors) <= 301
