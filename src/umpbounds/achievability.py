@@ -28,8 +28,11 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .channel import ChannelKind, ChannelSpec, info_density_spectrum
-from .numerics import LN2, _exp2_sum, invert_exp2_sum
+from . import ResourceBudgetError
+from .channel import (
+    MAX_BOUND_LENGTH, ChannelKind, ChannelSpec, InfoDensitySpectrum, info_density_spectrum,
+)
+from .numerics import LN2, _exp2_sum, invert_exp2_sum, log_sum_exp
 
 
 # a feasible search with lazy=True: (upper, confirm), where upper is never
@@ -106,15 +109,25 @@ def _max_log2M(
         return None
     spectrum = info_density_spectrum(spec.kind, length, spec.p)
     guess = log2M(invert_exp2_sum(spectrum.log_mass, -spectrum.density, eps - fixed, hinge))
-    confirm = functools.partial(_step_down, bound, eps, guess)
+    confirm = functools.partial(_step_down, bound, eps, guess, spectrum)
     return (max(guess, 0.0), confirm) if lazy else confirm()
 
 
-def _step_down(bound: Callable[[float], float], eps: float, guess: float) -> float:
+def _step_down(
+    bound: Callable[[float], float], eps: float, guess: float, spectrum: InfoDensitySpectrum
+) -> float:
     """The first x of guess, guess - u, guess - 2u, guess - 4u, ... with
-    bound(x) <= eps, or 0 when none above 0 does; u is an ulp of guess."""
+    bound(x) <= eps, or 0 when none above 0 does; u is an ulp of guess.
+
+    The float spectrum's masses sum to a few ulps less than 1, and a guess of
+    +inf says the target is at or above that sum: it is refused."""
     if guess == math.inf:
-        return math.inf
+        shortfall = -math.expm1(log_sum_exp(spectrum.log_mass))
+        raise ResourceBudgetError(
+            f"eps = {eps!r} at block length {len(spectrum.log_mass) - 1} reaches the float "
+            f"spectrum's mass, which falls {shortfall:.3g} short of 1, so the rate is "
+            "unbounded; take a smaller eps"
+        )
     x, step = guess, math.ulp(max(abs(guess), 1.0))
     while x > 0.0 and bound(x) > eps:
         x = guess - step
@@ -191,9 +204,11 @@ def header_ach_bound(spec: ChannelSpec, split: HeaderSplit, m: int, log2M: float
     return min(1.0, _header_sum(spec.kind, spec.p, split.n0, m, False) + payload)
 
 
-# each scan reads tens of splits, and a capacity-0 channel up to n + 1 of them;
-# an entry holds a float (or None) and a short key
-SPLIT_CACHE_SIZE = 4096
+# each scan reads tens of splits, and a capacity-0 channel up to n + 1 of them,
+# for each of the two header columns: at the longest block `bound` accepts that
+# is 2 * 174,762 entries of a float (or None) and a short key, about 220 bytes
+# each, so a full memo holds about 77 MB
+SPLIT_CACHE_SIZE = 2 * (MAX_BOUND_LENGTH + 1)
 
 
 @functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)

@@ -131,9 +131,12 @@ def binomial_log_pmf(n: int, p: float) -> np.ndarray:
 # the converse scan reuse the achievability scan's builds. A spectrum of a
 # length-L block holds up to three float64 arrays of L + 1 weights (log_mass,
 # density, log_q), so at blocklength n the cache can hold
-# SPECTRUM_CACHE_SIZE * 24 * (n + 1) bytes, 1 GiB at n = 174,761: `cli.bound_rows`
-# refuses a sweep with a longer block.
+# SPECTRUM_CACHE_SIZE * 24 * (n + 1) bytes. `cli.bound_rows` refuses a sweep
+# whose cache could pass MAX_SPECTRUM_CACHE_BYTES: one with a block longer
+# than MAX_BOUND_LENGTH = 174,761.
 SPECTRUM_CACHE_SIZE = 256
+MAX_SPECTRUM_CACHE_BYTES = 1 << 30
+MAX_BOUND_LENGTH = MAX_SPECTRUM_CACHE_BYTES // (SPECTRUM_CACHE_SIZE * 24) - 1
 
 
 @functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)

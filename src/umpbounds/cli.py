@@ -32,7 +32,10 @@ from .achievability import (
     max_log2M_header_ach,
 )
 from .asymptotics import expected_rate, normal_approx_log2M
-from .channel import SPECTRUM_CACHE_SIZE, ChannelKind, ChannelSpec, channel_stats
+from .channel import (
+    MAX_BOUND_LENGTH, MAX_SPECTRUM_CACHE_BYTES, SPECTRUM_CACHE_SIZE, ChannelKind, ChannelSpec,
+    channel_stats,
+)
 
 # the layer each command runs besides those imported above: build_config
 # loads it, so set-up imports only the command's own layers and a run none
@@ -47,8 +50,6 @@ EXIT_ACCEPTANCE = 4
 
 # tradeoff streams its rows, so this bounds the CSV's size and the sweep's run time
 MAX_TRADEOFF_ROWS = 1_000_000
-# bound's spectrum cache may hold at most this many bytes at its longest blocklength
-MAX_SPECTRUM_CACHE_BYTES = 1 << 30
 # tradeoff formats at most this many rows of one n at a time
 TRADEOFF_SLICE_ROWS = 1 << 14
 
@@ -295,6 +296,15 @@ def build_config(argv: Sequence[str]) -> SweepConfig:
         raise ConfigError(f"--out {cfg.out} is a directory")
     if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
         raise ConfigError(f"--out {cfg.out}: no directory {os.path.dirname(cfg.out)}")
+    if cfg.out:
+        # opened for append, so a file there keeps its bytes; one made here is removed
+        existed = os.path.lexists(cfg.out)
+        try:
+            os.close(os.open(cfg.out, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}") from exc
+        if not existed:
+            os.remove(cfg.out)
     return cfg
 
 
@@ -322,22 +332,22 @@ def bound_rows(cfg: SweepConfig) -> List[List[str]]:
     normal approximation is clamped at 0)."""
     from .converse import converse_fits_one, converse_max_log2M, header_conv_max_log2M
 
-    # a cached spectrum holds up to three float64 arrays of n + 1 weights
-    cache_bytes = SPECTRUM_CACHE_SIZE * 3 * 8 * (max(cfg.n_list) + 1)
-    if cache_bytes > MAX_SPECTRUM_CACHE_BYTES:
+    n_max = max(cfg.n_list)
+    if n_max > MAX_BOUND_LENGTH:
+        # a cached spectrum holds up to three float64 arrays of n + 1 weights
         raise ResourceBudgetError(
-            f"{cache_bytes} spectrum cache bytes at n = {max(cfg.n_list)} exceed budget "
-            f"{MAX_SPECTRUM_CACHE_BYTES}; sweep shorter blocklengths"
+            f"{SPECTRUM_CACHE_SIZE * 24 * (n_max + 1)} spectrum cache bytes at n = {n_max} "
+            f"exceed budget {MAX_SPECTRUM_CACHE_BYTES}; sweep shorter blocklengths"
         )
     m = len(cfg.classes)
     all_eps = [c.eps for c in cfg.classes]
     n0 = None if cfg.n0 == "auto" else int(cfg.n0)  # None: best over the splits
     header_conv_at = functools.partial(header_conv_max_log2M, eps0_points=cfg.eps0_grid)
+    has_normal = channel_stats(ChannelSpec(cfg.channel, cfg.p, 1)).dispersion > 0.0
 
     @functools.cache
     def rates(n: int, eps: float) -> Tuple[Optional[float], ...]:
         spec = ChannelSpec(cfg.channel, cfg.p, n)
-        has_normal = channel_stats(spec).dispersion > 0.0
         return (
             max_log2M_dt(spec, eps, 1.0),
             converse_max_log2M(spec, eps, 1.0),
@@ -357,13 +367,6 @@ def bound_rows(cfg: SweepConfig) -> List[List[str]]:
         cells = (c.lam, c.eps, dt, conv, header_ach, header_conv, normal)
         return [str(n), str(idx), *map(_fmt, cells)]
 
-    if cfg.threads > 1:
-        # imported here: single-thread runs never load concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
-
-        # each worker fills the cache for one n; the rows below only read it
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(lambda n: [rates(n, eps) for eps in all_eps], set(cfg.n_list)))
     return [row(n, idx) for n, idx in sorted(itertools.product(cfg.n_list, range(m)))]
 
 

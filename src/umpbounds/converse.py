@@ -141,15 +141,16 @@ def converse_eps_bec(spec: ChannelSpec, log2M: float, lambda_i: float) -> float:
 
 
 def converse_fits_one(spec: ChannelSpec, eps: float, lambda_i: float) -> bool:
-    """Whether one codeword of a class at lambda_i meets the meta-converse at eps.
+    """Whether one codeword of a class at lambda_i meets the meta-converse at
+    eps, where its shifted rate (`class_rate`) rounds below 0.
 
     On the BEC that is the error floor at log2M = 0, which a searched rate can
-    miss by a few ulps at a tie. On the BSC it is beta(1 - eps) <= lambda_i.
+    miss by a few ulps at a tie. On the BSC the shift alone decides: the
+    lambda-free rate is exactly 0.0 - log2 beta(1 - eps), so its correctly
+    rounded sum with log2 lambda_i is below 0 exactly when log2 lambda_i <
+    log2 beta, and then one codeword misses eps.
     """
-    if spec.kind is ChannelKind.BEC:
-        return converse_eps_bec(spec, 0.0, lambda_i) <= eps
-    beta = np_beta_bsc_miss(spec.n, _reduced_bsc_p(spec), eps)
-    return beta.log2_beta <= _log2_lambda(lambda_i)
+    return spec.kind is ChannelKind.BEC and converse_eps_bec(spec, 0.0, lambda_i) <= eps
 
 
 def header_conv_eps_bec(spec: ChannelSpec, n0: int, m: int, log2M: float) -> float:

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import itertools
 import math
 import os
@@ -230,12 +231,53 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: --out ")
         assert list(tmp_path.iterdir()) == []
 
-    def test_out_open_error_is_2(self, tmp_path, capsys):
-        # a name past the file system's limit passes the directory checks and fails to open
+    def test_out_open_error_is_2(self, tmp_path, monkeypatch, capsys):
+        # a name past the file system's limit passes the directory checks and
+        # fails to open: refused before the sweep
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was opened")
+
+        monkeypatch.setattr(cli, "bound_rows", no_work)
         out = tmp_path / ("x" * 300 + ".csv")
         assert cli.main(self.OUT_COMMANDS["bound"] + ["--out", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: cannot write --out: ")
         assert list(tmp_path.iterdir()) == []
+
+    # the float spectrum's mass falls 3.5e-13 short of 1 at n = 1000 and 1.1e-11
+    # at n = 10^4, and a search whose target reaches it has no largest rate
+    EPS_PAST_SPECTRUM = {
+        "bsc-eps-1-1e-15": ["--channel", "bsc", "--p", "0.11", "--n", "1000,10000",
+                            "--class", "eps=0.999999999999999,lambda=1"],
+        "bec-eps-1-1e-15": ["--channel", "bec", "--p", "0.5", "--n", "1000",
+                            "--class", "eps=0.999999999999999,lambda=1"],
+        "bsc-one-class-of-two": ["--channel", "bsc", "--p", "0.11", "--n", "10000",
+                                 "--class", "eps=0.99999999999,lambda=0.5",
+                                 "--class", "eps=0.1,lambda=0.5"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(EPS_PAST_SPECTRUM))
+    def test_eps_past_the_spectrum_mass_is_3(self, name, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["bound", *self.EPS_PAST_SPECTRUM[name], "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.startswith("resource budget exceeded: eps = 0.99999")
+        assert "short of 1" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_refused_run_keeps_an_existing_out(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"earlier bytes\n")
+        argv = ["bound", *self.EPS_PAST_SPECTRUM["bec-eps-1-1e-15"], "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_BUDGET
+        assert out.read_bytes() == b"earlier bytes\n"
+
+    def test_eps_near_one_within_the_spectrum_mass_runs(self, capsys):
+        argv = ["bound", "--channel", "bsc", "--p", "0.11", "--n", "2000",
+                *["--class", "eps=0.9999999,lambda=0.5"] * 2]
+        assert cli.main(argv) == cli.EXIT_OK
+        rows = _csv_cells(capsys.readouterr().out)
+        assert [cells["log2M_dt"] for cells in rows] == ["1206.71294222"] * 2
 
     def test_acceptance_failure_is_4(self, tmp_path, monkeypatch):
         # force the pass criterion to fail by zeroing the analytic bound
@@ -579,14 +621,19 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("channel, p", [("bsc", "0.11"), ("bec", "0.5")], ids=["bsc", "bec"])
     def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch, channel, p):
-        # unsorted and repeated n run in the pool; classes 0 and 1 share eps, so one header scan
+        # bound runs in the calling thread: UMP_THREADS sizes only simulate's pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("bound started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        # unsorted and repeated n; classes 0 and 1 share eps, so one header scan
         args = [
             "bound", "--channel", channel, "--p", p, "--n", "200,100,200",
             "--class", "eps=1e-3,lambda=0.5", "--class", "eps=1e-3,lambda=0.25",
             "--class", "eps=1e-2,lambda=0.25",
         ]
         outputs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "4"):
             monkeypatch.setenv("UMP_THREADS", threads)
             out = tmp_path / f"t{threads}.csv"
             assert cli.main(args + ["--out", str(out)]) == cli.EXIT_OK

@@ -335,8 +335,17 @@ def test_every_class_rate_is_the_homogeneous_rate_shifted_and_valid(search, chan
     assert (rate is None) == (homogeneous is None or (below_zero and not one_fits))
     assert rate != 0.0 or not below_zero or one_fits
     assert rate is None or _class_bound_met(search, spec, eps, lam, rate)
-    if search == "converse":
+    if search == "converse" and spec.kind is BEC:
         assert converse_fits_one(spec, eps, lam) == (rate is not None)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.11, 0.5, 0.89, 1.0])
+def test_bsc_one_codeword_test_makes_no_neyman_pearson_test(monkeypatch, p):
+    # the lambda-free BSC converse rate is -log2 beta exactly, so its shift
+    # alone tells whether one codeword fits: no test repeats the rate's own
+    tests = _counting(monkeypatch, converse, "_np_shell_test")
+    assert converse_fits_one(ChannelSpec(BSC, p, 100), 0.5, 1e-300) is False
+    assert tests == []
 
 
 @pytest.mark.parametrize("kind,p", [(BSC, 0.11), (BEC, 0.5)])
@@ -413,6 +422,16 @@ def test_capacity_0_bec_sums_each_header_floor_once(monkeypatch, tmp_path):
     argv = ["bound", "--channel", "bec", "--p", "1", "--n", "300", *classes]
     assert cli.main(argv + ["--out", str(tmp_path / "bound.csv")]) == 0
     assert 0 < len(floors) <= 301
+
+
+def test_capacity_0_header_memo_holds_every_split():
+    # the memo is sized for both header columns at the longest block bound
+    # accepts; at 4096 entries the second pass over 4501 splits missed again
+    achievability._header_sum.cache_clear()
+    for _ in range(2):
+        for n0 in range(4501):
+            achievability._header_sum(BEC, 1.0, n0, 4, True)
+    assert achievability._header_sum.cache_info().misses == 4501
 
 
 def test_bsc_bound_confirms_eps0_only_near_a_grid_point(monkeypatch, tmp_path):
