@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,31 +39,38 @@ from .numerics import LN2, _exp2_sum, invert_exp2_sum, log_sum_exp
 LazyRate = Tuple[float, Callable[[], float]]
 
 
-@dataclass(frozen=True)
-class SimplexWeights:
-    """Resource-split weights over the m classes: nonnegative, summing to 1."""
-
+class _SimplexFields(NamedTuple):
     weights: tuple
 
-    def __init__(self, weights):
+
+class SimplexWeights(_SimplexFields):
+    """Resource-split weights over the m classes: nonnegative, summing to 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, weights):
         w = tuple(float(v) for v in weights)
         # written so that NaN fails both checks
         if not all(v >= 0 for v in w):
             raise ValueError(f"simplex weights must be nonnegative: {w}")
         if not abs(sum(w) - 1.0) <= 1e-12:
             raise ValueError(f"simplex weights must sum to 1, got {sum(w)!r}")
-        object.__setattr__(self, "weights", w)
+        return super().__new__(cls, w)
 
 
-@dataclass(frozen=True)
-class HeaderSplit:
-    """First n0 channel uses carry the class index, the rest carry the message."""
-
+class _HeaderFields(NamedTuple):
     n0: int
 
-    def __post_init__(self):
-        if self.n0 < 0:
-            raise ValueError(f"n0 must be >= 0, got {self.n0}")
+
+class HeaderSplit(_HeaderFields):
+    """First n0 channel uses carry the class index, the rest carry the message."""
+
+    __slots__ = ()
+
+    def __new__(cls, n0: int):
+        if n0 < 0:
+            raise ValueError(f"n0 must be >= 0, got {n0}")
+        return super().__new__(cls, n0)
 
 
 def _block_sum(kind: ChannelKind, p: float, length: int, coeff: float, hinge: bool = False) -> float:

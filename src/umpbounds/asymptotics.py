@@ -8,8 +8,7 @@ Every quantity is kept in bits (V in bits^2, gaps in bits, logs base 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,8 +71,7 @@ def kl_divergence_bits(mu: Sequence[float], lam: Sequence[float]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ModDevPoint:
+class ModDevPoint(NamedTuple):
     """Finite-n moderate-deviations diagnostics for one class.
 
     When the positivity condition rho_n > penalty_n fails the error is

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,18 @@ class ChannelKind(Enum):
     BEC = "bec"
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+# The records are NamedTuples, not dataclasses: a dataclass compiles its
+# generated methods at every import, which no bytecode cache keeps. A record
+# that checks its fields does so in __new__ of a subclass of its fields.
+
+
+class _ChannelFields(NamedTuple):
+    kind: ChannelKind
+    p: float
+    n: int
+
+
+class ChannelSpec(_ChannelFields):
     """A memoryless binary channel instance.
 
     p is the crossover probability for BSC and the erasure probability for
@@ -30,25 +40,28 @@ class ChannelSpec:
     dispersion must check channel_stats(spec).dispersion > 0 themselves.
     """
 
-    kind: ChannelKind
-    p: float
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"channel parameter must be in [0,1], got {self.p}")
-        if self.n < 1:
-            raise ValueError(f"blocklength must be >= 1, got {self.n}")
+    def __new__(cls, kind: ChannelKind, p: float, n: int):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"channel parameter must be in [0,1], got {p}")
+        if n < 1:
+            raise ValueError(f"blocklength must be >= 1, got {n}")
+        return super().__new__(cls, kind, p, n)
 
 
-@dataclass(frozen=True)
-class ChannelStats:
+class ChannelStats(NamedTuple):
     capacity: float  # bits per channel use
     dispersion: float  # bits^2 per channel use
 
 
-@dataclass(frozen=True)
-class InfoDensitySpectrum:
+class _SpectrumFields(NamedTuple):
+    kind: ChannelKind
+    log_mass: np.ndarray
+    density: np.ndarray
+
+
+class InfoDensitySpectrum(_SpectrumFields):
     """Law of the per-block information density under uniform input.
 
     The density depends on the output only through a weight t: for BSC t
@@ -62,12 +75,9 @@ class InfoDensitySpectrum:
     the uniform input (equiprobable on the BSC) drawn independently of the
     input: the law the converses test the channel against, and that of an
     independent competitor codeword. Where the channel gives t mass,
-    Q[t] = P[t] 2^-density[t].
+    Q[t] = P[t] 2^-density[t]. The class has no __slots__: the instance
+    dict holds the cached log_q.
     """
-
-    kind: ChannelKind
-    log_mass: np.ndarray
-    density: np.ndarray
 
     @functools.cached_property
     def log_q(self) -> np.ndarray:

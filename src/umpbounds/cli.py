@@ -17,8 +17,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,15 +60,13 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class ClassSpec:
+class ClassSpec(NamedTuple):
     eps: Optional[float] = None
     k: Optional[int] = None
     lam: Optional[float] = None
 
 
-@dataclass
-class SweepConfig:
+class SweepConfig(NamedTuple):
     command: str
     channel: ChannelKind
     p: float
@@ -135,7 +132,7 @@ def _parse_n(text: str) -> List[int]:
 
 
 def _parse_class(text: str) -> ClassSpec:
-    out = ClassSpec()
+    values = {}
     for part in text.split(","):
         if "=" not in part:
             raise ConfigError(f"--class entries look like key=value, got {part!r}")
@@ -147,7 +144,8 @@ def _parse_class(text: str) -> ClassSpec:
             number = int(value) if key == "k" else float(value)
         except ValueError as exc:
             raise ConfigError(f"--class {key}= needs a number, got {value!r}") from exc
-        setattr(out, "lam" if key == "lambda" else key, number)
+        values["lam" if key == "lambda" else key] = number
+    out = ClassSpec(**values)
     if out.lam is None:
         raise ConfigError(f"--class {text!r} needs lambda=")
     if (out.eps is None) == (out.k is None):

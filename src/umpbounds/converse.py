@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,8 +38,7 @@ from .channel import ChannelKind, ChannelSpec, info_density_spectrum
 from .numerics import LogValue, log_sum_exp
 
 
-@dataclass(frozen=True)
-class NPBetaResult:
+class NPBetaResult(NamedTuple):
     """Optimal test summary: accept shells below L, randomize with rho at L.
 
     The test accepting every output within Hamming distance L-1 of the

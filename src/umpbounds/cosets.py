@@ -75,6 +75,8 @@ def _frozen(rows: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
     return out
 
 
+# a dataclass, unlike the other records: its derived `packed` field is kept
+# out of the constructor, repr and equality. Only simulate loads this module.
 @dataclass(frozen=True)
 class CosetCodebook:
     """Per-class generator matrices, coset shifts and decoding thresholds.

@@ -9,8 +9,7 @@ so they are carried as natural-log magnitudes throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +18,7 @@ LN2 = math.log(2.0)
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class LogValue:
+class LogValue(NamedTuple):
     """A nonnegative quantity stored as its natural-log magnitude.
 
     Exact zero is encoded as log_magnitude = -inf (is_zero is True); any
@@ -186,8 +184,72 @@ def gaussian_Q_inv(eps: float) -> float:
 
     AS241 is accurate to about 1e-16 relative over the whole double range,
     so the tail eps near 1e-300 and the center eps near 1/2 need no polish.
+    The coefficients and the order of every operation are those of
+    `statistics.NormalDist.inv_cdf`, whose bits this returns negated; the
+    module is not imported, since it loads `fractions` and `decimal` too.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"gaussian_Q_inv requires eps in (0,1), got {eps}")
-    # 0.0 - x rather than -x, so that Q^-1(1/2) is +0.0
-    return 0.0 - NormalDist().inv_cdf(eps)
+    # Wichura, M.J. (1988). "Algorithm AS241: The Percentage Points of the
+    # Normal Distribution". Applied Statistics 37 (3): 477-484.
+    q = eps - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num = (((((((2.50908_09287_30122_6727e+3 * r +
+                     3.34305_75583_58812_8105e+4) * r +
+                     6.72657_70927_00870_0853e+4) * r +
+                     4.59219_53931_54987_1457e+4) * r +
+                     1.37316_93765_50946_1125e+4) * r +
+                     1.97159_09503_06551_4427e+3) * r +
+                     1.33141_66789_17843_7745e+2) * r +
+                     3.38713_28727_96366_6080e+0) * q
+        den = (((((((5.22649_52788_52854_5610e+3 * r +
+                     2.87290_85735_72194_2674e+4) * r +
+                     3.93078_95800_09271_0610e+4) * r +
+                     2.12137_94301_58659_5867e+4) * r +
+                     5.39419_60214_24751_1077e+3) * r +
+                     6.87187_00749_20579_0830e+2) * r +
+                     4.23133_30701_60091_1252e+1) * r +
+                     1.0)
+        # 0.0 - x rather than -x, so that Q^-1(1/2) is +0.0
+        return 0.0 - num / den
+    r = math.sqrt(-math.log(eps if q <= 0.0 else 1.0 - eps))
+    if r <= 5.0:
+        r = r - 1.6
+        num = (((((((7.74545_01427_83414_07640e-4 * r +
+                     2.27238_44989_26918_45833e-2) * r +
+                     2.41780_72517_74506_11770e-1) * r +
+                     1.27045_82524_52368_38258e+0) * r +
+                     3.64784_83247_63204_60504e+0) * r +
+                     5.76949_72214_60691_40550e+0) * r +
+                     4.63033_78461_56545_29590e+0) * r +
+                     1.42343_71107_49683_57734e+0)
+        den = (((((((1.05075_00716_44416_84324e-9 * r +
+                     5.47593_80849_95344_94600e-4) * r +
+                     1.51986_66563_61645_71966e-2) * r +
+                     1.48103_97642_74800_74590e-1) * r +
+                     6.89767_33498_51000_04550e-1) * r +
+                     1.67638_48301_83803_84940e+0) * r +
+                     2.05319_16266_37758_82187e+0) * r +
+                     1.0)
+    else:
+        r = r - 5.0
+        num = (((((((2.01033_43992_92288_13265e-7 * r +
+                     2.71155_55687_43487_57815e-5) * r +
+                     1.24266_09473_88078_43860e-3) * r +
+                     2.65321_89526_57612_30930e-2) * r +
+                     2.96560_57182_85048_91230e-1) * r +
+                     1.78482_65399_17291_33580e+0) * r +
+                     5.46378_49111_64114_36990e+0) * r +
+                     6.65790_46435_01103_77720e+0)
+        den = (((((((2.04426_31033_89939_78564e-15 * r +
+                     1.42151_17583_16445_88870e-7) * r +
+                     1.84631_83175_10054_68180e-5) * r +
+                     7.86869_13114_56132_59100e-4) * r +
+                     1.48753_61290_85061_48525e-2) * r +
+                     1.36929_88092_27358_05310e-1) * r +
+                     5.99832_20655_58879_37690e-1) * r +
+                     1.0)
+    # the tail x = num / den is positive, and Phi^-1 takes the sign of q
+    x = num / den
+    return x if q < 0.0 else -x

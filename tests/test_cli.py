@@ -16,14 +16,18 @@ from hypothesis import strategies as st
 import umpbounds
 from umpbounds import cli, converse, cosets
 from umpbounds.achievability import (
+    HeaderSplit,
     SimplexWeights,
     dt_class_bound,
     max_log2M_dt,
     max_log2M_header_ach,
 )
-from umpbounds.asymptotics import expected_rate, kl_divergence_bits
-from umpbounds.channel import ChannelKind, ChannelSpec
-from umpbounds.converse import converse_eps_bec
+from umpbounds.asymptotics import ModDevPoint, expected_rate, kl_divergence_bits
+from umpbounds.channel import (
+    ChannelKind, ChannelSpec, ChannelStats, InfoDensitySpectrum, info_density_spectrum,
+)
+from umpbounds.converse import NPBetaResult, converse_eps_bec
+from umpbounds.numerics import LogValue
 
 
 def _cfg(*argv):
@@ -1298,22 +1302,25 @@ def test_package_names_are_their_layers_objects():
     }
 
 
+SMALL_RUNS = {
+    "bound": ["bound", "--channel", "bsc", "--p", "0.11", "--n", "100",
+              "--class", "eps=1e-3,lambda=1"],
+    "tradeoff": ["tradeoff", "--channel", "bsc", "--p", "0.11", "--n", "100",
+                 "--class", "eps=1e-3,lambda=1", "--mu", "1"],
+    "simulate": ["simulate", "--channel", "bec", "--p", "0.5", "--n", "16",
+                 "--class", "k=4,lambda=1", "--trials", "100"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (["bound", "--channel", "bsc", "--p", "0.11", "--n", "100",
-          "--class", "eps=1e-3,lambda=1"], ["converse"]),
-        (["tradeoff", "--channel", "bsc", "--p", "0.11", "--n", "100",
-          "--class", "eps=1e-3,lambda=1", "--mu", "1"], []),
-        (["simulate", "--channel", "bec", "--p", "0.5", "--n", "16",
-          "--class", "k=4,lambda=1", "--trials", "100"], ["cosets"]),
-    ],
+    "command, loaded",
+    [("bound", ["converse"]), ("tradeoff", []), ("simulate", ["cosets"])],
     ids=["bound", "tradeoff", "simulate"],
 )
-def test_each_command_loads_only_its_own_layers(tmp_path, argv, loaded):
+def test_each_command_loads_only_its_own_layers(tmp_path, command, loaded):
     # set-up loads the command's layers; the run loads no further umpbounds module
     src = str(Path(umpbounds.__file__).resolve().parents[1])
-    argv = argv + ["--out", str(tmp_path / "out.csv")]
+    argv = SMALL_RUNS[command] + ["--out", str(tmp_path / "out.csv")]
     code = (
         "import sys, umpbounds.cli as cli\n"
         "layers = lambda: sorted(m for m in sys.modules if m.startswith('umpbounds.'))\n"
@@ -1330,3 +1337,73 @@ def test_each_command_loads_only_its_own_layers(tmp_path, argv, loaded):
     want = sorted(f"umpbounds.{layer}" for layer in
                   ["achievability", "asymptotics", "channel", "cli", "numerics", *loaded])
     assert out.stdout.splitlines() == [repr(want)] * 2
+
+
+@pytest.mark.parametrize("command", ["bound", "tradeoff", "simulate"])
+def test_set_up_imports_no_statistics_or_dataclasses(tmp_path, command):
+    # statistics loads fractions and decimal; a dataclass compiles its methods
+    # at every import. Only simulate's CosetCodebook is a dataclass.
+    src = str(Path(umpbounds.__file__).resolve().parents[1])
+    argv = SMALL_RUNS[command] + ["--out", str(tmp_path / "out.csv")]
+    code = (
+        "import sys, umpbounds.cli as cli\n"
+        f"cli.build_config({argv!r})\n"
+        "print(sorted({'statistics', 'fractions', 'decimal', 'dataclasses'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == repr(["dataclasses"] if command == "simulate" else [])
+
+
+_BSC = ChannelKind.BSC
+
+# each record with every field given, in order, by keyword
+RECORDS = [
+    (LogValue, dict(log_magnitude=-1.5)),
+    (NPBetaResult, dict(log_beta=LogValue(-2.0), threshold_weight_L=3, randomization_rho=0.25)),
+    (ModDevPoint, dict(exponent=0.5, speed=2.0, predicted_log2_error=None,
+                       error_bounded_away=True)),
+    (ChannelStats, dict(capacity=0.5, dispersion=0.25)),
+    (ChannelSpec, dict(kind=_BSC, p=0.11, n=100)),
+    (HeaderSplit, dict(n0=3)),
+    (SimplexWeights, dict(weights=(0.5, 0.5))),
+    (cli.ClassSpec, dict(eps=1e-3, k=None, lam=0.5)),
+    (cli.SweepConfig, dict(
+        command="bound", channel=_BSC, p=0.11, n_list=[100, 200],
+        classes=[cli.ClassSpec(eps=1e-3, lam=1.0)], mu=None, n0="auto", seed=0,
+        trials=10000, codebooks=1, grid=0.01, eps0_grid=1000, out=None, threads=1,
+    )),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_are_immutable_values(cls, fields):
+    record = cls(**fields)
+    assert record == cls(**{k: list(v) if isinstance(v, list) else v for k, v in fields.items()})
+    assert [getattr(record, k) for k in fields] == list(fields.values())
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+
+
+def test_record_defaults():
+    assert cli.ClassSpec() == cli.ClassSpec(eps=None, k=None, lam=None)
+    cfg = cli.SweepConfig("bound", _BSC, 0.11, [100], [])
+    assert (cfg.mu, cfg.n0, cfg.seed, cfg.trials, cfg.codebooks, cfg.grid, cfg.eps0_grid,
+            cfg.out, cfg.threads) == (None, "auto", 0, 10000, 1, 0.01, 1000, None, 1)
+
+
+def test_spectrum_log_q_is_built_once_and_read_only():
+    shared = info_density_spectrum(_BSC, 12, 0.11)
+    spectrum = InfoDensitySpectrum(_BSC, shared.log_mass, shared.density)
+    assert "log_q" not in vars(spectrum)
+    log_q = spectrum.log_q
+    assert spectrum.log_q is log_q and vars(spectrum) == {"log_q": log_q}
+    with pytest.raises(ValueError):
+        log_q[0] = 0.0
+    with pytest.raises(AttributeError):
+        spectrum.density = log_q

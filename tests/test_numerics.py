@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import mpmath
 import numpy as np
@@ -91,7 +92,7 @@ class TestGaussianQ:
 
 class TestGaussianQInv:
     def test_median(self):
-        assert gaussian_Q_inv(0.5) == 0.0
+        assert gaussian_Q_inv(0.5).hex() == "0x0.0p+0"  # +0.0, not -0.0
 
     def test_decile(self):
         assert gaussian_Q_inv(0.1) == pytest.approx(1.2815515655446004, abs=1e-9)
@@ -141,6 +142,20 @@ class TestGaussianQInv:
     def test_against_mpmath(self, eps):
         want = self._mp_Q_inv(eps)
         assert gaussian_Q_inv(eps) == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+    # 10^4 log-spaced eps from 1e-300 to 1 - 2^-53, as many log-spaced
+    # 1 - eps from 2^-53 to 1/2, and the eps the benchmark workloads and
+    # acceptance criteria 1-9 pass
+    @pytest.mark.parametrize("eps", [
+        pytest.param(np.geomspace(1e-300, 1.0 - 2.0**-53, 10_000), id="log-spaced"),
+        pytest.param(1.0 - np.geomspace(2.0**-53, 0.5, 10_000), id="near-one"),
+        pytest.param(np.array([0.5, 1e-3, 0.1]), id="operating-points"),
+    ])
+    def test_bits_of_statistics_inv_cdf(self, eps):
+        # AS241 is copied into numerics, so the package never imports statistics
+        normal = statistics.NormalDist()
+        for e in map(float, np.unique(eps)):
+            assert gaussian_Q_inv(e).hex() == (0.0 - normal.inv_cdf(e)).hex(), e
 
     def test_inverse_of_Q_near_one_quantization(self):
         for x in (-5.9, -5.5):
