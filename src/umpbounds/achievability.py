@@ -29,7 +29,7 @@ import numpy as np
 
 from . import ResourceBudgetError
 from .channel import (
-    MAX_BOUND_LENGTH, ChannelKind, ChannelSpec, InfoDensitySpectrum, info_density_spectrum,
+    MAX_BOUND_LENGTH, ChannelKind, ChannelSpec, info_density_spectrum,
 )
 from .numerics import LN2, _exp2_sum, invert_exp2_sum, log_sum_exp
 
@@ -115,12 +115,14 @@ def _max_log2M(
         return None
     spectrum = info_density_spectrum(spec.kind, length, spec.p)
     guess = log2M(invert_exp2_sum(spectrum.log_mass, -spectrum.density, eps - fixed, hinge))
-    confirm = functools.partial(_step_down, bound, eps, guess, spectrum)
+    # the scalars, not the spectrum: a scan keeps every asked split's confirm
+    confirm = functools.partial(_step_down, bound, eps, guess, spec.kind, length, spec.p)
     return (max(guess, 0.0), confirm) if lazy else confirm()
 
 
 def _step_down(
-    bound: Callable[[float], float], eps: float, guess: float, spectrum: InfoDensitySpectrum
+    bound: Callable[[float], float], eps: float, guess: float,
+    kind: ChannelKind, length: int, p: float,
 ) -> float:
     """The first x of guess, guess - u, guess - 2u, guess - 4u, ... with
     bound(x) <= eps, or 0 when none above 0 does; u is an ulp of guess.
@@ -128,9 +130,9 @@ def _step_down(
     The float spectrum's masses sum to a few ulps less than 1, and a guess of
     +inf says the target is at or above that sum: it is refused."""
     if guess == math.inf:
-        shortfall = -math.expm1(log_sum_exp(spectrum.log_mass))
+        shortfall = -math.expm1(log_sum_exp(info_density_spectrum(kind, length, p).log_mass))
         raise ResourceBudgetError(
-            f"eps = {eps!r} at block length {len(spectrum.log_mass) - 1} reaches the float "
+            f"eps = {eps!r} at block length {length} reaches the float "
             f"spectrum's mass, which falls {shortfall:.3g} short of 1, so the rate is "
             "unbounded; take a smaller eps"
         )
