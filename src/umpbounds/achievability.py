@@ -203,7 +203,7 @@ def header_ach_bound(spec: ChannelSpec, split: HeaderSplit, m: int, log2M: float
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if split.n0 > spec.n:
-        raise ValueError(f"n0={split.n0} exceeds blocklength n={spec.n}")
+        raise ValueError(f"n0 must be in [0, n], got {split.n0}")
     if split.n0 == 0 and m != 1:
         raise ValueError("a zero-length header cannot distinguish m > 1 classes")
     if log2M < 0:

@@ -25,9 +25,9 @@ guarantee is in expectation over codebooks, so validation averages over
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,8 @@ MAX_CLASS_K = 20
 MAX_TOTAL_CODEWORDS = 1 << 22
 
 MC_CHUNK = 8192
+# chunks in one monte_carlo_error call, over all classes: about 8.6e9 trials
+MAX_MC_CHUNKS = 1 << 20
 # byte budget of a chunk's temporaries: each block of its noise draw, and in
 # the BSC error test each XOR block of a distance table, each group of keys
 # with its candidates' word columns, and each block of (trial, candidate)
@@ -75,40 +77,43 @@ def _frozen(rows: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
     return out
 
 
-# a dataclass, unlike the other records: its derived `packed` field is kept
-# out of the constructor, repr and equality. Only simulate loads this module.
-@dataclass(frozen=True)
-class CosetCodebook:
-    """Per-class generator matrices, coset shifts and decoding thresholds.
-
-    Message index w maps to coefficient bits little-endian: bit j of w selects
-    generator row j. Coset codewords are not necessarily distinct for random
-    generators; collisions are not an error, and only make the empirical
-    error conservative. The codebook is immutable: `packed` is derived from
-    `generators` and `shifts` once, so all three are tuples of read-only
-    arrays and a write to them raises.
-    """
-
+class _CodebookFields(NamedTuple):
     n: int
     k: Tuple[int, ...]
     lambdas: SimplexWeights
     generators: Tuple[np.ndarray, ...]  # class i: (k_i, n) uint8
     shifts: Tuple[np.ndarray, ...]  # class i: (n,) uint8
-    # class i: generator rows (k_i, words) and shift (words,), packed
-    packed: Tuple[Tuple[np.ndarray, np.ndarray], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        generators, shifts = _frozen(self.generators), _frozen(self.shifts)
+
+class CosetCodebook(_CodebookFields):
+    """Per-class generator matrices, coset shifts and decoding thresholds.
+
+    Message index w maps to coefficient bits little-endian: bit j of w selects
+    generator row j. Coset codewords are not necessarily distinct for random
+    generators; collisions are not an error, and only make the empirical
+    error conservative. The codebook is immutable: `generators` and `shifts`
+    are stored as tuples of read-only copies of the caller's rows, and
+    `packed` is derived from them once, so a write to any of them raises.
+    The class has no __slots__: the instance dict holds the cached `packed`,
+    which cached_property writes directly, past the refusing __setattr__.
+    """
+
+    def __new__(cls, n, k, lambdas, generators, shifts):
+        return super().__new__(cls, n, k, lambdas, _frozen(generators), _frozen(shifts))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CosetCodebook is immutable: cannot set {name}")
+
+    @functools.cached_property
+    def packed(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """Class i's packed generator rows (k_i, words) and shift (words,)."""
         packed = tuple(
-            (_pack_rows(g, self.n), _pack_rows(v, self.n)[0]) for g, v in zip(generators, shifts)
+            (_pack_rows(g, self.n), _pack_rows(v, self.n)[0])
+            for g, v in zip(self.generators, self.shifts)
         )
         for gen, shift in packed:
             gen.flags.writeable = shift.flags.writeable = False
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "packed", packed)
+        return packed
 
     @property
     def m(self) -> int:
@@ -458,37 +463,38 @@ def monte_carlo_error(
 ) -> List[int]:
     """Decoding errors per class, each over trials_per_class trials.
 
-    Trials are partitioned into fixed-size chunks whose substreams derive
-    deterministically from (seed, class, chunk index), so results do not
-    depend on the thread count. Each class's codeword table is built once,
-    before any chunk runs.
+    Chunk c of a class holds its trials c MC_CHUNK up to min((c + 1) MC_CHUNK,
+    trials_per_class) - 1, drawn from the substream of (seed, class, c), so
+    results do not depend on the thread count. More than MAX_MC_CHUNKS chunks
+    in all are refused before anything is built. Each class's codeword table
+    is built once, before any chunk runs, and each chunk's count is added to
+    its class as it arrives: a serial run keeps nothing per chunk.
     """
     if trials_per_class < 100:
         raise ValueError(f"need at least 100 trials per class, got {trials_per_class}")
-    tasks = []
-    for class_i in range(code.m):
-        done = 0
-        chunk_index = 0
-        while done < trials_per_class:
-            size = min(MC_CHUNK, trials_per_class - done)
-            tasks.append((class_i, chunk_index, size))
-            done += size
-            chunk_index += 1
-    errors = [0] * code.m
+    chunks = -(-trials_per_class // MC_CHUNK)
+    if code.m * chunks > MAX_MC_CHUNKS:
+        raise ResourceBudgetError(
+            f"{code.m} classes of {trials_per_class} trials take {code.m * chunks} "
+            f"chunks of {MC_CHUNK}, above budget {MAX_MC_CHUNKS}"
+        )
     tables = [code.codewords_packed(class_i) for class_i in range(code.m)]
 
-    def run(task):
-        class_i, chunk_index, size = task
-        return class_i, _mc_chunk_errors(code, tables, spec, class_i, seed, chunk_index, size)
+    def run(pair):
+        class_i, c = pair
+        size = min(MC_CHUNK, trials_per_class - c * MC_CHUNK)
+        return class_i, _mc_chunk_errors(code, tables, spec, class_i, seed, c, size)
 
+    pairs = ((class_i, c) for class_i in range(code.m) for c in range(chunks))
+    errors = [0] * code.m
     if threads > 1:
         # imported here: single-thread runs never load concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
+            for class_i, count in pool.map(run, pairs):
+                errors[class_i] += count
     else:
-        results = [run(t) for t in tasks]
-    for class_i, err in results:
-        errors[class_i] += err
+        for class_i, count in map(run, pairs):
+            errors[class_i] += count
     return errors

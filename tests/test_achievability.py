@@ -50,6 +50,10 @@ class TestSimplexWeights:
             "log2M must be >= 0", id="header-ach-log2M-negative",
         ),
         pytest.param(
+            lambda: header_ach_bound(ChannelSpec(BSC, 0.11, 8), HeaderSplit(9), 3, 1.0),
+            r"n0 must be in \[0, n\], got 9", id="header-ach-bound-n0-past-n",
+        ),
+        pytest.param(
             lambda: max_log2M_header_ach(ChannelSpec(BSC, 0.11, 8), 1e-3, 3, 9, [1e-3] * 3),
             r"n0 must be in \[0, n\], got 9", id="header-ach-n0-past-n",
         ),

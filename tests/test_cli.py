@@ -194,6 +194,21 @@ class TestExitCodes:
         assert code == cli.EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
 
+    def test_chunk_budget_is_3(self, capsys, tmp_path, monkeypatch):
+        # 10^12 trials a class are 122,070,313 chunks: refused before a chunk
+        # runs or a list of them is built
+        def no_chunk(*args, **kwargs):
+            raise AssertionError("a chunk ran past the budget")
+
+        monkeypatch.setattr(cosets, "_mc_chunk_errors", no_chunk)
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--channel", "bsc", "--p", "0.11", "--n", "16",
+                "--class", "k=2,lambda=0.5", "--class", "k=1,lambda=0.5",
+                "--trials", "1000000000000", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_BUDGET
+        assert capsys.readouterr().err.startswith("resource budget exceeded: 2 classes of ")
+        assert not out.exists()
+
     def test_bound_spectrum_cache_budget_is_3(self, capsys, tmp_path, monkeypatch):
         # 256 cached spectra of three float64 arrays of n + 1 weights pass
         # 2^30 bytes past n = 174,761: refused before any search or file
@@ -1342,7 +1357,7 @@ def test_each_command_loads_only_its_own_layers(tmp_path, command, loaded):
 @pytest.mark.parametrize("command", ["bound", "tradeoff", "simulate"])
 def test_set_up_imports_no_statistics_or_dataclasses(tmp_path, command):
     # statistics loads fractions and decimal; a dataclass compiles its methods
-    # at every import. Only simulate's CosetCodebook is a dataclass.
+    # at every import
     src = str(Path(umpbounds.__file__).resolve().parents[1])
     argv = SMALL_RUNS[command] + ["--out", str(tmp_path / "out.csv")]
     code = (
@@ -1355,7 +1370,7 @@ def test_set_up_imports_no_statistics_or_dataclasses(tmp_path, command):
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.strip() == repr(["dataclasses"] if command == "simulate" else [])
+    assert out.stdout.strip() == "[]"
 
 
 _BSC = ChannelKind.BSC

@@ -100,6 +100,8 @@ class TestBuild:
             code.codewords_packed(1)[0] = 0
         with pytest.raises(AttributeError):
             code.shifts = (shifts[0], shifts[0])
+        with pytest.raises(AttributeError):
+            code.packed = ()
         # the caller's arrays stay writable and no longer reach the codebook
         shifts[1][:] = 0
         gens[1][:] = 1

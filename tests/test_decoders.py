@@ -343,6 +343,44 @@ def test_chunk_memory_is_bounded(kind, p, n, k, bound):
     assert peak < bound
 
 
+def test_chunks_and_their_budget(monkeypatch):
+    # chunk c of a class holds trials c MC_CHUNK on, up to the class's last
+    # trial; the budget counts the chunks of every class and refuses before
+    # any chunk runs
+    calls = []
+
+    def count(code, tables, spec, class_i, seed, chunk, trials):
+        calls.append((class_i, chunk, trials))
+        return 1
+
+    monkeypatch.setattr(cosets, "_mc_chunk_errors", count)
+    monkeypatch.setattr(cosets, "MAX_MC_CHUNKS", 6)
+    spec = ChannelSpec(BSC, 0.11, 8)
+    code = build_coset_code(spec, (1, 1), SimplexWeights([0.5, 0.5]), _rng(0))
+    assert monte_carlo_error(code, spec, 2 * MC_CHUNK + 5, seed=1) == [3, 3]
+    sizes = [(0, MC_CHUNK), (1, MC_CHUNK), (2, 5)]
+    assert calls == [(class_i, *size) for class_i in range(2) for size in sizes]
+    with pytest.raises(cosets.ResourceBudgetError, match="take 8 chunks of 8192, above budget 6"):
+        monte_carlo_error(code, spec, 3 * MC_CHUNK + 1, seed=1)
+    assert len(calls) == 6
+
+
+def test_serial_run_keeps_nothing_per_chunk(monkeypatch):
+    # 2^17 chunks counted by a stub: a list of the chunks to run took 22 MB
+    # at this size; summing each count as it arrives keeps the peak under 1 MiB
+    monkeypatch.setattr(cosets, "_mc_chunk_errors", lambda *args: 0)
+    spec = ChannelSpec(BSC, 0.11, 8)
+    code = build_coset_code(spec, (1,), SimplexWeights([1.0]), _rng(0))
+    tracemalloc.start()
+    try:
+        errors = monte_carlo_error(code, spec, MC_CHUNK << 17, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errors == [0]
+    assert peak <= 1 << 20
+
+
 # the first two counts were computed with the exhaustive decoders that the
 # error tests replaced, the last two with the error test whose pair test
 # gathered each pair's candidate row; n = 130 takes three words, and at
