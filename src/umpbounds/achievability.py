@@ -57,6 +57,10 @@ class SimplexWeights(_SimplexFields):
             raise ValueError(f"simplex weights must sum to 1, got {sum(w)!r}")
         return super().__new__(cls, w)
 
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
 
 class _HeaderFields(NamedTuple):
     n0: int
@@ -71,6 +75,10 @@ class HeaderSplit(_HeaderFields):
         if n0 < 0:
             raise ValueError(f"n0 must be >= 0, got {n0}")
         return super().__new__(cls, n0)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def _block_sum(kind: ChannelKind, p: float, length: int, coeff: float, hinge: bool = False) -> float:

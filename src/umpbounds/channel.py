@@ -23,7 +23,8 @@ class ChannelKind(Enum):
 
 # The records are NamedTuples, not dataclasses: a dataclass compiles its
 # generated methods at every import, which no bytecode cache keeps. A record
-# that checks its fields does so in __new__ of a subclass of its fields.
+# that checks its fields does so in __new__ of a subclass of its fields, whose
+# _make (and so _replace) builds through the class to run the same checks.
 
 
 class _ChannelFields(NamedTuple):
@@ -48,6 +49,10 @@ class ChannelSpec(_ChannelFields):
         if n < 1:
             raise ValueError(f"blocklength must be >= 1, got {n}")
         return super().__new__(cls, kind, p, n)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 class ChannelStats(NamedTuple):
@@ -100,27 +105,11 @@ class InfoDensitySpectrum(_SpectrumFields):
         return log_q
 
 
-# factor * t for t < size, size a power of two: a length-L spectrum reads the
-# first L + 1 entries of the tables for ln p, ln(1 - p) and its density's
-# slope in t. A run reads three factors per channel at sizes up to twice its
-# longest block, a few dozen tables; the cache bounds how many stay alive.
-@functools.lru_cache(maxsize=64)
-def _multiples(factor: float, size: int) -> np.ndarray:
-    table = np.arange(size) * factor
-    table.flags.writeable = False
-    return table
-
-
-def _multiples_upto(factor: float, n: int) -> np.ndarray:
-    """factor * t for t = 0..n, a read-only prefix of a shared table."""
-    return _multiples(factor, 1 << n.bit_length())[: n + 1]
-
-
 def binomial_log_pmf(n: int, p: float) -> np.ndarray:
     """Natural-log Binomial(n, p) masses for t = 0..n.
 
     Entry t is ((ln n! - ln t!) - ln (n-t)!) + t ln p + (n-t) ln(1-p),
-    rounded in that order, with both products read from shared tables.
+    rounded in that order.
     """
     if p == 0.0:
         out = np.full(n + 1, -np.inf)
@@ -130,9 +119,10 @@ def binomial_log_pmf(n: int, p: float) -> np.ndarray:
         out = np.full(n + 1, -np.inf)
         out[n] = 0.0
         return out
+    t = np.arange(n + 1)
     out = log_binomial_row(n)
-    out += _multiples_upto(math.log(p), n)
-    out += _multiples_upto(math.log(1.0 - p), n)[::-1]
+    out += t * math.log(p)
+    out += (t * math.log(1.0 - p))[::-1]
     return out
 
 
@@ -155,14 +145,10 @@ def info_density_spectrum(kind: ChannelKind, length: int, p: float) -> InfoDensi
 
     BSC: density(t) = len*(1 + log2(1-p)) + t*(log2(p) - log2(1-p)), a
     constant plus a multiple of t, so every rounding step is monotone in t and
-    so is the float density, for every p; BEC: density(t) = len - t. Every
-    multiple of t, in the masses too, is a slice of a table that `_multiples`
-    shares between lengths and channels, so a build allocates little more
-    than its two outputs, and it rounds the same products and sums in the
-    same order as forming each entry directly. Weights have zero mass only
-    at p in {0, 1}, and only there is their density masked to -inf. The
-    arrays are shared by every caller and are read-only; `log_q` is built
-    only by the callers that read it.
+    so is the float density, for every p; BEC: density(t) = len - t. Weights
+    have zero mass only at p in {0, 1}, and only there is their density masked
+    to -inf. The arrays are shared by every caller and are read-only; `log_q`
+    is built only by the callers that read it.
     """
     log_mass = binomial_log_pmf(length, p)
     if kind is ChannelKind.BSC:
@@ -170,9 +156,9 @@ def info_density_spectrum(kind: ChannelKind, length: int, p: float) -> InfoDensi
         # and are masked below
         log2_p = math.log2(p) if p > 0.0 else 0.0
         log2_q = math.log2(1.0 - p) if p < 1.0 else 0.0
-        density = length * (1.0 + log2_q) + _multiples_upto(log2_p - log2_q, length)
+        density = length * (1.0 + log2_q) + np.arange(length + 1) * (log2_p - log2_q)
     else:
-        density = _multiples_upto(1.0, length)[::-1].copy()
+        density = np.arange(length, -1, -1, dtype=float)
     if p in (0.0, 1.0):
         density[log_mass == -np.inf] = -np.inf
     log_mass.flags.writeable = density.flags.writeable = False

@@ -101,6 +101,10 @@ class CosetCodebook(_CodebookFields):
     def __new__(cls, n, k, lambdas, generators, shifts):
         return super().__new__(cls, n, k, lambdas, _frozen(generators), _frozen(shifts))
 
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"CosetCodebook is immutable: cannot set {name}")
 

@@ -39,11 +39,21 @@ class TestSimplexWeights:
             with pytest.raises(ValueError):
                 SimplexWeights(weights)
 
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(ValueError, match=r"simplex weights must be nonnegative: \(5.0, -4.0\)"):
+            SimplexWeights([1.0])._replace(weights=(5.0, -4.0))
+        with pytest.raises(ValueError, match="simplex weights must sum to 1"):
+            SimplexWeights._make([(0.5, 0.6)])
+        assert SimplexWeights([1.0])._replace(weights=[0.5, 0.5]).weights == (0.5, 0.5)
+
 
 @pytest.mark.parametrize(
     "call, match",
     [
         pytest.param(lambda: HeaderSplit(-1), "n0 must be >= 0", id="header-split-negative"),
+        pytest.param(
+            lambda: HeaderSplit(3)._replace(n0=-5), "n0 must be >= 0, got -5", id="header-split-replace-negative"
+        ),
         pytest.param(lambda: _log2_count_minus_one(-0.5), "count must be >= 1", id="count-below-1"),
         pytest.param(
             lambda: header_ach_bound(ChannelSpec(BSC, 0.11, 8), HeaderSplit(2), 3, -1.0),

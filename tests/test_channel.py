@@ -3,10 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import direct_spectrum
 from scipy.special import logsumexp
 
-from umpbounds import channel
 from umpbounds.channel import (
     ChannelKind,
     ChannelSpec,
@@ -26,6 +27,18 @@ def test_spec_validation():
         ChannelSpec(BSC, 1.1, 10)
     with pytest.raises(ValueError):
         ChannelSpec(BEC, 0.5, 0)
+
+
+def test_spec_replace_and_make_run_the_checks():
+    spec = ChannelSpec(BSC, 0.11, 10)
+    with pytest.raises(ValueError, match=r"channel parameter must be in \[0,1\], got 7.0"):
+        spec._replace(p=7.0)
+    with pytest.raises(ValueError, match=r"channel parameter must be in \[0,1\], got -1.0"):
+        ChannelSpec._make([BSC, -1.0, 0])
+    with pytest.raises(ValueError, match="blocklength must be >= 1, got 0"):
+        spec._replace(n=0)
+    assert spec._replace(p=0.2) == ChannelSpec(BSC, 0.2, 10)
+    assert type(ChannelSpec._make(spec)) is ChannelSpec
 
 
 STATS_P = (0.0, 1e-300, 0.01, 0.11, 0.5, 0.89, 1.0)
@@ -191,26 +204,31 @@ SPECTRUM_P = (0.0, 1e-9, 0.11, 0.3, 0.5 - 2.0**-53, 0.5, 0.89, 1.0)
 SPECTRUM_LENGTHS = list(range(71)) + [500, 999, 1000, 2000, 10000]
 
 
-@pytest.mark.parametrize("lengths", [SPECTRUM_LENGTHS, SPECTRUM_LENGTHS[::-1]], ids=["up", "down"])
-def test_spectrum_tables_give_the_direct_bytes(lengths):
-    # built short-then-long each length needs a larger table than the last;
-    # long-then-short every length reads a table a longer one built
+def test_spectrum_tables_give_the_direct_bytes():
     info_density_spectrum.cache_clear()
-    channel._multiples.cache_clear()
     for kind in (BSC, BEC):
         for p in SPECTRUM_P:
-            for n in lengths:
+            for n in SPECTRUM_LENGTHS:
                 got = info_density_spectrum(kind, n, p)
                 log_mass, density = direct_spectrum(kind, n, p)
                 assert got.log_mass.tobytes() == log_mass.tobytes(), (kind, p, n)
                 assert got.density.tobytes() == density.tobytes(), (kind, p, n)
 
 
-def test_spectrum_table_cache_stays_bounded():
-    bound = channel._multiples.cache_info().maxsize
-    for p in np.linspace(0.001, 0.999, 100):
-        for kind in (BSC, BEC):
-            info_density_spectrum(kind, 600, float(p))
-            info_density_spectrum(kind, 20, float(p))
-        assert channel._multiples.cache_info().currsize <= bound
-    assert bound == 64
+# p on the 2^-53 grid of (0, 1), log-uniform down to 1e-300, within 1e-16..0.1 of
+# 1, or exactly 1/2
+SWEEP_P = st.one_of(
+    st.integers(1, 2**53 - 1).map(lambda i: i * 2.0**-53),
+    st.floats(-300.0, 0.0, exclude_max=True).map(lambda e: 10.0**e),
+    st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+    st.just(0.5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from([BSC, BEC]), n=st.integers(0, 3000), p=SWEEP_P)
+def test_spectrum_gives_the_direct_bytes_for_any_p(kind, n, p):
+    got = info_density_spectrum(kind, n, p)
+    log_mass, density = direct_spectrum(kind, n, p)
+    assert got.log_mass.tobytes() == log_mass.tobytes()
+    assert got.density.tobytes() == density.tobytes()

@@ -109,6 +109,19 @@ class TestBuild:
         assert np.array_equal(code.codewords_packed(1), table)
         assert np.array_equal(code.packed[1][1], _pack_rows(np.ones(16), 16)[0])
 
+    def test_replace_stores_read_only_copies(self):
+        # _replace builds through the class, so new rows are frozen like the constructor's
+        shifts = [np.zeros(16, dtype=np.uint8)]
+        code = CosetCodebook(16, (1,), SimplexWeights([1.0]), [np.ones((1, 16), np.uint8)], shifts)
+        writable_row = np.ones(16, dtype=np.uint8)
+        replaced = code._replace(shifts=[writable_row])
+        assert type(replaced) is CosetCodebook and type(replaced.shifts) is tuple
+        assert replaced.shifts[0] is not writable_row and replaced.shifts[0].all()
+        with pytest.raises(ValueError, match="read-only"):
+            replaced.shifts[0][0] = 0
+        writable_row[:] = 0
+        assert replaced.shifts[0].all()
+
     def test_entries_are_fair_bits(self):
         # chi-square over rebuilds, gated at five sigma
         spec = ChannelSpec(BEC, 0.5, 64)
