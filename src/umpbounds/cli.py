@@ -47,8 +47,10 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_ACCEPTANCE = 4
 
-# tradeoff streams its rows, so this bounds the CSV's size and the sweep's run time
-MAX_TRADEOFF_ROWS = 1_000_000
+# tradeoff's cells, max(points, steps + 1) x blocklengths x columns: this bounds the
+# CSV's size and the sweep's run time, how wide its rows grow with the classes, and
+# the per-weight tables a one-class sweep builds on a fine grid
+MAX_TRADEOFF_CELLS = 7_000_000
 # tradeoff formats at most this many rows of one n at a time
 TRADEOFF_SLICE_ROWS = 1 << 14
 
@@ -440,37 +442,24 @@ def simulate_rows(cfg: SweepConfig) -> Tuple[List[List[str]], bool]:
 # --------------------------------------------------------------------------
 
 
-def _split_last(heads: np.ndarray, ends: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Rows a..b-1 of the lex-ordered compositions made from `heads`, each head's
-    last part r split into (j, r - j) for j = 0..r; `ends` is the cumulative
-    count of rows, np.cumsum(heads[:, -1] + 1)."""
-    row = np.arange(a, b)
-    head = np.searchsorted(ends, row, side="right")
-    rest = heads[head, -1]
-    j = row - (ends[head] - rest - 1)
-    return np.column_stack((heads[head, :-1], j, rest - j))
-
-
 def _compositions(m: int, steps: int) -> Iterator[np.ndarray]:
     """Compositions of `steps` into m parts in lex order, as integer arrays of
     at most TRADEOFF_SLICE_ROWS rows; part c stands for the weight c / steps.
 
-    The compositions into m - 1 parts are the heads: splitting the last part
-    of each head in turn gives the m-part compositions in order. The heads,
-    at most as many as the points, are built whole; the last split is made
-    one block at a time.
+    Stars and bars: m - 1 bars among steps + m - 1 places, the parts being
+    the gaps between them. Bar positions in lex order give the parts in lex
+    order, and `itertools.combinations` yields them one block at a time.
     """
-    heads = np.array([[steps]])
-    if m == 1:
-        yield heads
+    if m == 1:  # no bars: a zero-width block cannot be reshaped
+        yield np.array([[steps]])
         return
-    for _ in range(m - 2):
-        ends = np.cumsum(heads[:, -1] + 1)
-        heads = _split_last(heads, ends, 0, int(ends[-1]))
-    ends = np.cumsum(heads[:, -1] + 1)
-    points = int(ends[-1])
-    for a in range(0, points, TRADEOFF_SLICE_ROWS):
-        yield _split_last(heads, ends, a, min(a + TRADEOFF_SLICE_ROWS, points))
+    bars = itertools.combinations(range(steps + m - 1), m - 1)
+    while True:
+        block = itertools.islice(bars, TRADEOFF_SLICE_ROWS)
+        block = np.fromiter(itertools.chain.from_iterable(block), np.int64).reshape(-1, m - 1)
+        if not len(block):
+            return
+        yield np.diff(block, prepend=-1, append=steps + m - 1) - 1
 
 
 def _simplex_points(mu: Sequence[float], steps: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -505,7 +494,7 @@ def tradeoff_columns(m: int) -> List[str]:
 def tradeoff_text(cfg: SweepConfig) -> Iterator[str]:
     """The sweep's CSV rows as text, a slice of one blocklength at a time.
 
-    Every number and every check (the row budget, the losses, each n's
+    Every number and every check (the cell budget, the losses, each n's
     expected rates and argmax) is computed before this returns, so a failing
     sweep fails before any output is opened. The simplex points come in
     blocks of at most TRADEOFF_SLICE_ROWS (`_simplex_points`): each block
@@ -522,11 +511,11 @@ def tradeoff_text(cfg: SweepConfig) -> Iterator[str]:
     mu = cfg.mu
     steps = round(1.0 / cfg.grid)
     points = math.comb(steps + m - 1, m - 1)
-    total_rows = points * len(cfg.n_list)
-    if total_rows > MAX_TRADEOFF_ROWS:
+    size = max(points, steps + 1) * len(cfg.n_list) * len(tradeoff_columns(m))
+    if size > MAX_TRADEOFF_CELLS:
         raise ResourceBudgetError(
-            f"{total_rows} tradeoff rows exceed budget {MAX_TRADEOFF_ROWS}; "
-            "coarsen --grid or sweep fewer n"
+            f"{size} tradeoff cells exceed budget {MAX_TRADEOFF_CELLS}; "
+            "coarsen --grid or sweep fewer n or classes"
         )
     # every weight on the grid is c / steps: format each once, indexed by c
     cells = [f"{w:.12g}" for w in (np.arange(steps + 1) / steps).tolist()]

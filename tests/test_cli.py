@@ -419,24 +419,50 @@ class TestInputChecks:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named.format(**paths) in err
 
-    def test_tradeoff_row_budget(self, capsys, monkeypatch):
-        # C(10002, 2) ~ 5e7 points per n: refused before any point is built
-        def no_enumeration(*args):
-            raise AssertionError("the simplex grid was enumerated")
+    @staticmethod
+    def _no_enumeration(*args):
+        raise AssertionError("the simplex grid was enumerated")
 
-        monkeypatch.setattr(cli, "_compositions", no_enumeration)
+    def test_tradeoff_cell_budget(self, capsys, monkeypatch):
+        # C(10002, 2) ~ 5e7 points per n: refused before any point is built
+        monkeypatch.setattr(cli, "_compositions", self._no_enumeration)
         assert cli.main(self.TRADEOFF + ["--grid", "1e-4"]) == cli.EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
 
-    def test_tradeoff_at_row_budget_runs(self, monkeypatch, tmp_path):
-        # 2 n values x C(12, 2) = 132 rows: at a budget of 132 it runs
-        monkeypatch.setattr(cli, "MAX_TRADEOFF_ROWS", 132)
+    def test_tradeoff_at_cell_budget_runs(self, monkeypatch, tmp_path):
+        # 2 n values x C(12, 2) = 132 rows of 7 cells: at a budget of 924 cells it runs
+        cells = 132 * len(cli.tradeoff_columns(3))
+        monkeypatch.setattr(cli, "MAX_TRADEOFF_CELLS", cells)
         out = tmp_path / "t.csv"
         assert cli.main(self.TRADEOFF + ["--grid", "0.1", "--out", str(out)]) == 0
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(lines) == 1 + 132
-        monkeypatch.setattr(cli, "MAX_TRADEOFF_ROWS", 131)
+        monkeypatch.setattr(cli, "MAX_TRADEOFF_CELLS", cells - 1)
         assert cli.main(self.TRADEOFF + ["--grid", "0.1", "--out", str(out)]) == cli.EXIT_BUDGET
+
+    @pytest.mark.parametrize("grid", ["1e-20", "1e-7"])
+    def test_one_class_fine_grid_is_refused(self, grid, tmp_path, capsys):
+        # one point, but a table entry per grid weight: 10^20 entries cannot be
+        # allocated, and 10^7 took 1.56 GB to write one row
+        out = tmp_path / "t.csv"
+        argv = [
+            "tradeoff", "--channel", "bsc", "--p", "0.11", "--n", "100",
+            "--class", "eps=1e-3,lambda=1", "--mu", "1", "--grid", grid, "--out", str(out),
+        ]
+        assert cli.main(argv) == cli.EXIT_BUDGET
+        assert capsys.readouterr().err.startswith("resource budget exceeded: ")
+        assert not out.exists()
+
+    def test_wide_sweep_is_refused(self, monkeypatch, tmp_path, capsys):
+        # 300 classes on a 1/2 grid: C(301, 2) = 45,150 points, each a row of 304 cells
+        monkeypatch.setattr(cli, "_compositions", self._no_enumeration)
+        out = tmp_path / "t.csv"
+        argv = ["tradeoff", "--channel", "bsc", "--p", "0.11", "--n", "100", "--grid", "0.5"]
+        argv += ["--class", "eps=1e-3,lambda=1"] + ["--class", "eps=1e-3,lambda=0"] * 299
+        argv += ["--mu", ",".join(["1"] + ["0"] * 299), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_BUDGET
+        assert capsys.readouterr().err.startswith("resource budget exceeded: 13725600 tradeoff cells")
+        assert not out.exists()
 
 
 class TestBoundCommand:

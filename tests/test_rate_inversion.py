@@ -242,6 +242,18 @@ def test_invert_exp2_sum_edges():
     assert invert_exp2_sum(log_w, shift, 0.0, hinge=True) == pytest.approx(0.0)
 
 
+def test_invert_exp2_sum_budget_in_the_flat_tail():
+    # a budget one ulp under the total mass of 1: rounding puts it past every
+    # breakpoint value but the last, in the tail where the capped sum is flat,
+    # so the answer is the last breakpoint -min(shift)
+    log_w = np.array([-0.14121560615396966, -2.02724446566715])
+    shift = np.array([-39.09471694813083, 27.160676000193533])
+    budget = math.nextafter(1.0, 0.0)
+    c = invert_exp2_sum(log_w, shift, budget)
+    assert c == -shift.min()
+    assert _capped_sum(log_w, shift, c) == pytest.approx(budget, rel=1e-9)
+
+
 # each channel search at a fixed class of a 100-symbol block, as a function of eps
 SEARCHES = {
     "max_log2M_dt": lambda eps: max_log2M_dt(ChannelSpec(BSC, 0.11, 100), eps, 1 / 3),
